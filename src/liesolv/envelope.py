@@ -13,11 +13,18 @@ Products are straightened one right generator at a time:
     b_i b_i = b_i^[2]
 
 with the (monomial, generator) products memoized.
+
+The oracle's first derived step uses the associative identity
+[a, bc] = [ab, c] + [ca, b]: it makes D_1 = [u(L), u(L)] the span of the
+brackets [m, x_g] of the 2^n monomials with the n generators, n*2^n
+brackets instead of 2^n(2^n-1)/2.  ``Envelope._d1_pairs`` is the one
+place that encodes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
@@ -300,7 +307,13 @@ class Envelope:
     def lie_derived_series(self, sub: Optional[Subspace] = None,
                            max_steps: int = 64,
                            keep_terms: bool = False) -> SeriesResult:
-        """D_0 = sub (default u(L)), D_{k+1} = span[D_k, D_k], until 0 or stable."""
+        """D_0 = sub (default u(L)), D_{k+1} = span[D_k, D_k], until 0 or stable.
+
+        When D_0 is all of u(L), D_1 is spanned by the n*2^n brackets
+        [m, x_g] of monomials with generators (see ``_d1_pairs``), not
+        by all 2^n(2^n-1)/2 monomial pairs.  Later steps bracket every
+        pair of basis elements of D_k.
+        """
         if self.gf2_lane:
             return self._derived_series_masks(sub, max_steps, keep_terms)
         elems = self._basis_elems(sub)
@@ -309,17 +322,18 @@ class Envelope:
         if keep_terms:
             terms.append(self.subspace_from_elems(elems) if sub is None else sub)
         prev: Optional[Subspace] = sub
-        for _ in range(max_steps):
+        packed = isinstance(self.field, GF2k)
+        for step in range(max_steps):
             elim = Eliminator(self.field, self.dim)
-            packed = isinstance(self.field, GF2k)
-            for i in range(len(elems)):
-                for j in range(i + 1, len(elems)):
-                    w = self.lie(elems[i], elems[j])
-                    if w:
-                        if packed:
-                            elim.add_planes(self.pack_elem(w))
-                        else:
-                            elim.add_vector(self.elem_to_vec(w))
+            pairs = (self._d1_pairs(elems) if step == 0 and sub is None
+                     else combinations(elems, 2))
+            for a, b in pairs:
+                w = self.lie(a, b)
+                if w:
+                    if packed:
+                        elim.add_planes(self.pack_elem(w))
+                    else:
+                        elim.add_vector(self.elem_to_vec(w))
             cur = elim.to_subspace()
             dims.append(cur.dim)
             if keep_terms:
@@ -347,15 +361,15 @@ class Envelope:
                 elim0.add_mask(m)
             terms.append(elim0.to_subspace())
         prev_masks = None
-        for _ in range(max_steps):
+        for step in range(max_steps):
             elim = Eliminator(self.field, self.dim)
-            for i in range(len(masks)):
-                mi = masks[i]
-                for j in range(i + 1, len(masks)):
-                    w = self.lie_mask(mi, masks[j])
-                    if w:
-                        elim.add_mask(w)
-            cur = [r[0] for r in elim._impl.rows]
+            pairs = (self._d1_pairs(masks) if step == 0 and sub is None
+                     else combinations(masks, 2))
+            for a, b in pairs:
+                w = self.lie_mask(a, b)
+                if w:
+                    elim.add_mask(w)
+            cur = elim.basis_masks()
             dims.append(len(cur))
             if keep_terms:
                 terms.append(elim.to_subspace())
@@ -376,11 +390,30 @@ class Envelope:
 
     def _elim_basis(self, elim: Eliminator):
         if self.gf2_lane:
-            return [r[0] for r in elim._impl.rows]
-        return [self.unpack_planes(r) for r in elim._impl.rows]
+            return elim.basis_masks()
+        return [self.unpack_planes(r) for r in elim.basis_planes()]
+
+    def _d1_pairs(self, mons):
+        """Pairs whose brackets span D_1 = [u(L), u(L)].
+
+        ``mons`` lists the 2^n monomials in either lane's form, indexed
+        by mask.  In an associative algebra [a, bc] = [ab, c] + [ca, b],
+        so by induction on the degree of the right factor every [a, m]
+        lies in the span of the [a', x_g], and D_1 is spanned by the
+        n*2^n brackets [m, x_g] of monomials m with generators x_g.
+        Pairs are yielded lazily.
+        """
+        return product(mons, [mons[1 << g] for g in range(self.n)])
 
     def sz_ideal(self) -> List[dict]:
-        """Basis of the two-sided ideal generated by all [[a,b],[c,d],e]."""
+        """Basis of the two-sided ideal generated by all [[a,b],[c,d],e].
+
+        D_1 comes from ``_d1_pairs``.  The ideal is generated by the
+        [u, x_g] for u in a basis of D_2 and generators x_g, because
+        [u, m1*m2] = [u, m1]*m2 + m1*[u, m2] puts every [u, m] in the
+        ideal they generate; the saturation below closes it under
+        left and right multiplication by generators.
+        """
         if self.gf2_lane:
             mons = [1 << m for m in range(self.dim)]
             lie, mul = self.lie_mask, self.mul_mask
@@ -388,30 +421,28 @@ class Envelope:
             mons = [self.monomial(m) for m in range(self.dim)]
             lie, mul = self.lie, self.mul
         nonzero = (lambda e: e != 0) if self.gf2_lane else (lambda e: bool(e))
+        gens = [mons[1 << g] for g in range(self.n)]
 
         d1 = Eliminator(self.field, self.dim)
-        for i in range(len(mons)):
-            for j in range(i + 1, len(mons)):
-                w = lie(mons[i], mons[j])
-                if nonzero(w):
-                    self._span_add_elem(d1, w)
+        for a, b in self._d1_pairs(mons):
+            w = lie(a, b)
+            if nonzero(w):
+                self._span_add_elem(d1, w)
         b1 = self._elim_basis(d1)
         d2 = Eliminator(self.field, self.dim)
-        for i in range(len(b1)):
-            for j in range(i + 1, len(b1)):
-                w = lie(b1[i], b1[j])
-                if nonzero(w):
-                    self._span_add_elem(d2, w)
+        for a, b in combinations(b1, 2):
+            w = lie(a, b)
+            if nonzero(w):
+                self._span_add_elem(d2, w)
         b2 = self._elim_basis(d2)
         gen = Eliminator(self.field, self.dim)
         for u in b2:
-            for m in mons:
-                w = lie(u, m)
+            for g in gens:
+                w = lie(u, g)
                 if nonzero(w):
                     self._span_add_elem(gen, w)
         # saturate to a two-sided ideal with one generator multiplication at a time
         queue = list(self._elim_basis(gen))
-        gens = [(1 << (1 << g)) if self.gf2_lane else self.gen(g) for g in range(self.n)]
         while queue:
             v = queue.pop()
             for g in gens:
@@ -560,13 +591,12 @@ def _monomial_subspace(env: Envelope, masks) -> Subspace:
     return env.subspace_from_elems([env.monomial(m) for m in masks])
 
 
-def _bracket_span_subspace(env: Envelope, a_elems, b_elems) -> Subspace:
+def _bracket_span_subspace(env: Envelope, pairs) -> Subspace:
     elim = Eliminator(env.field, env.dim)
-    for u in a_elems:
-        for v in b_elems:
-            w = env.lie(u, v)
-            if w:
-                env._span_add_elem(elim, env.to_mask(w) if env.gf2_lane else w)
+    for u, v in pairs:
+        w = env.lie(u, v)
+        if w:
+            env._span_add_elem(elim, env.to_mask(w) if env.gf2_lane else w)
     return elim.to_subspace()
 
 
@@ -616,15 +646,15 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
     all_mons = [env.monomial(m) for m in range(env.dim)]
 
     checks = []
-    br_hg = _bracket_span_subspace(env, h_elems, all_mons)
+    br_hg = _bracket_span_subspace(env, product(h_elems, all_mons))
     checks.append(("bracket of h with u(L) stays in h", h_space.contains(br_hg)))
-    br_gg = _bracket_span_subspace(env, all_mons, all_mons)
+    br_gg = _bracket_span_subspace(env, env._d1_pairs(all_mons))
     checks.append(("u(L)/h is abelian", h_space.contains(br_gg)))
-    br_kh = _bracket_span_subspace(env, k_elems, h_elems)
+    br_kh = _bracket_span_subspace(env, product(k_elems, h_elems))
     checks.append(("bracket of k with h stays in k", k_space.contains(br_kh)))
-    k_d1 = _bracket_span_subspace(env, k_elems, k_elems)
+    k_d1 = _bracket_span_subspace(env, product(k_elems, k_elems))
     k_d1_elems = [env.elem_from_row(row) for row in k_d1.rows]
-    k_d2 = _bracket_span_subspace(env, k_d1_elems, k_d1_elems)
+    k_d2 = _bracket_span_subspace(env, product(k_d1_elems, k_d1_elems))
     checks.append(("second derived of k vanishes", k_d2.dim == 0))
     if r == 3:
         e1 = env.lie(env.monomial(x1 | x2), env.monomial(x1 | x3))
@@ -651,7 +681,7 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
         env._span_add_elem(md1_elim, env.to_mask(e) if env.gf2_lane else e)
     md1 = md1_elim.to_subspace()
     md1_elems = [env.elem_from_row(row) for row in md1.rows]
-    md2 = _bracket_span_subspace(env, md1_elems, md1_elems)
+    md2 = _bracket_span_subspace(env, product(md1_elems, md1_elems))
     checks.append(("second derived of h/k vanishes", k_space.contains(md2)))
     detail = {
         "complement_dim": r,

@@ -6,13 +6,16 @@ identical.
 
 Rows over GF(2^k) are packed into k bit planes (Python ints), which
 turns every row operation into at most k^2 XORs regardless of the
-ambient dimension; GF(2) is the one-plane special case.  RatFunc2 rows
-stay as plain scalar lists.
+ambient dimension; GF(2) is the one-plane special case.  Packed rows
+are keyed by pivot and kept fully reduced, so reducing a vector touches
+only the pivots in its support.  RatFunc2 rows stay as plain scalar
+lists.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+import bisect
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 
@@ -95,22 +98,45 @@ def _scale(planes, mul_row, k: int):
 
 
 class _PackedElim:
-    """Incremental RREF accumulator over GF(2^k) with packed rows."""
+    """Incremental RREF accumulator over GF(2^k) with packed rows.
+
+    Rows are keyed by their pivot column and ``pivmask`` has one bit per
+    pivot.  The rows are kept fully reduced: row ``p`` is 1 at column
+    ``p`` and 0 at every other pivot.  So subtracting a multiple of row
+    ``p`` leaves a vector's coordinates at the other pivots unchanged,
+    and ``reduce`` can read all the coordinates it needs first, at the
+    pivots in ``support & pivmask`` only, and apply the row operations
+    after.
+    """
 
     def __init__(self, field: GF2k, ambient: int):
         self.field = field
         self.ambient = ambient
         self.k = field.k
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
+        self.rows: Dict[int, List[int]] = {}
+        self.pivmask = 0
         self._mul_rows = field.mul_rows()
 
     def reduce(self, planes: List[int]) -> List[int]:
+        rows = self.rows
+        hit = _support(planes) & self.pivmask
+        if self.k == 1:
+            x = planes[0]
+            while hit:
+                low = hit & -hit
+                x ^= rows[low.bit_length() - 1][0]
+                hit ^= low
+            planes[0] = x
+            return planes
+        coords = []
+        while hit:
+            low = hit & -hit
+            p = low.bit_length() - 1
+            coords.append((p, _coord(planes, p)))
+            hit ^= low
         mul_rows = self._mul_rows
-        for idx, p in enumerate(self.pivots):
-            c = _coord(planes, p)
-            if c:
-                _addmul(planes, self.rows[idx], mul_rows[c])
+        for p, c in coords:
+            _addmul(planes, rows[p], mul_rows[c])
         return planes
 
     def add(self, planes: List[int]) -> bool:
@@ -123,15 +149,22 @@ class _PackedElim:
         if lead != 1:
             planes = _scale(planes, self._mul_rows[self.field.inv(lead)], self.k)
         mul_rows = self._mul_rows
-        for idx in range(len(self.rows)):
-            c = _coord(self.rows[idx], j)
+        for row in self.rows.values():
+            c = _coord(row, j)
             if c:
-                _addmul(self.rows[idx], planes, mul_rows[c])
-        import bisect
-        pos = bisect.bisect_left(self.pivots, j)
-        self.pivots.insert(pos, j)
-        self.rows.insert(pos, planes)
+                _addmul(row, planes, mul_rows[c])
+        self.rows[j] = planes
+        self.pivmask |= 1 << j
         return True
+
+    @property
+    def pivots(self) -> List[int]:
+        return sorted(self.rows)
+
+    def basis(self) -> List[List[int]]:
+        """The rows in pivot order."""
+        rows = self.rows
+        return [rows[p] for p in sorted(rows)]
 
     @property
     def rank(self) -> int:
@@ -176,7 +209,6 @@ class _GenericElim:
             c = other[j]
             if not f.is_zero(c):
                 self._axpy(other, row, c)
-        import bisect
         pos = bisect.bisect_left(self.pivots, j)
         self.pivots.insert(pos, j)
         self.rows.insert(pos, row)
@@ -213,8 +245,13 @@ class Eliminator:
             raise FieldMismatch("packed rows need a GF(2^k) eliminator")
         return self._impl.add(list(planes))
 
+    def _check_gf2(self) -> None:
+        if not (self.packed and self.field.k == 1):
+            raise FieldMismatch("bitmask rows need a packed GF(2) eliminator")
+
     def add_mask(self, mask: int) -> bool:
-        # GF(2) convenience: a row is a single bitmask.
+        """GF(2) convenience: the row is one bitmask."""
+        self._check_gf2()
         return self._impl.add([mask])
 
     def residue(self, vec: Sequence):
@@ -237,8 +274,19 @@ class Eliminator:
 
     def basis_rows(self) -> List[Tuple]:
         if self.packed:
-            return [unpack_row(self.field, r, self.ambient) for r in self._impl.rows]
+            return [unpack_row(self.field, r, self.ambient) for r in self._impl.basis()]
         return [tuple(r) for r in self._impl.rows]
+
+    def basis_planes(self) -> List[List[int]]:
+        """The RREF rows as bit planes, in pivot order (GF(2^k) only)."""
+        if not self.packed:
+            raise FieldMismatch("packed rows need a GF(2^k) eliminator")
+        return [list(r) for r in self._impl.basis()]
+
+    def basis_masks(self) -> List[int]:
+        """The RREF rows as bitmasks, in pivot order (GF(2) only)."""
+        self._check_gf2()
+        return [r[0] for r in self._impl.basis()]
 
     def to_subspace(self) -> "Subspace":
         return Subspace._from_rref(self.field, self.ambient,
@@ -347,10 +395,6 @@ class Subspace:
 
     def basis(self) -> List[Tuple]:
         return list(self.rows)
-
-    def dump(self) -> List[List[str]]:
-        """RREF matrix with entries in the field's string form."""
-        return [[self.field.to_str(c) for c in row] for row in self.rows]
 
 
 def span(field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:

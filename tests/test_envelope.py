@@ -8,7 +8,7 @@ from liesolv.envelope import (
     envelope_augmentation_nilpotent, m2_embedding_check, reducedness_check,
 )
 from liesolv.families import (
-    free_class2, heisenberg, negative_class2, random_instance,
+    family_iv, family_v, free_class2, heisenberg, negative_class2, random_instance,
 )
 from liesolv.fields import GF2, gf
 from liesolv.linalg import span
@@ -376,3 +376,69 @@ def test_quotient_compatibility():
             lifted_dim = res.terms[k].sum(u_ideal).dim - u_ideal.dim
             assert lifted_dim == res_q.terms[k].dim, (k, L.names)
         assert res_q.outcome == "reached_zero" or res.outcome == "stabilized"
+
+
+def _all_pairs_span(env, elems):
+    return env.subspace_from_elems(
+        [env.lie(elems[i], elems[j]) for i in range(len(elems))
+         for j in range(i + 1, len(elems))])
+
+
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+# the first two seeds whose random_instance has D_1 != 0, for n = 3..6
+_NONABELIAN_SEEDS = {
+    GF2: {3: (7, 42), 4: (0, 8), 5: (1, 4), 6: (4, 8)},
+    GF4: {3: (3, 31), 4: (13, 23), 5: (3, 7), 6: (7, 8)},
+}
+
+
+def _random_nonabelian():
+    for field, by_n in _NONABELIAN_SEEDS.items():
+        for n, seeds in by_n.items():
+            for s in seeds:
+                yield random_instance(n, field, s)[0]
+
+
+def test_d1_from_generators_matches_all_pairs():
+    # the oracle's first step brackets monomials with generators only;
+    # GF(2) runs the mask lane, GF(4) the dict lane
+    for L in _random_nonabelian():
+        env = Envelope(L)
+        mons = [env.monomial(m) for m in range(env.dim)]
+        ref = _all_pairs_span(env, mons)
+        assert ref.dim > 0
+        assert env.lie_derived_series(keep_terms=True).terms[1] == ref, (L.field, L.n)
+
+
+def test_sz_ideal_matches_all_pairs_reference():
+    # The random draws above all have a zero ideal.  random_instance(6, GF4, 353)
+    # has a 16-dim one, which generating from the [u, x_0] alone would miss;
+    # its GF(2) twin (b6 rescaled) runs the mask lane.
+    zero = (0,) * 6
+    twin_brackets = {(1, 3): _unit(6, 3), (2, 4): _unit(6, 5)}
+    twin_pmap = [zero, _unit(6, 1), zero, zero, _unit(6, 0), zero]
+    curated = [random_instance(6, GF4, 353)[0],
+               RestrictedLieAlgebra(GF2, [f"b{i+1}" for i in range(6)],
+                                    twin_brackets, twin_pmap),
+               negative_class2(), negative_class2(GF4), family_iv(GF2, 2),
+               family_v(GF4, 2)]
+    for i, L in enumerate(curated + list(_random_nonabelian())):
+        env = Envelope(L)
+        mons = [env.monomial(m) for m in range(env.dim)]
+        d1 = _all_pairs_span(env, mons)
+        d2 = _all_pairs_span(env, [env.elem_from_row(r) for r in d1.rows])
+        ideal = env.subspace_from_elems(
+            [env.lie(env.elem_from_row(r), m) for r in d2.rows for m in mons])
+        while True:  # close under multiplication by monomials on both sides
+            basis = [env.elem_from_row(r) for r in ideal.rows]
+            grown = env.subspace_from_elems(
+                basis + [p for u in basis for m in mons
+                         for p in (env.mul(u, m), env.mul(m, u))])
+            if grown == ideal:
+                break
+            ideal = grown
+        assert ideal.dim > 0 or i >= len(curated)
+        assert env.subspace_from_elems(env.sz_ideal()) == ideal, (L.field, L.n)

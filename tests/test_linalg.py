@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from liesolv.fields import GF2, RATFUNC2, gf
+from liesolv.fields import GF2, RATFUNC2, FieldMismatch, gf
 from liesolv.linalg import (
-    Eliminator, NotASubspace, Quotient, Subspace, kernel, span, unit_vector,
+    Eliminator, NotASubspace, Quotient, Subspace, kernel, pack_row, span,
+    unit_vector, vec_add, vec_scale,
 )
 
 GF4 = gf(4)
@@ -46,18 +47,72 @@ def test_rref_idempotent():
         assert span(RATFUNC2, 4, s.basis()) == s
 
 
+def _low_rank_vecs(field, ambient, rank, count, rng):
+    """count vectors spanning at most rank dimensions, so some adds are redundant."""
+    base = [rand_vec(field, ambient, rng) for _ in range(rank)]
+    vecs = list(base)
+    for _ in range(count - rank):
+        v = (field.zero,) * ambient
+        for b in base:
+            v = vec_add(field, v, vec_scale(field, field.random(rng), b))
+        vecs.append(v)
+    rng.shuffle(vecs)
+    return vecs
+
+
 def test_packed_and_generic_paths_agree():
     rng = random.Random(29)
     for field in [GF2, GF4, gf(8)]:
-        for _ in range(20):
-            vecs = [rand_vec(field, 7, rng) for _ in range(5)]
-            fast = Eliminator(field, 7)
-            slow = Eliminator(field, 7, force_generic=True)
-            for v in vecs:
-                fast.add_vector(v)
-                slow.add_vector(v)
-            assert fast.pivots == slow.pivots
-            assert fast.basis_rows() == slow.basis_rows()
+        for ambient, rank, count, trials in [(7, 5, 9, 20), (64, 12, 20, 4),
+                                             (256, 10, 16, 2)]:
+            for _ in range(trials):
+                vecs = _low_rank_vecs(field, ambient, rank, count, rng)
+                fast = Eliminator(field, ambient)
+                slow = Eliminator(field, ambient, force_generic=True)
+                for v in vecs:
+                    assert fast.add_vector(v) == slow.add_vector(v)
+                assert fast.rank == slow.rank <= rank
+                assert fast.pivots == slow.pivots
+                assert fast.basis_rows() == slow.basis_rows()
+                probes = [rand_vec(field, ambient, rng) for _ in range(3)]
+                probes.append((field.zero,) * ambient)
+                probes += [vec_add(field, vecs[0], vecs[1]), vec_add(field, vecs[0], probes[0])]
+                for p in probes:
+                    assert fast.residue(p) == slow.residue(p)
+                    assert fast.contains_vector(p) == slow.contains_vector(p)
+                assert fast.contains_vector(probes[-2])
+
+
+def test_eliminator_basis_accessors():
+    rng = random.Random(30)
+    e2 = Eliminator(GF2, 9)
+    for v in _low_rank_vecs(GF2, 9, 4, 7, rng):
+        e2.add_vector(v)
+    assert e2.basis_masks() == [pack_row(GF2, r)[0] for r in e2.basis_rows()]
+    assert e2.basis_planes() == [[m] for m in e2.basis_masks()]
+    e4 = Eliminator(GF4, 9)
+    for v in _low_rank_vecs(GF4, 9, 4, 7, rng):
+        e4.add_vector(v)
+    assert e4.basis_planes() == [pack_row(GF4, r) for r in e4.basis_rows()]
+    with pytest.raises(FieldMismatch):
+        e4.basis_masks()
+    for generic in (Eliminator(RATFUNC2, 3), Eliminator(GF2, 3, force_generic=True)):
+        with pytest.raises(FieldMismatch):
+            generic.basis_planes()
+        with pytest.raises(FieldMismatch):
+            generic.basis_masks()
+
+
+def test_add_mask_needs_packed_gf2():
+    e = Eliminator(GF2, 4)
+    assert e.add_mask(0b0110)
+    assert not e.add_mask(0b0110)
+    assert e.basis_masks() == [0b0110]
+    for elim in (Eliminator(GF4, 4), Eliminator(gf(8), 4), Eliminator(RATFUNC2, 4),
+                 Eliminator(GF2, 4, force_generic=True)):
+        with pytest.raises(FieldMismatch):
+            elim.add_mask(0b0110)
+        assert elim.rank == 0
 
 
 def test_zassenhaus_dimension_formula():
