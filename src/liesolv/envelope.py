@@ -393,6 +393,10 @@ class Envelope:
             return elim.basis_masks()
         return [self.unpack_planes(r) for r in elim.basis_planes()]
 
+    def _gens_of(self, mons):
+        """The generators x_g among ``mons``, the 2^n monomials indexed by mask."""
+        return [mons[1 << g] for g in range(self.n)]
+
     def _d1_pairs(self, mons):
         """Pairs whose brackets span D_1 = [u(L), u(L)].
 
@@ -403,7 +407,7 @@ class Envelope:
         n*2^n brackets [m, x_g] of monomials m with generators x_g.
         Pairs are yielded lazily.
         """
-        return product(mons, [mons[1 << g] for g in range(self.n)])
+        return product(mons, self._gens_of(mons))
 
     def sz_ideal(self) -> List[dict]:
         """Basis of the two-sided ideal generated by all [[a,b],[c,d],e].
@@ -421,7 +425,7 @@ class Envelope:
             mons = [self.monomial(m) for m in range(self.dim)]
             lie, mul = self.lie, self.mul
         nonzero = (lambda e: e != 0) if self.gf2_lane else (lambda e: bool(e))
-        gens = [mons[1 << g] for g in range(self.n)]
+        gens = self._gens_of(mons)
 
         d1 = Eliminator(self.field, self.dim)
         for a, b in self._d1_pairs(mons):

@@ -120,14 +120,6 @@ class _PackedElim:
     def reduce(self, planes: List[int]) -> List[int]:
         rows = self.rows
         hit = _support(planes) & self.pivmask
-        if self.k == 1:
-            x = planes[0]
-            while hit:
-                low = hit & -hit
-                x ^= rows[low.bit_length() - 1][0]
-                hit ^= low
-            planes[0] = x
-            return planes
         coords = []
         while hit:
             low = hit & -hit
