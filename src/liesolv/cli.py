@@ -4,8 +4,9 @@ Commands: axioms, solvable, classify, sz-index, family, example-7-1,
 ordinary {classify,witness,envelope}, corpus.  Text reports go to
 stdout; --json switches to a single structured document.  Exit codes:
 0 completed (verdicts including not-solvable count as success),
-1 usage error, 2 parse or axiom error, 3 internal invariant violation
-(classifier/oracle disagreement in a corpus sweep).
+1 usage error or an algebra too large for u(L) (see
+``envelope.MAX_ENVELOPE_N``), 2 parse or axiom error, 3 internal
+invariant violation (classifier/oracle disagreement in a corpus sweep).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from . import __version__
 from .algebra import RestrictedLieAlgebra
 from .classify import ClassifyOptions, classify
-from .envelope import Envelope
+from .envelope import Envelope, EnvelopeTooLarge
 from .families import FAMILY_BUILDERS, example_7_1_report, random_instance
 from .fields import RatFunc2, gf
 from .ordinary import (LieAlgebra, corollary_classify, two_envelope,
@@ -82,6 +83,14 @@ def _load(args, want=None):
     return L
 
 
+def _envelope(L) -> Envelope:
+    try:
+        return Envelope(L)
+    except EnvelopeTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def cmd_axioms(args) -> int:
     L = _load(args)
     report = L.check_axioms()
@@ -98,7 +107,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_solvable(args) -> int:
     L = _load(args, want="restricted")
-    env = Envelope(L)
+    env = _envelope(L)
     res = env.lie_derived_series(max_steps=args.max_steps)
     payload = {"outcome": res.outcome, "value": res.value, "dims": res.dims}
     if res.outcome == "reached_zero":
@@ -146,7 +155,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sz_index(args) -> int:
     L = _load(args, want="restricted")
-    env = Envelope(L)
+    env = _envelope(L)
     res = env.sz_nilpotency()
     payload = {"nilpotent": res.nilpotent, "index": res.index,
                "ideal_dim": res.ideal_dim,

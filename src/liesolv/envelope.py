@@ -2,34 +2,51 @@
 
 Since the characteristic is 2, every PBW exponent is 0 or 1, so a PBW
 monomial is a bitmask over the basis indices of L and u(L) coordinates
-are indexed by the masks themselves.  Elements are sparse dicts
-{mask: scalar}; over GF(2) an element collapses to a single int whose
-bits are the monomials present, which is what makes derived-series runs
-in dimension 2^10 affordable.
+are indexed by the masks themselves.  The public element form is a
+sparse dict {mask: scalar}.
 
-Products are straightened one right generator at a time:
+Over GF(2^k) the arithmetic runs on stacked ints, the bit-sliced layout
+of M4RIE: an element is one int of k*2^n bits whose plane j, the bits
+[j*2^n, (j+1)*2^n), holds bit j of every coefficient.  Over GF(2) the
+stacked int is the bitmask of the monomials present.  Products are
+straightened one right generator at a time:
 
     b_i b_j = b_j b_i + [b_i, b_j]   (i > j)
     b_i b_i = b_i^[2]
 
-with the (monomial, generator) products memoized.
+and memoised in flat tables indexed by monomial: ``right[g][m]`` is
+m*x_g and ``left[g][m]`` is x_g*m.  ``Envelope._apply`` is the one
+kernel: it applies such a table T to a stacked element x, summing
+c_m*T[m] over the monomials m of x by XORing the entries of each
+plane's set bits and folding the planes together by Horner's rule in t.
 
-The oracle's first derived step uses the associative identity
+For a fixed left factor a, the ad table Ad_a[m] = [a, m] = a*m + m*a is
+filled lazily from the right and left generator tables, and then
+[a, b] is one apply of Ad_a to b.  The derived series brackets every
+pair of a basis this way.  Its first step uses the associative identity
 [a, bc] = [ab, c] + [ca, b]: it makes D_1 = [u(L), u(L)] the span of the
-brackets [m, x_g] of the 2^n monomials with the n generators, n*2^n
-brackets instead of 2^n(2^n-1)/2.  ``Envelope._d1_pairs`` is the one
-place that encodes it.
+n*2^n brackets [m, x_g] = right[g][m] + left[g][m], not of all
+2^n(2^n-1)/2 monomial pairs.
+
+Over RatFunc2 elements stay dicts, with (monomial, generator) products
+memoised in a dict.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
 from .linalg import Eliminator, Quotient, Subspace
+
+# u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
+# pairs of them, so larger algebras are refused before anything is built.
+MAX_ENVELOPE_N = 12
 
 
 class AlgebraMismatch(Exception):
@@ -37,6 +54,10 @@ class AlgebraMismatch(Exception):
 
 
 class PreconditionFailed(Exception):
+    pass
+
+
+class EnvelopeTooLarge(Exception):
     pass
 
 
@@ -69,17 +90,59 @@ class SZResult:
     witness: Optional[dict] = None  # stable element when not nilpotent
 
 
-class Envelope:
-    """u(L) with exact PBW arithmetic and solvability measurements."""
+class _GenTables:
+    """Memoised products with generators, one flat list per generator.
 
-    def __init__(self, algebra: RestrictedLieAlgebra):
+    ``right[g][m]`` is m*x_g and ``left[g][m]`` is x_g*m as stacked
+    ints, None until first asked for; len() counts the filled entries.
+    """
+
+    __slots__ = ("right", "left")
+
+    def __init__(self, n: int, dim: int):
+        self.right = [[None] * dim for _ in range(n)]
+        self.left = [[None] * dim for _ in range(n)]
+
+    def __len__(self) -> int:
+        return sum(len(t) - t.count(None) for t in self.right + self.left)
+
+
+class Envelope:
+    """u(L) with exact PBW arithmetic and solvability measurements.
+
+    ``force_dict`` runs a GF(2^k) algebra on the dict products, so tests
+    can cross-check them with the stacked kernel.
+    """
+
+    def __init__(self, algebra: RestrictedLieAlgebra, force_dict: bool = False):
+        if algebra.n > MAX_ENVELOPE_N:
+            raise EnvelopeTooLarge(
+                f"u(L) of a dimension-{algebra.n} algebra has 2^{algebra.n} "
+                f"monomials; envelopes are limited to dimension {MAX_ENVELOPE_N}")
         self.algebra = algebra
         self.field = algebra.field
         self.n = algebra.n
         self.dim = 1 << algebra.n
-        self._cache: Dict[Tuple[int, int], dict] = {}
-        self.gf2_lane = isinstance(self.field, GF2k) and self.field.k == 1
-        self._mask_cache: Dict[Tuple[int, int], int] = {}
+        self.stacked = isinstance(self.field, GF2k) and not force_dict
+        self._cache: Dict[Tuple[int, int], dict] = {}   # dict products
+        self._mask_cache = _GenTables(self.n if self.stacked else 0, self.dim)
+        if self.stacked:
+            k, D = self.field.k, self.dim
+            self.k = k
+            self._plane = (1 << D) - 1
+            self._offsets = [j * D for j in range(k)]      # plane j starts at bit j*D
+            self._offsets_desc = self._offsets[::-1]
+            self._top_shift = k * D
+            # t^k = sum of t^j over the bits j < k of the modulus
+            self._fold = [j * D for j in range(k) if self.field.modulus >> j & 1]
+            self._right = self._mask_cache.right
+            self._left = self._mask_cache.left
+            # The fills reach the envelope through a weak proxy: bound to
+            # self they would put it in a reference cycle, and its tables
+            # would wait for the cyclic collector to be freed.
+            me = weakref.proxy(self)
+            self._right_fill = [partial(Envelope._fill_right, me, g) for g in range(self.n)]
+            self._left_fill = [partial(Envelope._fill_left, me, g) for g in range(self.n)]
 
     # -- element constructors -----------------------------------------
 
@@ -131,7 +194,7 @@ class Envelope:
         return not a
 
     def _mono_gen(self, mask: int, g: int) -> dict:
-        """Normal form of (monomial) * b_g, memoized."""
+        """Normal form of (monomial) * b_g on the dict products, memoized."""
         key = (mask, g)
         hit = self._cache.get(key)
         if hit is not None:
@@ -167,6 +230,9 @@ class Envelope:
 
     def mul(self, a: dict, b: dict) -> dict:
         """PBW normal form of the product a*b."""
+        if self.stacked:
+            table, fill = self._products(self.to_mask(a))
+            return self.from_mask(self._apply(table, fill, self.to_mask(b)))
         out: dict = {}
         for mb, cb in b.items():
             term = a
@@ -176,6 +242,10 @@ class Envelope:
         return out
 
     def lie(self, a: dict, b: dict) -> dict:
+        if self.stacked:
+            x, y = self.to_mask(a), self.to_mask(b)
+            return self.from_mask(self._apply(*self._products(x), y)
+                                  ^ self._apply(*self._products(y), x))
         return self.add(self.mul(a, b), self.mul(b, a))
 
     def power(self, a: dict, e: int) -> dict:
@@ -191,102 +261,291 @@ class Envelope:
         """Square repeatedly; n+1 squarings decide nilpotency in dim 2^n."""
         if not a:
             return True, 0
-        cur = a
+        cur = self._native(a)
+        mul = self.mul_mask if self.stacked else self.mul
         for m in range(1, self.n + 2):
-            cur = self.mul(cur, cur)
+            cur = mul(cur, cur)
             if not cur:
                 return True, m
         return False, None
 
-    # -- GF(2) mask lane -------------------------------------------------
+    # -- the stacked-int kernel over GF(2^k) ------------------------------
 
-    def _mono_gen_mask(self, mask: int, g: int) -> int:
-        key = (mask, g)
-        hit = self._mask_cache.get(key)
-        if hit is not None:
-            return hit
-        top = mask.bit_length() - 1
-        if mask == 0 or g > top:
-            out = 1 << (mask | (1 << g))
-        elif g == top:
-            low = mask ^ (1 << top)
-            out = 0
-            for j, c in enumerate(self.algebra.pmap[top]):
-                if c:
-                    out ^= self._mono_gen_mask(low, j)
-        else:
-            low = mask ^ (1 << top)
-            out = 0
-            inner = self._mono_gen_mask(low, g)
-            for m2 in _bits(inner):
-                out ^= self._mono_gen_mask(m2, top)
-            for j, c in enumerate(self.algebra._table[top][g]):
-                if c:
-                    out ^= self._mono_gen_mask(low, j)
-        self._mask_cache[key] = out
+    def to_mask(self, a: dict) -> int:
+        """The stacked int of a dict element."""
+        D = self.dim
+        out = 0
+        for m, c in a.items():
+            while c:
+                if c & 1:
+                    out |= 1 << m
+                c >>= 1
+                m += D
         return out
 
-    def _elem_gen_mask(self, a: int, g: int) -> int:
-        out = 0
-        for m in _bits(a):
-            out ^= self._mono_gen_mask(m, g)
+    def from_mask(self, x: int) -> dict:
+        """The dict element of a stacked int."""
+        out: dict = {}
+        plane = self._plane
+        for j, s in enumerate(self._offsets):
+            for m in _bits(x >> s & plane):
+                out[m] = out.get(m, 0) | 1 << j
         return out
 
     def mul_mask(self, a: int, b: int) -> int:
-        out = 0
-        for mb in _bits(b):
-            term = a
-            for g in _bits(mb):
-                term = self._elem_gen_mask(term, g)
-            out ^= term
-        return out
+        """The product a*b of stacked ints."""
+        table, fill = self._products(a)
+        return self._apply(table, fill, b)
 
     def lie_mask(self, a: int, b: int) -> int:
         return self.mul_mask(a, b) ^ self.mul_mask(b, a)
 
-    def to_mask(self, a: dict) -> int:
+    def _mul_t(self, x: int) -> int:
+        """t*x: every plane moves up one, and plane k folds back by the modulus."""
+        x <<= self.dim
+        top = x >> self._top_shift
+        if top:
+            x ^= top << self._top_shift
+            for s in self._fold:
+                x ^= top << s
+        return x
+
+    def _scale_stacked(self, c: int, x: int) -> int:
+        """c*x for a scalar c of GF(2^k)."""
+        if c == 1:
+            return x
         out = 0
-        for m in a:
-            out |= 1 << m
+        for j in reversed(range(self.k)):      # Horner over the bits of c
+            if out:
+                out = self._mul_t(out)
+            if c >> j & 1:
+                out ^= x
         return out
 
-    def from_mask(self, mask: int) -> dict:
-        one = self.field.one
-        return {m: one for m in _bits(mask)}
+    def _apply(self, table: list, fill, x: int) -> int:
+        """Sum of c_m*table[m] over the monomials m of x, c_m their coefficients.
 
-    # -- packed coordinate rows (any GF(2^k)) ----------------------------
+        Entries still None are computed by fill(m).  Plane j of x
+        contributes t^j times the XOR of the entries at its set bits.
+        """
+        plane, top = self._plane, self._offsets_desc[0]
+        acc = 0
+        for s in self._offsets_desc:
+            if acc:
+                acc = self._mul_t(acc)
+            p = x >> s
+            if s != top:
+                p &= plane
+            while p:
+                low = p & -p
+                m = low.bit_length() - 1
+                e = table[m]
+                if e is None:
+                    e = fill(m)
+                acc ^= e
+                p ^= low
+        return acc
 
-    def pack_elem(self, a: dict) -> List[int]:
-        planes = [0] * self.field.k
-        for m, c in a.items():
-            i = 0
-            while c:
-                if c & 1:
-                    planes[i] |= 1 << m
-                c >>= 1
-                i += 1
-        return planes
+    def _right_entry(self, g: int, m: int) -> int:
+        """m*x_g, from the right generator table."""
+        e = self._right[g][m]
+        return self._fill_right(g, m) if e is None else e
 
-    def unpack_planes(self, planes: Sequence[int]) -> dict:
-        out: dict = {}
-        for i, plane in enumerate(planes):
-            for m in _bits(plane):
-                out[m] = out.get(m, 0) | (1 << i)
+    def _left_entry(self, g: int, m: int) -> int:
+        """x_g*m, from the left generator table."""
+        e = self._left[g][m]
+        return self._fill_left(g, m) if e is None else e
+
+    def _combo(self, vec: Sequence, low: int) -> int:
+        """low*v for v = sum_j vec[j] x_j in L."""
+        out = 0
+        for j, c in enumerate(vec):
+            if c:
+                out ^= self._scale_stacked(c, self._right_entry(j, low))
         return out
+
+    def _fill_right(self, g: int, m: int) -> int:
+        """right[g][m] = m*x_g, with x_g straightened into place."""
+        top = m.bit_length() - 1
+        if g > top:
+            out = 1 << (m | 1 << g)
+        else:
+            low = m ^ (1 << top)
+            if g == top:
+                out = self._combo(self.algebra.pmap[top], low)
+            else:
+                # low x_top x_g = (low x_g) x_top + low [x_top, x_g]
+                out = (self._apply(self._right[top], self._right_fill[top],
+                                   self._right_entry(g, low))
+                       ^ self._combo(self.algebra._table[top][g], low))
+        self._right[g][m] = out
+        return out
+
+    def _fill_left(self, g: int, m: int) -> int:
+        """left[g][m] = x_g*m = (x_g*m')*x_top for m = m'*x_top."""
+        if not m & ((2 << g) - 1):          # x_g is below every factor of m
+            out = 1 << (m | 1 << g)
+        else:
+            top = m.bit_length() - 1
+            out = self._apply(self._right[top], self._right_fill[top],
+                              self._left_entry(g, m ^ (1 << top)))
+        self._left[g][m] = out
+        return out
+
+    def _products(self, a: int, left: bool = False):
+        """Lazy table of a*m (or m*a when ``left``) over the monomials m.
+
+        Returns (table, fill) for ``_apply``.  a*m = (a*m')*x_top comes
+        from the right generator tables, m*a = x_low*(m''*a) from the
+        left ones.
+        """
+        tables, fills = ((self._left, self._left_fill) if left
+                         else (self._right, self._right_fill))
+        apply = self._apply
+        memo = [None] * self.dim
+        memo[0] = a
+
+        def bit(m):
+            return ((m & -m) if left else m).bit_length() - 1
+
+        def fill_path(m):
+            # strip one generator at a time down to a filled entry, then
+            # multiply back up (a closure calling itself would be a cycle)
+            path = []
+            while memo[m] is None:
+                g = bit(m)
+                path.append((m, g))
+                m ^= 1 << g
+            e = memo[m]
+            for m, g in reversed(path):
+                e = memo[m] = apply(tables[g], fills[g], e)
+            return e
+
+        def fill(m):
+            g = bit(m)
+            e = memo[m ^ (1 << g)]
+            if e is None:
+                return fill_path(m)
+            e = memo[m] = apply(tables[g], fills[g], e)
+            return e
+
+        return memo, fill
+
+    def _ad_table(self, a: int):
+        """Lazy table of [a, m] = a*m + m*a over the monomials m, as (table, fill)."""
+        am, am_fill = self._products(a)
+        ma, ma_fill = self._products(a, left=True)
+        ad = [None] * self.dim
+
+        def fill(m):
+            x = am[m]
+            if x is None:
+                x = am_fill(m)
+            y = ma[m]
+            if y is None:
+                y = ma_fill(m)
+            e = ad[m] = x ^ y
+            return e
+
+        return ad, fill
+
+    # -- native elements: stacked ints over GF(2^k), dicts over RatFunc2 --
+
+    def _native(self, a: dict):
+        return self.to_mask(a) if self.stacked else a
+
+    def _to_dict(self, e) -> dict:
+        return self.from_mask(e) if self.stacked else e
+
+    def _mono(self, m: int):
+        return 1 << m if self.stacked else self.monomial(m)
+
+    def _span_add(self, elim: Eliminator, e) -> bool:
+        if not self.stacked:
+            return elim.add_vector(self.elem_to_vec(e))
+        plane = self._plane
+        return elim.add_planes([e >> s & plane for s in self._offsets])
+
+    def _span(self, elems) -> Eliminator:
+        """An eliminator holding the span of the native elements ``elems``."""
+        elim = Eliminator(self.field, self.dim)
+        for w in elems:
+            if w:
+                self._span_add(elim, w)
+        return elim
+
+    def _basis(self, elim: Eliminator) -> list:
+        """The RREF basis of ``elim`` in pivot order, as native elements."""
+        if not self.stacked:
+            return [self.elem_from_row(r) for r in elim.basis_rows()]
+        out = []
+        for planes in elim.basis_planes():
+            x = 0
+            for p, s in zip(planes, self._offsets):
+                x |= p << s
+            out.append(x)
+        return out
+
+    def _d1_brackets(self):
+        """The brackets [m, x_g] of the 2^n monomials m with the generators x_g.
+
+        In an associative algebra [a, bc] = [ab, c] + [ca, b], so by
+        induction on the degree of the right factor every [a, m] lies in
+        the span of the [a', x_g], and these n*2^n brackets span D_1 =
+        [u(L), u(L)].  Over GF(2^k) each is a pair of table entries.
+        """
+        if not self.stacked:
+            for m in range(self.dim):
+                for g in range(self.n):
+                    yield self.lie(self.monomial(m), self.gen(g))
+            return
+        for g in range(self.n):
+            for m in range(self.dim):
+                yield self._right_entry(g, m) ^ self._left_entry(g, m)
+
+    def _brackets_with(self, a, vs):
+        """[a, v] for each v in ``vs``; over GF(2^k) one ad table of a serves all."""
+        if not self.stacked:
+            for v in vs:
+                yield self.lie(a, v)
+            return
+        table, fill = self._ad_table(a)
+        for v in vs:
+            yield self._apply(table, fill, v)
+
+    def _pair_brackets(self, elems: list):
+        """[a, b] for every pair a before b of ``elems``."""
+        for i in range(len(elems) - 1):
+            yield from self._brackets_with(elems[i], elems[i + 1:])
+
+    def _gen_products(self, v):
+        """(v*x_g, x_g*v) for each generator x_g."""
+        for g in range(self.n):
+            if self.stacked:
+                yield (self._apply(self._right[g], self._right_fill[g], v),
+                       self._apply(self._left[g], self._left_fill[g], v))
+            else:
+                x = self.gen(g)
+                yield self.mul(v, x), self.mul(x, v)
+
+    def _products_with(self, u, vs):
+        """u*v for each v in ``vs``; over GF(2^k) one right table of u serves all."""
+        if not self.stacked:
+            for v in vs:
+                yield self.mul(u, v)
+            return
+        table, fill = self._products(u)
+        for v in vs:
+            yield self._apply(table, fill, v)
+
+    # -- coordinate rows ----------------------------------------------------
 
     def elem_from_row(self, row: Sequence) -> dict:
         f = self.field
         return {m: c for m, c in enumerate(row) if not f.is_zero(c)}
 
     def subspace_from_elems(self, elems: Sequence[dict]) -> Subspace:
-        elim = Eliminator(self.field, self.dim)
-        if isinstance(self.field, GF2k):
-            for e in elems:
-                elim.add_planes(self.pack_elem(e))
-        else:
-            for e in elems:
-                elim.add_vector(self.elem_to_vec(e))
-        return elim.to_subspace()
+        return self._span(self._native(e) for e in elems).to_subspace()
 
     def elem_to_vec(self, a: dict) -> Tuple:
         f = self.field
@@ -297,204 +556,89 @@ class Envelope:
 
     # -- derived series oracle --------------------------------------------
 
-    def _basis_elems(self, sub: Optional[Subspace]) -> List[dict]:
-        if sub is None:
-            return [self.monomial(m) for m in range(self.dim)]
-        if sub.ambient != self.dim or sub.field != self.field:
-            raise AlgebraMismatch("subspace does not live in this envelope")
-        return [self.elem_from_row(r) for r in sub.rows]
-
     def lie_derived_series(self, sub: Optional[Subspace] = None,
                            max_steps: int = 64,
                            keep_terms: bool = False) -> SeriesResult:
         """D_0 = sub (default u(L)), D_{k+1} = span[D_k, D_k], until 0 or stable.
 
         When D_0 is all of u(L), D_1 is spanned by the n*2^n brackets
-        [m, x_g] of monomials with generators (see ``_d1_pairs``), not
-        by all 2^n(2^n-1)/2 monomial pairs.  Later steps bracket every
-        pair of basis elements of D_k.
+        [m, x_g] of monomials with generators (see ``_d1_brackets``),
+        not by all 2^n(2^n-1)/2 monomial pairs.  Later steps bracket
+        every pair of basis elements of D_k, each left factor through
+        its ad table.
         """
-        if self.gf2_lane:
-            return self._derived_series_masks(sub, max_steps, keep_terms)
-        elems = self._basis_elems(sub)
-        dims = [len(elems)]
-        terms: Optional[List[Subspace]] = [] if keep_terms else None
-        if keep_terms:
-            terms.append(self.subspace_from_elems(elems) if sub is None else sub)
-        prev: Optional[Subspace] = sub
-        packed = isinstance(self.field, GF2k)
-        for step in range(max_steps):
-            elim = Eliminator(self.field, self.dim)
-            pairs = (self._d1_pairs(elems) if step == 0 and sub is None
-                     else combinations(elems, 2))
-            for a, b in pairs:
-                w = self.lie(a, b)
-                if w:
-                    if packed:
-                        elim.add_planes(self.pack_elem(w))
-                    else:
-                        elim.add_vector(self.elem_to_vec(w))
-            cur = elim.to_subspace()
-            dims.append(cur.dim)
-            if keep_terms:
-                terms.append(cur)
-            if cur.dim == 0:
-                return SeriesResult(dims, "reached_zero", len(dims) - 1, terms)
-            if prev is not None and cur == prev:
-                return SeriesResult(dims, "stabilized", cur.dim, terms)
-            prev = cur
-            elems = [self.elem_from_row(r) for r in cur.rows]
-        return SeriesResult(dims, "budget_exceeded", dims[-1], terms)
-
-    def _derived_series_masks(self, sub, max_steps, keep_terms) -> SeriesResult:
         if sub is None:
-            masks = [1 << m for m in range(self.dim)]
+            elems = None
+            dims = [self.dim]
         else:
             if sub.ambient != self.dim or sub.field != self.field:
                 raise AlgebraMismatch("subspace does not live in this envelope")
-            masks = [self.to_mask(self.elem_from_row(r)) for r in sub.rows]
-        dims = [len(masks)]
-        terms: Optional[List[Subspace]] = [] if keep_terms else None
+            elems = [self._native(self.elem_from_row(r)) for r in sub.rows]
+            dims = [len(elems)]
+        terms: Optional[List[Subspace]] = None
         if keep_terms:
-            elim0 = Eliminator(self.field, self.dim)
-            for m in masks:
-                elim0.add_mask(m)
-            terms.append(elim0.to_subspace())
-        prev_masks = None
-        for step in range(max_steps):
-            elim = Eliminator(self.field, self.dim)
-            pairs = (self._d1_pairs(masks) if step == 0 and sub is None
-                     else combinations(masks, 2))
-            for a, b in pairs:
-                w = self.lie_mask(a, b)
-                if w:
-                    elim.add_mask(w)
-            cur = elim.basis_masks()
+            terms = [Subspace.full(self.field, self.dim) if sub is None else sub]
+        prev = elems
+        for _ in range(max_steps):
+            elim = self._span(self._d1_brackets() if elems is None
+                              else self._pair_brackets(elems))
+            cur = self._basis(elim)
             dims.append(len(cur))
             if keep_terms:
                 terms.append(elim.to_subspace())
             if not cur:
                 return SeriesResult(dims, "reached_zero", len(dims) - 1, terms)
-            if prev_masks is not None and cur == prev_masks:
+            if cur == prev:
                 return SeriesResult(dims, "stabilized", len(cur), terms)
-            prev_masks = cur
-            masks = cur
+            prev = elems = cur
         return SeriesResult(dims, "budget_exceeded", dims[-1], terms)
 
     # -- Lie-solvability witness machinery ---------------------------------
 
-    def _span_add_elem(self, elim: Eliminator, e) -> bool:
-        if self.gf2_lane:
-            return elim.add_mask(e)
-        return elim.add_planes(self.pack_elem(e))
-
-    def _elim_basis(self, elim: Eliminator):
-        if self.gf2_lane:
-            return elim.basis_masks()
-        return [self.unpack_planes(r) for r in elim.basis_planes()]
-
-    def _gens_of(self, mons):
-        """The generators x_g among ``mons``, the 2^n monomials indexed by mask."""
-        return [mons[1 << g] for g in range(self.n)]
-
-    def _d1_pairs(self, mons):
-        """Pairs whose brackets span D_1 = [u(L), u(L)].
-
-        ``mons`` lists the 2^n monomials in either lane's form, indexed
-        by mask.  In an associative algebra [a, bc] = [ab, c] + [ca, b],
-        so by induction on the degree of the right factor every [a, m]
-        lies in the span of the [a', x_g], and D_1 is spanned by the
-        n*2^n brackets [m, x_g] of monomials m with generators x_g.
-        Pairs are yielded lazily.
-        """
-        return product(mons, self._gens_of(mons))
-
     def sz_ideal(self) -> List[dict]:
         """Basis of the two-sided ideal generated by all [[a,b],[c,d],e].
 
-        D_1 comes from ``_d1_pairs``.  The ideal is generated by the
-        [u, x_g] for u in a basis of D_2 and generators x_g, because
-        [u, m1*m2] = [u, m1]*m2 + m1*[u, m2] puts every [u, m] in the
-        ideal they generate; the saturation below closes it under
-        left and right multiplication by generators.
+        D_1 comes from ``_d1_brackets`` and D_2 from ``_pair_brackets``.
+        The ideal is generated by the [u, x_g] for u in a basis of D_2
+        and generators x_g, because [u, m1*m2] = [u, m1]*m2 + m1*[u, m2]
+        puts every [u, m] in the ideal they generate; the saturation
+        below closes it under left and right multiplication by
+        generators.
         """
-        if self.gf2_lane:
-            mons = [1 << m for m in range(self.dim)]
-            lie, mul = self.lie_mask, self.mul_mask
-        else:
-            mons = [self.monomial(m) for m in range(self.dim)]
-            lie, mul = self.lie, self.mul
-        nonzero = (lambda e: e != 0) if self.gf2_lane else (lambda e: bool(e))
-        gens = self._gens_of(mons)
-
-        d1 = Eliminator(self.field, self.dim)
-        for a, b in self._d1_pairs(mons):
-            w = lie(a, b)
-            if nonzero(w):
-                self._span_add_elem(d1, w)
-        b1 = self._elim_basis(d1)
-        d2 = Eliminator(self.field, self.dim)
-        for a, b in combinations(b1, 2):
-            w = lie(a, b)
-            if nonzero(w):
-                self._span_add_elem(d2, w)
-        b2 = self._elim_basis(d2)
-        gen = Eliminator(self.field, self.dim)
-        for u in b2:
-            for g in gens:
-                w = lie(u, g)
-                if nonzero(w):
-                    self._span_add_elem(gen, w)
+        d1 = self._basis(self._span(self._d1_brackets()))
+        d2 = self._basis(self._span(self._pair_brackets(d1)))
+        gen = self._span(right ^ left if self.stacked else self.add(right, left)
+                         for u in d2 for right, left in self._gen_products(u))
         # saturate to a two-sided ideal with one generator multiplication at a time
-        queue = list(self._elim_basis(gen))
+        queue = self._basis(gen)
         while queue:
             v = queue.pop()
-            for g in gens:
-                for w in (mul(v, g), mul(g, v)):
-                    if nonzero(w) and self._span_add_elem(gen, w):
+            for pair in self._gen_products(v):
+                for w in pair:
+                    if w and self._span_add(gen, w):
                         queue.append(w)
-        basis = self._elim_basis(gen)
-        if self.gf2_lane:
-            return [self.from_mask(m) for m in basis]
-        return basis
+        return [self._to_dict(e) for e in self._basis(gen)]
 
     def sz_nilpotency(self) -> SZResult:
         """Associative nilpotency index of the ideal from sz_ideal."""
         ideal = self.sz_ideal()
         if not ideal:
             return SZResult(True, 1, 0)
-        if self.gf2_lane:
-            base = [self.to_mask(e) for e in ideal]
-            mul = self.mul_mask
-            nonzero = lambda e: e != 0
-        else:
-            base = ideal
-            mul = self.mul
-            nonzero = lambda e: bool(e)
+        base = [self._native(e) for e in ideal]
         cur = base
         power = 1
         while True:
-            elim = Eliminator(self.field, self.dim)
-            any_nonzero = False
-            for u in cur:
-                for v in base:
-                    w = mul(u, v)
-                    if nonzero(w):
-                        any_nonzero = True
-                        self._span_add_elem(elim, w)
-            if not any_nonzero:
+            nxt = self._basis(self._span(w for u in cur
+                                         for w in self._products_with(u, base)))
+            if not nxt:
                 return SZResult(True, power + 1, len(base))
-            nxt = self._elim_basis(elim)
-            if len(nxt) == len(cur):
-                same = all(a == b for a, b in zip(nxt, cur))
-                if same:
-                    witness = self._pick_non_nilpotent(nxt)
-                    return SZResult(False, None, len(base), witness)
+            if nxt == cur:
+                return SZResult(False, None, len(base), self._pick_non_nilpotent(nxt))
             cur = nxt
             power += 1
 
     def _pick_non_nilpotent(self, basis) -> dict:
-        elems = [self.from_mask(b) if self.gf2_lane else b for b in basis]
+        elems = [self._to_dict(b) for b in basis]
         for e in elems:
             ok, _ = self.is_nilpotent(e)
             if not ok:
@@ -525,32 +669,18 @@ def envelope_augmentation_nilpotent(L: RestrictedLieAlgebra) -> Tuple[bool, Opti
     Used to cross-check the chain criterion for 2-nilpotency of ideals.
     """
     env = Envelope(L)
-    if env.gf2_lane:
-        base = [1 << m for m in range(1, env.dim)]
-        mul = env.mul_mask
-    else:
-        base = [env.monomial(m) for m in range(1, env.dim)]
-        mul = env.mul
+    base = [env._mono(m) for m in range(1, env.dim)]
     cur = base
     power = 1
     prev_dim = None
     while True:
-        products = []
-        for u in cur:
-            for v in base:
-                w = mul(u, v)
-                if w:
-                    products.append(w)
-        if not products:
+        elim = env._span(w for u in cur for w in env._products_with(u, base))
+        if not elim.rank:
             return True, power + 1
-        elim = Eliminator(env.field, env.dim)
-        for w in products:
-            env._span_add_elem(elim, w)
-        dim = elim.rank
-        if prev_dim is not None and dim == prev_dim:
+        if elim.rank == prev_dim:
             return False, None
-        prev_dim = dim
-        cur = env._elim_basis(elim)
+        prev_dim = elim.rank
+        cur = env._basis(elim)
         power += 1
 
 
@@ -595,13 +725,11 @@ def _monomial_subspace(env: Envelope, masks) -> Subspace:
     return env.subspace_from_elems([env.monomial(m) for m in masks])
 
 
-def _bracket_span_subspace(env: Envelope, pairs) -> Subspace:
-    elim = Eliminator(env.field, env.dim)
-    for u, v in pairs:
-        w = env.lie(u, v)
-        if w:
-            env._span_add_elem(elim, env.to_mask(w) if env.gf2_lane else w)
-    return elim.to_subspace()
+def _bracket_span(env: Envelope, us, vs=None) -> Eliminator:
+    """Span of the [u, v] for u in ``us`` and v in ``vs`` (pairs of ``us`` if None)."""
+    if vs is None:
+        return env._span(env._pair_brackets(us))
+    return env._span(w for u in us for w in env._brackets_with(u, vs))
 
 
 def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
@@ -644,22 +772,21 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
     m_masks = mask_family(w_m)
     h_space = _monomial_subspace(env, h_masks)
     k_space = _monomial_subspace(env, k_masks)
-    h_elems = [env.monomial(m) for m in h_masks]
-    k_elems = [env.monomial(m) for m in k_masks]
-    m_elems = [env.monomial(m) for m in m_masks]
-    all_mons = [env.monomial(m) for m in range(env.dim)]
+    h_elems = [env._mono(m) for m in h_masks]
+    k_elems = [env._mono(m) for m in k_masks]
+    m_elems = [env._mono(m) for m in m_masks]
+    all_mons = [env._mono(m) for m in range(env.dim)]
 
     checks = []
-    br_hg = _bracket_span_subspace(env, product(h_elems, all_mons))
+    br_hg = _bracket_span(env, h_elems, all_mons).to_subspace()
     checks.append(("bracket of h with u(L) stays in h", h_space.contains(br_hg)))
-    br_gg = _bracket_span_subspace(env, env._d1_pairs(all_mons))
+    br_gg = env._span(env._d1_brackets()).to_subspace()
     checks.append(("u(L)/h is abelian", h_space.contains(br_gg)))
-    br_kh = _bracket_span_subspace(env, product(k_elems, h_elems))
+    br_kh = _bracket_span(env, k_elems, h_elems).to_subspace()
     checks.append(("bracket of k with h stays in k", k_space.contains(br_kh)))
-    k_d1 = _bracket_span_subspace(env, product(k_elems, k_elems))
-    k_d1_elems = [env.elem_from_row(row) for row in k_d1.rows]
-    k_d2 = _bracket_span_subspace(env, product(k_d1_elems, k_d1_elems))
-    checks.append(("second derived of k vanishes", k_d2.dim == 0))
+    k_d1_elems = env._basis(_bracket_span(env, k_elems))
+    k_d2 = _bracket_span(env, k_d1_elems)
+    checks.append(("second derived of k vanishes", k_d2.rank == 0))
     if r == 3:
         e1 = env.lie(env.monomial(x1 | x2), env.monomial(x1 | x3))
         e2 = env.lie(env.monomial(x1 | x2), env.monomial(x2 | x3))
@@ -675,17 +802,8 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
         checks.append(("pair-product brackets commute modulo k", ok_e))
     else:
         checks.append(("pair-product brackets commute modulo k", True))
-    md1_elim = Eliminator(env.field, env.dim)
-    for i in range(len(m_elems)):
-        for j in range(i + 1, len(m_elems)):
-            w = env.lie(m_elems[i], m_elems[j])
-            if w:
-                env._span_add_elem(md1_elim, env.to_mask(w) if env.gf2_lane else w)
-    for e in k_elems:
-        env._span_add_elem(md1_elim, env.to_mask(e) if env.gf2_lane else e)
-    md1 = md1_elim.to_subspace()
-    md1_elems = [env.elem_from_row(row) for row in md1.rows]
-    md2 = _bracket_span_subspace(env, product(md1_elems, md1_elems))
+    md1_elems = env._basis(env._span(chain(env._pair_brackets(m_elems), k_elems)))
+    md2 = _bracket_span(env, md1_elems).to_subspace()
     checks.append(("second derived of h/k vanishes", k_space.contains(md2)))
     detail = {
         "complement_dim": r,

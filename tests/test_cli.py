@@ -195,3 +195,35 @@ def test_zero_dimensional_algebra_edge():
     assert classify(Z).outcome == "solvable"
     res = Envelope(Z).lie_derived_series()
     assert res.outcome == "reached_zero" and res.value == 1
+
+
+def test_cli_sz_index_ratfunc_spec(tmp_path, capsys):
+    # the RatFunc2 envelope runs on dict elements and generic elimination
+    out = tmp_path / "ex71.alg"
+    assert main(["family", "example-7-1", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["--json", "sz-index", str(out)]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["nilpotent"] is False and res["index"] is None
+    assert res["ideal_dim"] == 64 and res["witness"]
+
+
+@pytest.mark.parametrize("command", ["solvable", "sz-index"])
+def test_cli_refuses_huge_envelope(tmp_path, capsys, monkeypatch, command):
+    from liesolv import envelope
+    from liesolv.algebra import RestrictedLieAlgebra
+
+    n = 20
+    path = tmp_path / "abelian20.alg"
+    path.write_text(serialize(RestrictedLieAlgebra(
+        GF2, [f"a{i}" for i in range(n)], {}, [(0,) * n] * n)))
+
+    def no_tables(*args):
+        raise AssertionError("tables built for a refused envelope")
+
+    monkeypatch.setattr(envelope, "_GenTables", no_tables)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"limited to dimension {envelope.MAX_ENVELOPE_N}" in err

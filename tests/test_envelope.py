@@ -4,7 +4,7 @@ import pytest
 
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.envelope import (
-    Envelope, PreconditionFailed, cond_ii_certificate,
+    MAX_ENVELOPE_N, Envelope, EnvelopeTooLarge, PreconditionFailed, cond_ii_certificate,
     envelope_augmentation_nilpotent, m2_embedding_check, reducedness_check,
 )
 from liesolv.families import (
@@ -14,6 +14,14 @@ from liesolv.fields import GF2, gf
 from liesolv.linalg import span
 
 GF4 = gf(4)
+GF8 = gf(8)
+
+
+def _off_gf2_instances():
+    # structure constants outside GF(2): random_instance(6, GF4, 353) has
+    # [b2,b5] = 2*b6 and b5^[2] = 3*b1; the GF(8) draw has [b1,b5] = 3*b3
+    # and b1^[2] = 4*b3, so products run the t^i multiply of the kernel
+    return [random_instance(6, GF4, 353)[0], random_instance(6, GF8, 1)[0]]
 
 
 def test_h3_one_straightening_step():
@@ -53,7 +61,8 @@ def test_algebra_embeds_in_envelope():
 
 def test_associativity_randomized():
     rng = random.Random(51)
-    for L in [negative_class2(), heisenberg(GF4), free_class2(gens=3, center_squares=True)]:
+    for L in [negative_class2(), heisenberg(GF4), free_class2(gens=3, center_squares=True)
+              ] + _off_gf2_instances():
         env = Envelope(L)
         f = L.field
         for _ in range(200):
@@ -65,17 +74,49 @@ def test_associativity_randomized():
             assert env.mul(env.mul(a, b), c) == env.mul(a, env.mul(b, c))
 
 
-def test_mask_lane_agrees_with_dict_lane():
+def _rand_elem(rng, env, terms=3):
+    f = env.field
+    return {rng.randrange(env.dim): c for _ in range(terms)
+            if not f.is_zero(c := f.random(rng))}
+
+
+def test_stacked_kernel_agrees_with_dict_products():
+    # the stacked-int kernel against the dict products it replaced on GF(2^k)
     rng = random.Random(53)
-    for L in [heisenberg(), negative_class2(), free_class2(gens=4)]:
-        env = Envelope(L)
-        assert env.gf2_lane
+    for L in [heisenberg(), negative_class2(), free_class2(gens=4), heisenberg(GF4),
+              negative_class2(GF8)] + _off_gf2_instances():
+        env, ref = Envelope(L), Envelope(L, force_dict=True)
+        assert env.stacked and not ref.stacked
         for _ in range(40):
-            a = rng.randrange(1, 1 << min(env.dim, 60))
-            b = rng.randrange(1, 1 << min(env.dim, 60))
-            pd = env.mul(env.from_mask(a), env.from_mask(b))
-            pm = env.mul_mask(a, b)
-            assert env.to_mask(pd) == pm
+            a, b = _rand_elem(rng, env, 4), _rand_elem(rng, env, 4)
+            assert env.to_mask(a) == env.to_mask(env.from_mask(env.to_mask(a)))
+            assert env.mul(a, b) == ref.mul(a, b)
+            assert env.from_mask(env.mul_mask(env.to_mask(a), env.to_mask(b))) == ref.mul(a, b)
+            assert env.lie(a, b) == ref.lie(a, b)
+            assert env.is_nilpotent(a) == ref.is_nilpotent(a)
+
+
+def test_ad_table_gives_brackets():
+    # one apply of Ad_a to b is [a, b] = a*b + b*a, by the dict products
+    rng = random.Random(67)
+    for L in [negative_class2(), heisenberg(GF4)] + _off_gf2_instances():
+        env, ref = Envelope(L), Envelope(L, force_dict=True)
+        for _ in range(10):
+            a = _rand_elem(rng, env, 4)
+            table, fill = env._ad_table(env.to_mask(a))
+            for _ in range(5):
+                b = _rand_elem(rng, env, 4)
+                expected = ref.add(ref.mul(a, b), ref.mul(b, a))
+                assert env.from_mask(env._apply(table, fill, env.to_mask(b))) == expected
+
+
+def test_derived_series_and_sz_ideal_agree_with_dict_products():
+    for L in [heisenberg(GF4), negative_class2(GF8), family_v(GF4, 2)] + _off_gf2_instances():
+        env, ref = Envelope(L), Envelope(L, force_dict=True)
+        got = env.lie_derived_series(keep_terms=True)
+        want = ref.lie_derived_series(keep_terms=True)
+        assert (got.dims, got.outcome, got.terms) == (want.dims, want.outcome, want.terms)
+        assert env.sz_ideal() == ref.sz_ideal()
 
 
 def _left_mul_oracle(env, a, b):
@@ -137,7 +178,7 @@ def _left_mul_oracle(env, a, b):
 def test_mul_agrees_with_left_multiplication_oracle():
     rng = random.Random(61)
     for L in [heisenberg(), negative_class2(), free_class2(gens=3, center_squares=True),
-              heisenberg(GF4)]:
+              heisenberg(GF4)] + _off_gf2_instances():
         env = Envelope(L)
         f = L.field
         for _ in range(40):
@@ -150,17 +191,36 @@ def test_mul_agrees_with_left_multiplication_oracle():
 
 
 def test_product_cache_consistency():
-    # cached (monomial, generator) products equal a fresh recomputation
-    L = negative_class2()
-    env1, env2 = Envelope(L), Envelope(L)
-    rng = random.Random(59)
-    keys = [(rng.randrange(env1.dim), rng.randrange(L.n)) for _ in range(30)]
-    for m, g in keys:
-        env1._mono_gen(m, g)
-    for m, g in reversed(keys):  # different fill order
-        env2._mono_gen(m, g)
-    for m, g in keys:
-        assert env1._mono_gen(m, g) == env2._mono_gen(m, g)
+    # table entries m*x_g and x_g*m equal a fresh recomputation in another
+    # fill order, and the dict products
+    for L in [negative_class2()] + _off_gf2_instances():
+        env1, env2 = Envelope(L), Envelope(L)
+        ref = Envelope(L, force_dict=True)
+        rng = random.Random(59)
+        keys = [(rng.randrange(L.n), rng.randrange(env1.dim)) for _ in range(30)]
+        for g, m in keys:
+            env1._right_entry(g, m)
+            env1._left_entry(g, m)
+        for g, m in reversed(keys):  # different fill order
+            env2._left_entry(g, m)
+            env2._right_entry(g, m)
+        for g, m in keys:
+            assert env1._right_entry(g, m) == env2._right_entry(g, m)
+            assert env1._left_entry(g, m) == env2._left_entry(g, m)
+            assert env1.from_mask(env1._right_entry(g, m)) == ref._mono_gen(m, g)
+            assert env1.from_mask(env1._left_entry(g, m)) == ref.mul(ref.gen(g), ref.monomial(m))
+        filled = sum(e is not None for t in env1._right + env1._left for e in t)
+        assert len(env1._cache) + len(env1._mask_cache) == filled > 0
+
+
+def test_envelope_size_guard():
+    def abelian(n):
+        return RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(n)], {}, [(0,) * n] * n)
+
+    assert MAX_ENVELOPE_N >= 12  # the n=11 oracle must still run
+    with pytest.raises(EnvelopeTooLarge):
+        Envelope(abelian(MAX_ENVELOPE_N + 1))
+    assert Envelope(abelian(MAX_ENVELOPE_N)).dim == 1 << MAX_ENVELOPE_N
 
 
 def test_identity_is_central():
@@ -195,6 +255,23 @@ def test_derived_series_n7_stabilizes():
     res = Envelope(negative_class2()).lie_derived_series()
     assert res.outcome == "stabilized"
     assert res.value > 0
+
+
+def test_derived_series_from_a_subspace():
+    # starting from D_k gives the tail of the full series; a D_0 with
+    # [D_0, D_0] = D_0 stabilizes after one step
+    for L in [heisenberg(), negative_class2(), negative_class2(GF4)]:
+        env = Envelope(L)
+        full = env.lie_derived_series(keep_terms=True)
+        for k in range(1, len(full.terms)):
+            if not full.dims[k]:
+                continue
+            tail = env.lie_derived_series(sub=full.terms[k])
+            if full.outcome == "stabilized" and k == len(full.terms) - 1:
+                assert tail.dims == full.dims[k:] + full.dims[-1:]
+            else:
+                assert tail.dims == full.dims[k:]
+            assert tail.outcome == full.outcome
 
 
 def test_sz_commutative_index_one():
@@ -342,17 +419,15 @@ def _envelope_ideal_of(env, algebra_subspace):
     elim = Eliminator(env.field, env.dim)
     queue = []
     for row in algebra_subspace.basis():
-        e = env.from_algebra_vec(row)
-        if env._span_add_elem(elim, env.to_mask(e) if env.gf2_lane else e):
-            queue.append(env.to_mask(e) if env.gf2_lane else e)
-    mul = env.mul_mask if env.gf2_lane else env.mul
-    gens = [1 << (1 << g) for g in range(env.n)] if env.gf2_lane \
-        else [env.gen(g) for g in range(env.n)]
+        e = env.to_mask(env.from_algebra_vec(row))
+        if env._span_add(elim, e):
+            queue.append(e)
+    gens = [env.to_mask(env.gen(g)) for g in range(env.n)]
     while queue:
         v = queue.pop()
         for g in gens:
-            for w in (mul(v, g), mul(g, v)):
-                if w and env._span_add_elem(elim, w):
+            for w in (env.mul_mask(v, g), env.mul_mask(g, v)):
+                if w and env._span_add(elim, w):
                     queue.append(w)
     return elim.to_subspace()
 
@@ -403,8 +478,7 @@ def _random_nonabelian():
 
 
 def test_d1_from_generators_matches_all_pairs():
-    # the oracle's first step brackets monomials with generators only;
-    # GF(2) runs the mask lane, GF(4) the dict lane
+    # the oracle's first step brackets monomials with generators only
     for L in _random_nonabelian():
         env = Envelope(L)
         mons = [env.monomial(m) for m in range(env.dim)]
@@ -416,7 +490,7 @@ def test_d1_from_generators_matches_all_pairs():
 def test_sz_ideal_matches_all_pairs_reference():
     # The random draws above all have a zero ideal.  random_instance(6, GF4, 353)
     # has a 16-dim one, which generating from the [u, x_0] alone would miss;
-    # its GF(2) twin (b6 rescaled) runs the mask lane.
+    # its GF(2) twin has b6 rescaled.
     zero = (0,) * 6
     twin_brackets = {(1, 3): _unit(6, 3), (2, 4): _unit(6, 5)}
     twin_pmap = [zero, _unit(6, 1), zero, zero, _unit(6, 0), zero]
