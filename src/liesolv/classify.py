@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedIdeal, RestrictedLieAlgebra
@@ -133,23 +134,58 @@ def subspace_points(field, s: Subspace, cap: int = 1 << 16):
 # necessary (refuting) tests
 # ----------------------------------------------------------------------
 
-def _pattern_v(env: Envelope, e1, e2, e3, e4) -> dict:
-    """[[e4 e3 e1, e4], [e4 e1, e1], e2], always in the S-Z ideal of u(L)."""
-    a = env.lie(env.mul(env.mul(e4, e3), e1), e4)
-    b = env.lie(env.mul(e4, e1), e1)
-    return env.lie(env.lie(a, b), e2)
+def _pairing_elements(env: Envelope, lifts: Sequence):
+    """[[e4 e3 e1, e4], [e4 e1, e1], e2] for e1..e4 in ``lifts`` (elements of L).
+
+    Yields, for every 4-subset of ``lifts`` and three orders of it, the
+    native element of u(L); each lies in the S-Z ideal.  Products and
+    brackets with e in L are sums of products with generators.
+    """
+    def mul(v, e):
+        return env._combine(e, partial(env._mul_gen, v))
+
+    def lie(v, e):
+        return env._combine(e, partial(env._lie_gen, v))
+
+    for subset in itertools.combinations(lifts, 4):
+        for order in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)):
+            e1, e2, e3, e4 = (subset[i] for i in order)
+            e4n = env._native(env.from_algebra_vec(e4))
+            a = lie(mul(mul(e4n, e3), e1), e4)
+            b = lie(mul(e4n, e1), e1)
+            yield lie(env._ad(b)(a), e2)
 
 
-def _pattern_step3(env: Envelope, z, b, y, x) -> dict:
-    """[[z b y, z], [x, x b], y], always in the S-Z ideal of u(L)."""
-    zby = env.mul(env.mul(z, b), y)
-    xb = env.mul(x, b)
-    return env.lie(env.lie(env.lie(zby, z), env.lie(x, xb)), y)
+def _bracket_patterns(env: Envelope, budget: int):
+    """[[z b y, z], [x, x b], y] for the first ``budget`` 4-permutations
+    (z, b, y, x) of the generators, as native elements of u(L).
+
+    Each lies in the S-Z ideal.  [z b y, z] is memoised per (z, b, y)
+    and the ad table of [x, x b] per (x, b), so each element costs one
+    general bracket (an apply of that table) and one bracket with y.
+    """
+    zbyz, ads = {}, {}
+    for z, b, y, x in itertools.islice(itertools.permutations(range(env.n), 4), budget):
+        a = zbyz.get((z, b, y))
+        if a is None:
+            zby = env._mul_gen(env._mul_gen(env._mono(1 << z), b), y)
+            a = zbyz[z, b, y] = env._lie_gen(zby, z)
+        ad = ads.get((x, b))
+        if ad is None:
+            ad = ads[x, b] = env._ad(env._lie_gen(env._mul_gen(env._mono(1 << x), b), x))
+        yield env._lie_gen(ad(a), y)
 
 
 def necessary_tests(L: RestrictedLieAlgebra,
                     options: Optional[ClassifyOptions] = None) -> Optional[Verdict]:
-    """Fast refutations; None means all tests passed."""
+    """Fast refutations; None means all tests passed.
+
+    Tests (b) and (c) evaluate their pattern elements natively in u(L)
+    (stacked ints over GF(2^k), see ``Envelope``) from the generator
+    tables, and turn an element into a dict only to report a witness.
+    Test (c) memoises [z b y, z] per (z, b, y) and the ad table of
+    [x, x b] per (x, b).
+    """
     options = options or ClassifyOptions()
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
     d1 = L.derived_subalgebra()
@@ -172,39 +208,22 @@ def necessary_tests(L: RestrictedLieAlgebra,
     env = Envelope(L) if L.n <= 11 else None
     if env is None:
         return None
+    tests = []
     # (b) pairing-combination elements on 4-subsets of a central complement
     cls = L.nilpotency_class()
     if cls is not None and cls <= 2:
-        z = L.center()
-        quot = Quotient(L.full_space(), z)
-        lifts = list(quot.lifted)
-        for subset in itertools.combinations(range(len(lifts)), 4):
-            vs = [env.from_algebra_vec(lifts[i]) for i in subset]
-            for (a, b, c, d) in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)):
-                w = _pattern_v(env, vs[a], vs[b], vs[c], vs[d])
-                nil, _ = env.is_nilpotent(w)
-                if not nil:
-                    return Verdict(
-                        outcome="not_solvable", witness_kind="sz_witness",
-                        witness_str=env.element_str(w),
-                        reason="pairing-combination element is not nilpotent",
-                        witness_elem=w, witness_algebra=L)
+        lifts = Quotient(L.full_space(), L.center()).lifted
+        tests.append(("pairing-combination", _pairing_elements(env, lifts)))
     # (c) bracket patterns over basis 4-tuples
-    count = 0
-    gens_e = [env.gen(i) for i in range(L.n)]
-    for tup in itertools.permutations(range(L.n), 4):
-        if count >= options.pattern_budget:
-            break
-        count += 1
-        z, b, y, x = (gens_e[i] for i in tup)
-        w = _pattern_step3(env, z, b, y, x)
-        if w:
-            nil, _ = env.is_nilpotent(w)
-            if not nil:
+    tests.append(("bracket-pattern", _bracket_patterns(env, options.pattern_budget)))
+    for name, elems in tests:
+        for w in elems:
+            if not env._is_nilpotent(w)[0]:
+                w = env._to_dict(w)
                 return Verdict(
                     outcome="not_solvable", witness_kind="sz_witness",
                     witness_str=env.element_str(w),
-                    reason="bracket-pattern element is not nilpotent",
+                    reason=f"{name} element is not nilpotent",
                     witness_elem=w, witness_algebra=L)
     return None
 

@@ -233,6 +233,10 @@ class Envelope:
         if self.stacked:
             table, fill = self._products(self.to_mask(a))
             return self.from_mask(self._apply(table, fill, self.to_mask(b)))
+        return self._mul_dict(a, b)
+
+    def _mul_dict(self, a: dict, b: dict) -> dict:
+        """a*b on the dict products, one right generator at a time."""
         out: dict = {}
         for mb, cb in b.items():
             term = a
@@ -259,9 +263,12 @@ class Envelope:
 
     def is_nilpotent(self, a: dict) -> Tuple[bool, Optional[int]]:
         """Square repeatedly; n+1 squarings decide nilpotency in dim 2^n."""
-        if not a:
+        return self._is_nilpotent(self._native(a))
+
+    def _is_nilpotent(self, cur) -> Tuple[bool, Optional[int]]:
+        """``is_nilpotent`` of a native element."""
+        if not cur:
             return True, 0
-        cur = self._native(a)
         mul = self.mul_mask if self.stacked else self.mul
         for m in range(1, self.n + 2):
             cur = mul(cur, cur)
@@ -503,6 +510,44 @@ class Envelope:
             for m in range(self.dim):
                 yield self._right_entry(g, m) ^ self._left_entry(g, m)
 
+    def _mul_gen(self, v, g: int):
+        """v*x_g, from the right generator table."""
+        if self.stacked:
+            return self._apply(self._right[g], self._right_fill[g], v)
+        return self._elem_gen(v, g)
+
+    def _gen_mul(self, g: int, v):
+        """x_g*v, from the left generator table."""
+        if self.stacked:
+            return self._apply(self._left[g], self._left_fill[g], v)
+        return self._mul_dict(self.gen(g), v)
+
+    def _lie_gen(self, v, g: int):
+        """[v, x_g] = v*x_g + x_g*v."""
+        if self.stacked:
+            return self._mul_gen(v, g) ^ self._gen_mul(g, v)
+        return self.add(self._mul_gen(v, g), self._gen_mul(g, v))
+
+    def _combine(self, vec: Sequence, term):
+        """The sum of vec[g]*term(g) over the nonzero coordinates of ``vec``."""
+        if self.stacked:
+            out = 0
+            for g, c in enumerate(vec):
+                if c:
+                    out ^= self._scale_stacked(c, term(g))
+            return out
+        out = {}
+        for g, c in enumerate(vec):
+            if not self.field.is_zero(c):
+                self._iadd_scaled(out, term(g), c)
+        return out
+
+    def _ad(self, a):
+        """The map v -> [a, v]; over GF(2^k) it applies one lazy ad table of a."""
+        if self.stacked:
+            return partial(self._apply, *self._ad_table(a))
+        return lambda v: self.add(self._mul_dict(a, v), self._mul_dict(v, a))
+
     def _brackets_with(self, a, vs):
         """[a, v] for each v in ``vs``; over GF(2^k) one ad table of a serves all."""
         if not self.stacked:
@@ -521,12 +566,7 @@ class Envelope:
     def _gen_products(self, v):
         """(v*x_g, x_g*v) for each generator x_g."""
         for g in range(self.n):
-            if self.stacked:
-                yield (self._apply(self._right[g], self._right_fill[g], v),
-                       self._apply(self._left[g], self._left_fill[g], v))
-            else:
-                x = self.gen(g)
-                yield self.mul(v, x), self.mul(x, v)
+            yield self._mul_gen(v, g), self._gen_mul(g, v)
 
     def _products_with(self, u, vs):
         """u*v for each v in ``vs``; over GF(2^k) one right table of u serves all."""
@@ -638,12 +678,10 @@ class Envelope:
             power += 1
 
     def _pick_non_nilpotent(self, basis) -> dict:
-        elems = [self._to_dict(b) for b in basis]
-        for e in elems:
-            ok, _ = self.is_nilpotent(e)
-            if not ok:
-                return e
-        return elems[0]
+        for e in basis:
+            if not self._is_nilpotent(e)[0]:
+                return self._to_dict(e)
+        return self._to_dict(basis[0])
 
     # -- structural checks from the solvable side ---------------------------
 

@@ -6,7 +6,12 @@ Two backends:
   binary digits are the coefficients of the polynomial residue (bit i is
   the coefficient of t^i).  The modulus is an explicit irreducible
   polynomial; it is never read from a hidden table so that serialized
-  algebras are bit-reproducible.
+  algebras are bit-reproducible.  For k <= TABLE_MAX_K (16) products,
+  squares and inverses read log/antilog tables that each field builds
+  on first use from the polynomial arithmetic, to the base of the least
+  primitive element found by search: an irreducible modulus need not be
+  primitive, so t itself may not generate the multiplicative group.
+  Larger fields multiply polynomials directly.
 * ``RatFunc2`` -- the rational function field F2(X, Y), elements stored
   as normalized fractions of sparse bivariate polynomials over GF(2).
   A polynomial is a frozenset of (degX, degY) exponent pairs; over GF(2)
@@ -18,6 +23,7 @@ Both are immutable value types; field objects double as descriptors.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Callable, Tuple
 
 
@@ -110,6 +116,10 @@ def find_irreducible(k: int) -> int:
 # GF(2^k)
 # ----------------------------------------------------------------------
 
+# Fields up to this degree multiply through log/antilog tables; the
+# tables of GF(2^16) take about 60 ms to build and 7 MB to hold.
+TABLE_MAX_K = 16
+
 class GF2k:
     """The field GF(2^k) with an explicit modulus polynomial.
 
@@ -148,10 +158,50 @@ class GF2k:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """(log, exp) with exp[i] = g^i for the least primitive element g.
+
+        Candidates g = 1, 2, 3, ... are tried by walking their powers
+        until one takes 2^k - 1 steps to return to 1.  exp holds the powers twice over, so exp[log a + log b] needs no
+        reduction mod 2^k - 1, and then a run of zeros that log[0] points
+        into, so a zero factor needs no test: log[0] + log[b] and
+        2*log[0] both land in it.  Empty above TABLE_MAX_K.
+        """
+        if self.k > TABLE_MAX_K:
+            return ()
+        q1, mod, k = self.order - 1, self.modulus, self.k
+        exp = [0] * (4 * q1 + 1)
+        log = [2 * q1] * self.order
+        for g in range(1, self.order):
+            x = 1
+            for i in range(q1):
+                exp[i] = exp[i + q1] = x
+                log[x] = i
+                acc, c = 0, g               # x *= g, shifting x by t per bit of g
+                while c:
+                    if c & 1:
+                        acc ^= x
+                    x <<= 1
+                    if x >> k:
+                        x ^= mod
+                    c >>= 1
+                x = acc
+                if x == 1:
+                    break
+            if i == q1 - 1:                 # g has order i + 1 = 2^k - 1
+                return log, exp
+
     def mul(self, a: int, b: int) -> int:
+        if self._tables:
+            log, exp = self._tables
+            return exp[log[a] + log[b]]
         return poly_mod(poly_mul(a, b), self.modulus)
 
     def square(self, a: int) -> int:
+        if self._tables:
+            log, exp = self._tables
+            return exp[2 * log[a]]
         return poly_mod(poly_mul(a, a), self.modulus)
 
     def pow(self, a: int, e: int) -> int:
@@ -166,6 +216,9 @@ class GF2k:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
+        if self._tables:
+            log, exp = self._tables
+            return exp[self.order - 1 - log[a]]
         return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:

@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.classify import (
-    LadderExhausted, NotTriangularizable, classify,
+    ClassifyOptions, LadderExhausted, NotTriangularizable, classify,
     match_condition, necessary_tests, nilpotent_core, triangularize,
-    verify_verdict,
+    verify_verdict, _bracket_patterns, _pairing_elements,
 )
 from liesolv.envelope import Envelope
 from liesolv.families import (
@@ -14,7 +15,7 @@ from liesolv.families import (
     negative_class2, random_instance,
 )
 from liesolv.fields import GF2, gf
-from liesolv.linalg import span
+from liesolv.linalg import Quotient, span
 
 GF4 = gf(4)
 
@@ -30,6 +31,98 @@ def test_necessary_tests_refute_n7():
     env = Envelope(negative_class2())
     nil, _ = env.is_nilpotent(v.witness_elem)
     assert not nil
+
+
+# The dict formulas that the native pattern evaluation replaced; run on
+# Envelope(L, force_dict=True) they are the reference for it.
+
+def _ref_pairing(env, e1, e2, e3, e4):
+    a = env.lie(env.mul(env.mul(e4, e3), e1), e4)
+    b = env.lie(env.mul(e4, e1), e1)
+    return env.lie(env.lie(a, b), e2)
+
+
+def _ref_bracket_pattern(env, z, b, y, x):
+    zby = env.mul(env.mul(z, b), y)
+    xb = env.mul(x, b)
+    return env.lie(env.lie(env.lie(zby, z), env.lie(x, xb)), y)
+
+
+def _ref_pattern_tests(L, budget):
+    """(reason, pattern elements) of tests (b) and (c), on the dict products."""
+    ref = Envelope(L, force_dict=True)
+    tests = []
+    cls = L.nilpotency_class()
+    if cls is not None and cls <= 2:
+        lifts = Quotient(L.full_space(), L.center()).lifted
+        tests.append(("pairing-combination element is not nilpotent", [
+            _ref_pairing(ref, *(ref.from_algebra_vec(sub[i]) for i in order))
+            for sub in itertools.combinations(lifts, 4)
+            for order in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3))]))
+    gens = [ref.gen(i) for i in range(L.n)]
+    perms = itertools.islice(itertools.permutations(range(L.n), 4), budget)
+    tests.append(("bracket-pattern element is not nilpotent", [
+        _ref_bracket_pattern(ref, *(gens[i] for i in tup)) for tup in perms]))
+    return ref, tests
+
+
+def _scaled(L):
+    """L on the basis t*x_i for odd i and x_i for even i: constants leave GF(2)."""
+    t = 2
+    return L.rebase([[(t if i % 2 else 1) if i == j else 0 for j in range(L.n)]
+                     for i in range(L.n)])
+
+
+def _with_toral_pair(L):
+    """L plus [h, e] = e, h^[2] = h: not nilpotent, so test (b) is skipped."""
+    f = L.field
+    return L.direct_sum(RestrictedLieAlgebra(f, ["h", "e"], {(0, 1): (f.zero, f.one)},
+                                             [(f.one, f.zero), (f.zero, f.zero)]))
+
+
+def _pattern_instances():
+    """(algebra, whether some pattern element is nonzero)."""
+    GF8 = gf(8)
+    return [(negative_class2(GF2), True), (negative_class2(GF4), True),
+            (family_v(GF4, h_dim=2), True), (family_v(GF8, h_dim=2), True),
+            # constants outside GF(2), but every pattern element is zero;
+            # test_native_helpers_agree_with_dict_products covers them
+            (random_instance(6, GF4, 353)[0], False), (random_instance(6, GF8, 1)[0], False),
+            (_scaled(family_v(GF8, h_dim=2)), True), (_scaled(negative_class2(GF8)), True),
+            # refuted by a bracket pattern, test (c)
+            (_with_toral_pair(negative_class2(GF4)), True)]
+
+
+def test_native_pattern_elements_match_dict_formulas():
+    budget = ClassifyOptions().pattern_budget
+    for L, has_nonzero in _pattern_instances():
+        env = Envelope(L)
+        ref, tests = _ref_pattern_tests(L, budget)
+        native = []
+        cls = L.nilpotency_class()
+        if cls is not None and cls <= 2:
+            lifts = Quotient(L.full_space(), L.center()).lifted
+            native.append(list(_pairing_elements(env, lifts)))
+        native.append(list(_bracket_patterns(env, budget)))
+        assert len(native) == len(tests)
+        nonzero = 0
+        for got, (_, want) in zip(native, tests):
+            assert len(got) == len(want)
+            for w_native, w_ref in zip(got, want):
+                assert env._to_dict(w_native) == w_ref
+                nonzero += bool(w_ref)
+        assert bool(nonzero) == has_nonzero, L
+        # necessary_tests reports the first non-nilpotent reference element
+        first = next(((reason, w) for reason, elems in tests for w in elems
+                      if not ref.is_nilpotent(w)[0]), None)
+        verdict = necessary_tests(L)
+        if first is None:
+            assert verdict is None or verdict.witness_kind == "necessary_test"
+        else:
+            reason, w = first
+            assert verdict is not None and verdict.reason == reason
+            assert verdict.witness_str == ref.element_str(w)
+            assert verdict.witness_elem == w
 
 
 def test_nilpotent_core_h3():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -108,6 +109,29 @@ def test_ad_table_gives_brackets():
                 b = _rand_elem(rng, env, 4)
                 expected = ref.add(ref.mul(a, b), ref.mul(b, a))
                 assert env.from_mask(env._apply(table, fill, env.to_mask(b))) == expected
+
+
+def test_native_helpers_agree_with_dict_products():
+    # the generator-table helpers of the pattern tests, on both element forms
+    rng = random.Random(71)
+    for L in [negative_class2(), heisenberg(GF4), family_v(GF8, 2)] + _off_gf2_instances():
+        ref = Envelope(L, force_dict=True)
+        f = L.field
+        for env in (Envelope(L), ref):
+            for _ in range(10):
+                a, b = _rand_elem(rng, env, 4), _rand_elem(rng, env, 4)
+                na, nb = env._native(a), env._native(b)
+                for g in range(L.n):
+                    x = ref.gen(g)
+                    assert env._to_dict(env._mul_gen(na, g)) == ref.mul(a, x)
+                    assert env._to_dict(env._gen_mul(g, na)) == ref.mul(x, a)
+                    assert env._to_dict(env._lie_gen(na, g)) == ref.lie(a, x)
+                assert env._to_dict(env._ad(na)(nb)) == ref.lie(a, b)
+                vec = [f.random(rng) for _ in range(L.n)]
+                u = ref.from_algebra_vec(vec)
+                assert env._to_dict(env._combine(vec, partial(env._mul_gen, na))) == ref.mul(a, u)
+                assert env._to_dict(env._combine(vec, partial(env._lie_gen, na))) == ref.lie(a, u)
+                assert env._is_nilpotent(na) == ref.is_nilpotent(a)
 
 
 def test_derived_series_and_sz_ideal_agree_with_dict_products():

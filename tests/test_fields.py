@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesolv.fields import (
-    GF2, GF2k, RatFunc2, RATFUNC2, gf,
+    GF2, GF2k, RatFunc2, RATFUNC2, TABLE_MAX_K, gf,
     DivisionByZero, NoSquareRoot, ReducibleModulus,
     bp_gcd, bp_mul, bp_parse, bp_str, BP_ONE,
     field_from_json, field_to_json, find_irreducible, is_irreducible,
+    poly_mod, poly_mul,
 )
 
 GF4 = gf(4)
@@ -39,6 +41,66 @@ def test_gf2k_field_axioms_randomized():
             assert f.mul(a, b) == f.mul(b, a)
             if a:
                 assert f.mul(a, f.inv(a)) == 1
+
+
+def _poly_fields():
+    # default moduli for k = 1..8, and two irreducible moduli that are not
+    # primitive: t has order 5 in GF2k(4, 0b11111) and 51 in GF2k(8, 0x11B)
+    return [GF2k(k) for k in range(1, 9)] + [GF2, GF2k(4, 0b11111), GF2k(8, 0x11B)]
+
+
+def test_gf2k_tables_match_polynomial_arithmetic_exhaustive():
+    for f in _poly_fields():
+        for a in f.elements():
+            assert f.square(a) == poly_mod(poly_mul(a, a), f.modulus)
+            if a:
+                assert poly_mod(poly_mul(a, f.inv(a)), f.modulus) == 1
+            for b in f.elements():
+                assert f.mul(a, b) == poly_mod(poly_mul(a, b), f.modulus)
+    with pytest.raises(DivisionByZero):
+        GF2k(8, 0x11B).inv(0)
+
+
+def test_non_primitive_moduli():
+    # the table base is found by search because t need not generate
+    for f, order in [(GF2k(4, 0b11111), 5), (GF2k(8, 0x11B), 51)]:
+        powers = {1}
+        x = 2
+        while x != 1:
+            powers.add(x)
+            x = poly_mod(poly_mul(x, 2), f.modulus)
+        assert len(powers) == order < f.order - 1
+        log, exp = f._tables
+        assert sorted(exp[:f.order - 1]) == list(range(1, f.order))
+
+
+_TABLED = {k: GF2k(k) for k in range(1, 17)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_gf2k_tables_match_polynomial_arithmetic(k, data):
+    f = _TABLED[k]
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f.mul(a, b) == poly_mod(poly_mul(a, b), f.modulus)
+    assert f.square(a) == poly_mod(poly_mul(a, a), f.modulus)
+    if a:
+        assert poly_mod(poly_mul(a, f.inv(a)), f.modulus) == 1
+    assert f._tables
+
+
+_ABOVE_CAP = GF2k(TABLE_MAX_K + 4)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, _ABOVE_CAP.order - 1), st.integers(0, _ABOVE_CAP.order - 1))
+def test_gf2k_above_table_cap_stays_polynomial(a, b):
+    f = _ABOVE_CAP
+    assert f.mul(a, b) == poly_mod(poly_mul(a, b), f.modulus)
+    assert f.square(a) == poly_mod(poly_mul(a, a), f.modulus)
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+    assert f._tables == ()
 
 
 def test_gf2k_sqrt_exhaustive_small():
