@@ -1,8 +1,13 @@
-"""Finite-dimensional restricted Lie algebras over characteristic-2 fields.
+"""Finite-dimensional Lie algebras, ordinary and restricted, over characteristic-2 fields.
 
-An algebra is a bracket table on basis pairs i < j plus the square image
-of each basis vector.  Elements are coordinate tuples; the square of a
-general element is defined by the unique semilinear extension
+``LieAlgebra`` is a bracket table on basis pairs i < j; it holds the
+Jacobi check and everything computed from brackets alone (spans,
+centralisers, the three series, base change).  ``RestrictedLieAlgebra``
+is a ``LieAlgebra`` plus the square image of each basis vector, and adds
+what reads it: the restricted axiom, p-closure, restricted ideals,
+2-nilpotency, the torus decomposition, quotients.  Elements are
+coordinate tuples; the square of a general element is defined by the
+unique semilinear extension
 
     (sum a_i b_i)^[2] = sum a_i^2 b_i^[2] + sum_{i<j} a_i a_j [b_i, b_j],
 
@@ -17,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 from .linalg import (
-    Eliminator, Quotient, Subspace, kernel, span, unit_vector,
+    Eliminator, Quotient, Subspace, kernel, lin_comb, span, unit_vector,
     vec_add, vec_is_zero, vec_scale,
 )
 
@@ -65,12 +70,16 @@ class RestrictedIdeal:
         return self.space.dim
 
 
-class RestrictedLieAlgebra:
-    """Structure constants plus square map for a restricted Lie algebra."""
+class LieAlgebra:
+    """Bracket table only; alternating and Jacobi are the axioms.
+
+    This is the ordinary algebra and the shared core: everything here
+    reads the bracket table alone.  ``RestrictedLieAlgebra`` adds the
+    square map.
+    """
 
     def __init__(self, field, names: Sequence[str],
-                 brackets: Dict[Tuple[int, int], Sequence],
-                 pmap: Sequence[Sequence]):
+                 brackets: Dict[Tuple[int, int], Sequence]):
         n = len(names)
         self.field = field
         self.n = n
@@ -79,17 +88,20 @@ class RestrictedLieAlgebra:
         table = [[zero_vec] * n for _ in range(n)]
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < n):
-                raise NotAnIdeal(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+                raise FieldMismatch(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             v = tuple(vec)
             if len(v) != n:
                 raise FieldMismatch("bracket value has wrong length")
             table[i][j] = v
             table[j][i] = v  # characteristic 2: [b_j, b_i] = [b_i, b_j]
         self._table = table
-        if len(pmap) != n:
-            raise FieldMismatch("pmap must give one image per basis vector")
-        self.pmap = [tuple(v) for v in pmap]
         self._zero = zero_vec
+
+    def _brackets(self, embed=lambda c: c) -> Dict[Tuple[int, int], Tuple]:
+        """The nonzero table entries [b_i, b_j], i < j, with embed applied to each scalar."""
+        return {(i, j): tuple(embed(c) for c in self._table[i][j])
+                for i in range(self.n) for j in range(i + 1, self.n)
+                if not vec_is_zero(self.field, self._table[i][j])}
 
     # -- basic element operations ------------------------------------
 
@@ -116,42 +128,9 @@ class RestrictedLieAlgebra:
                             out[t] = f.add(out[t], f.mul(c, row[t]))
         return tuple(out)
 
-    def pmap_eval(self, v: Sequence) -> Tuple:
-        f = self.field
-        out = list(self._zero)
-        for i in range(self.n):
-            a = v[i]
-            if f.is_zero(a):
-                continue
-            a2 = f.mul(a, a)
-            row = self.pmap[i]
-            for t in range(self.n):
-                if not f.is_zero(row[t]):
-                    out[t] = f.add(out[t], f.mul(a2, row[t]))
-            for j in range(i + 1, self.n):
-                c = f.mul(a, v[j])
-                if not f.is_zero(c):
-                    row = self._table[i][j]
-                    for t in range(self.n):
-                        if not f.is_zero(row[t]):
-                            out[t] = f.add(out[t], f.mul(c, row[t]))
-        return tuple(out)
-
     def ad_images(self, x: Sequence) -> List[Tuple]:
         """Images [b_j, x] for each basis vector; the matrix of ad(x) acting on the right."""
         return [self.bracket(self.basis_vector(j), x) for j in range(self.n)]
-
-    def apply_images(self, images: Sequence[Sequence], v: Sequence) -> Tuple:
-        f = self.field
-        out = list(self._zero)
-        for j in range(self.n):
-            c = v[j]
-            if not f.is_zero(c):
-                img = images[j]
-                for t in range(self.n):
-                    if not f.is_zero(img[t]):
-                        out[t] = f.add(out[t], f.mul(c, img[t]))
-        return tuple(out)
 
     # -- axioms --------------------------------------------------------
 
@@ -168,14 +147,6 @@ class RestrictedLieAlgebra:
                         report.violations.append(AxiomViolation(
                             "jacobi", (i, j, k),
                             f"jacobi sum on ({self.names[i]},{self.names[j]},{self.names[k]}) is nonzero"))
-        for i in range(self.n):
-            ad_i = self.ad_images(self.basis_vector(i))
-            ad_sq = [self.apply_images(ad_i, col) for col in ad_i]
-            ad_p = self.ad_images(self.pmap[i])
-            if ad_sq != ad_p:
-                report.violations.append(AxiomViolation(
-                    "restricted", (i,),
-                    f"ad({self.names[i]}^[2]) differs from (ad {self.names[i]})^2"))
         return report
 
     # -- canonical subspaces -------------------------------------------
@@ -199,14 +170,14 @@ class RestrictedLieAlgebra:
 
     def centralizer(self, s: Subspace) -> Subspace:
         """Largest subspace bracketing every element of s to zero."""
+        if s.dim == 0:
+            return self.full_space()
         images = []
         for j in range(self.n):
             row = []
             for v in s.basis():
                 row.extend(self.bracket(self.basis_vector(j), v))
             images.append(tuple(row))
-        if s.dim == 0:
-            return self.full_space()
         return kernel(self.field, images, self.n, self.n * s.dim)
 
     def series(self, kind: str) -> List[Subspace]:
@@ -262,12 +233,85 @@ class RestrictedLieAlgebra:
             return None
         return len(terms) - 1
 
+    def is_metabelian(self) -> bool:
+        d1 = self.derived_subalgebra()
+        return self.bracket_span(d1, d1).dim == 0
+
     # -- ideals ---------------------------------------------------------
 
     def is_ideal(self, s: Subspace) -> bool:
         e = s.elim()
         return all(e.contains_vector(self.bracket(v, self.basis_vector(j)))
                    for v in s.basis() for j in range(self.n))
+
+    def base_change(self, new_field, embed) -> "LieAlgebra":
+        return LieAlgebra(new_field, self.names, self._brackets(embed))
+
+    def element_str(self, v: Sequence) -> str:
+        f = self.field
+        terms = []
+        for i, c in enumerate(v):
+            if f.is_zero(c):
+                continue
+            if c == f.one:
+                terms.append(self.names[i])
+            else:
+                terms.append(f"{f.to_str(c)}·{self.names[i]}")
+        return " + ".join(terms) if terms else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.n}, field={self.field!r})"
+
+
+class RestrictedLieAlgebra(LieAlgebra):
+    """Structure constants plus square map for a restricted Lie algebra."""
+
+    def __init__(self, field, names: Sequence[str],
+                 brackets: Dict[Tuple[int, int], Sequence],
+                 pmap: Sequence[Sequence]):
+        super().__init__(field, names, brackets)
+        if len(pmap) != self.n:
+            raise FieldMismatch("pmap must give one image per basis vector")
+        self.pmap = [tuple(v) for v in pmap]
+
+    # perfbench/tracing.py wraps the methods it finds in this class's own
+    # __dict__, so the inherited bracket is bound here as well.
+    bracket = LieAlgebra.bracket
+
+    def pmap_eval(self, v: Sequence) -> Tuple:
+        f = self.field
+        out = list(self._zero)
+        for i in range(self.n):
+            a = v[i]
+            if f.is_zero(a):
+                continue
+            a2 = f.mul(a, a)
+            row = self.pmap[i]
+            for t in range(self.n):
+                if not f.is_zero(row[t]):
+                    out[t] = f.add(out[t], f.mul(a2, row[t]))
+            for j in range(i + 1, self.n):
+                c = f.mul(a, v[j])
+                if not f.is_zero(c):
+                    row = self._table[i][j]
+                    for t in range(self.n):
+                        if not f.is_zero(row[t]):
+                            out[t] = f.add(out[t], f.mul(c, row[t]))
+        return tuple(out)
+
+    def check_axioms(self) -> AxiomReport:
+        report = super().check_axioms()
+        for i in range(self.n):
+            ad_i = self.ad_images(self.basis_vector(i))
+            ad_sq = [lin_comb(self.field, col, ad_i, self.n) for col in ad_i]
+            ad_p = self.ad_images(self.pmap[i])
+            if ad_sq != ad_p:
+                report.violations.append(AxiomViolation(
+                    "restricted", (i,),
+                    f"ad({self.names[i]}^[2]) differs from (ad {self.names[i]})^2"))
+        return report
+
+    # -- restricted ideals ----------------------------------------------
 
     def is_pmap_closed(self, s: Subspace) -> bool:
         e = s.elim()
@@ -432,35 +476,20 @@ class RestrictedLieAlgebra:
         return RestrictedLieAlgebra(self.field, names, brackets, pmap), quot
 
     def base_change(self, new_field, embed) -> "RestrictedLieAlgebra":
-        brackets = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                row = self._table[i][j]
-                if not vec_is_zero(self.field, row):
-                    brackets[(i, j)] = tuple(embed(c) for c in row)
         pmap = [tuple(embed(c) for c in row) for row in self.pmap]
-        return RestrictedLieAlgebra(new_field, list(self.names), brackets, pmap)
+        return RestrictedLieAlgebra(new_field, self.names, self._brackets(embed), pmap)
 
     def direct_sum(self, other: "RestrictedLieAlgebra") -> "RestrictedLieAlgebra":
         if self.field != other.field:
             raise FieldMismatch("direct sum needs a common field")
         f = self.field
         n, m = self.n, other.n
-        names = self.names + other.names
-        brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = self._table[i][j]
-                if not vec_is_zero(f, row):
-                    brackets[(i, j)] = row + (f.zero,) * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                row = other._table[i][j]
-                if not vec_is_zero(f, row):
-                    brackets[(n + i, n + j)] = (f.zero,) * n + row
+        brackets = {key: row + (f.zero,) * m for key, row in self._brackets().items()}
+        brackets.update({(n + i, n + j): (f.zero,) * n + row
+                         for (i, j), row in other._brackets().items()})
         pmap = [row + (f.zero,) * m for row in self.pmap]
         pmap += [(f.zero,) * n + row for row in other.pmap]
-        return RestrictedLieAlgebra(f, names, brackets, pmap)
+        return RestrictedLieAlgebra(f, self.names + other.names, brackets, pmap)
 
     def rebase(self, new_basis: Sequence[Sequence],
                names: Sequence[str] | None = None) -> "RestrictedLieAlgebra":
@@ -533,18 +562,3 @@ class RestrictedLieAlgebra:
             pmap.append(coords(w))
         names = [f"{name_prefix}{i}" for i in range(d)]
         return RestrictedLieAlgebra(f, names, brackets, pmap), basis
-
-    def element_str(self, v: Sequence) -> str:
-        f = self.field
-        terms = []
-        for i, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            if c == f.one:
-                terms.append(self.names[i])
-            else:
-                terms.append(f"{f.to_str(c)}·{self.names[i]}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"RestrictedLieAlgebra(dim={self.n}, field={self.field!r})"

@@ -7,6 +7,10 @@ ideal over a ladder of field extensions and matching the quotient
 against the five structural conditions.  Every positive verdict carries
 re-checkable witnesses; a refutation carries a concrete non-nilpotent
 element.
+
+The parts of conditions (i)-(iii) that read brackets only
+(``abelian_ideals``, ``class2_center``, ``eigenvector_pair``) take any
+``LieAlgebra`` and serve the ordinary classifier as well.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import RestrictedIdeal, RestrictedLieAlgebra
+from .algebra import LieAlgebra, RestrictedIdeal, RestrictedLieAlgebra
 from .envelope import Envelope
 from .fields import GF2k
-from .linalg import Quotient, Subspace, kernel, span, vec_add, vec_is_zero
+from .linalg import Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero
 
 CONDITION_NAMES = {
     "i": "abelian restricted ideal of codimension at most 1",
@@ -116,18 +120,24 @@ def projective_vectors(field, dim: int):
             yield (field.zero,) * lead + (field.one,) + tail
 
 
+def _points_within(field, dim: int, cap: int) -> bool:
+    """Whether a dim-dimensional space over field has at most cap vectors.
+
+    Enumeration needs a finite field, so over any other field this
+    raises LadderExhausted: the condition that wanted it is undecided.
+    """
+    if not isinstance(field, GF2k):
+        raise LadderExhausted("enumeration needs a GF(2^k) field")
+    return field.order ** dim <= cap
+
+
 def subspace_points(field, s: Subspace, cap: int = 1 << 16):
     """Nonzero elements of a subspace up to scalar, via projective coordinates."""
-    if field.order ** s.dim > cap:
+    if not _points_within(field, s.dim, cap):
         raise LadderExhausted("subspace too large for exhaustive point enumeration")
     basis = s.basis()
     for coeffs in projective_vectors(field, s.dim):
-        v = [field.zero] * s.ambient
-        for c, row in zip(coeffs, basis):
-            if not field.is_zero(c):
-                for j in range(s.ambient):
-                    v[j] = field.add(v[j], field.mul(c, row[j]))
-        yield tuple(v)
+        yield lin_comb(field, coeffs, basis, s.ambient)
 
 
 # ----------------------------------------------------------------------
@@ -313,14 +323,7 @@ def _central_2nilpotent_locus(L: RestrictedLieAlgebra, z: Subspace) -> Subspace:
     closed = L.p_closure(z)
     zalg, zbasis = L.subalgebra_on(closed)
     _, nil = zalg.torus_decomposition()
-    vecs = []
-    for row in nil.rows:
-        v = [L.field.zero] * L.n
-        for c, bas in zip(row, zbasis):
-            if not L.field.is_zero(c):
-                for j in range(L.n):
-                    v[j] = L.field.add(v[j], L.field.mul(c, bas[j]))
-        vecs.append(tuple(v))
+    vecs = [lin_comb(L.field, row, zbasis, L.n) for row in nil.rows]
     return span(L.field, L.n, vecs).intersect(z)
 
 
@@ -342,48 +345,58 @@ def match_condition(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
     raise ValueError(f"unknown condition tag {tag!r}")
 
 
-def _abelian(L, s: Subspace) -> bool:
+def _abelian(L: LieAlgebra, vecs: Sequence) -> bool:
+    """Whether the given vectors bracket pairwise to zero."""
     f = L.field
-    basis = s.basis()
     return all(vec_is_zero(f, L.bracket(u, v))
-               for i, u in enumerate(basis) for v in basis[i + 1:])
+               for i, u in enumerate(vecs) for v in vecs[i + 1:])
 
 
-def _match_i(L: RestrictedLieAlgebra) -> Optional[Certificate]:
-    f = L.field
+def abelian_ideals(L: LieAlgebra):
+    """The abelian ideals of codimension at most 1, as (kind, subspace).
+
+    Reads brackets only.  An abelian L gives ("abelian", L) alone.
+    Otherwise every abelian hyperplane ideal lies between L' and its
+    centralizer: a centralizer of codimension 1 is the one candidate
+    ("centralizer"); when L' is central, every hyperplane containing L'
+    is an ideal and the abelian ones are yielded in enumeration order
+    ("hyperplane").  That enumeration raises LadderExhausted above 2^16
+    hyperplanes or over a field that is not GF(2^k).
+    """
     if L.is_abelian():
-        return Certificate("i", ["the algebra is abelian (ideal of codimension 0)"],
-                           {"ideal": L.full_space()})
+        yield "abelian", L.full_space()
+        return
     d1 = L.derived_subalgebra()
     cent = L.centralizer(d1)
     codim = L.n - cent.dim
-    if codim >= 2:
-        # any abelian hyperplane ideal lies between L' and its centralizer,
-        # so a centralizer this small rules condition (i) out
-        return None
-    if codim == 1:
-        # the centralizer of L' is the only candidate hyperplane
-        if cent.contains(d1) and _abelian(L, cent) and L.is_pmap_closed(cent):
-            return Certificate(
-                "i",
-                [f"A = centralizer of L' is abelian of codimension 1 (dim {cent.dim})"],
-                {"ideal": cent})
-        return None
-    # L' is central: every hyperplane containing L' is an ideal; enumerate them
+    if codim == 1 and cent.contains(d1) and _abelian(L, cent.basis()):
+        yield "centralizer", cent
+    if codim != 0:
+        return
+    f = L.field
     quot = Quotient(L.full_space(), d1)
-    m = quot.dim
-    if f.order ** m > 1 << 16:
+    if not _points_within(f, quot.dim, 1 << 16):
         raise LadderExhausted("hyperplane enumeration too large")
     proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]
-    for normal in projective_vectors(f, m):
+    for normal in projective_vectors(f, quot.dim):
         images = [(_dot(f, normal, pj),) for pj in proj_basis]
         a = kernel(f, images, L.n, 1)
-        if a.dim != L.n - 1:
-            continue
-        if _abelian(L, a) and L.is_pmap_closed(a):
-            return Certificate(
-                "i", [f"abelian restricted hyperplane found (dim {a.dim})"],
-                {"ideal": a})
+        if a.dim == L.n - 1 and _abelian(L, a.basis()):
+            yield "hyperplane", a
+
+
+_CONDITION_I_RELATION = {
+    "abelian": "the algebra is abelian (ideal of codimension 0)",
+    "centralizer": "A = centralizer of L' is abelian of codimension 1 (dim {})",
+    "hyperplane": "abelian restricted hyperplane found (dim {})",
+}
+
+
+def _match_i(L: RestrictedLieAlgebra) -> Optional[Certificate]:
+    for kind, a in abelian_ideals(L):
+        if kind == "abelian" or L.is_pmap_closed(a):
+            return Certificate("i", [_CONDITION_I_RELATION[kind].format(a.dim)],
+                               {"ideal": a})
     return None
 
 
@@ -394,12 +407,18 @@ def _dot(f, u, v):
     return out
 
 
-def _match_ii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
-    cls = L.nilpotency_class()
-    if cls != 2:
+def class2_center(L: LieAlgebra) -> Optional[Subspace]:
+    """The centre of L when L is nilpotent of class 2 with centre of
+    codimension 3, else None."""
+    if L.nilpotency_class() != 2:
         return None
     z = L.center()
-    if L.n - z.dim != 3:
+    return z if L.n - z.dim == 3 else None
+
+
+def _match_ii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
+    z = class2_center(L)
+    if z is None:
         return None
     return Certificate(
         "ii",
@@ -418,9 +437,9 @@ def _eigen_one_space(L: RestrictedLieAlgebra, y) -> Subspace:
     return kernel(f, images, L.n, L.n)
 
 
-def _candidate_ys(L: RestrictedLieAlgebra):
+def _candidate_ys(L: LieAlgebra):
     f = L.field
-    if f.order ** L.n <= 1 << 14:
+    if _points_within(f, L.n, 1 << 14):
         yield from subspace_points(f, L.full_space())
         return
     for i in range(L.n):
@@ -433,7 +452,15 @@ def _candidate_ys(L: RestrictedLieAlgebra):
             yield tuple(v)
 
 
-def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
+def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple, Subspace]]:
+    """(x1, x2, y, Z) with [x1,y] = x1, [x2,y] = x2, [x1,x2] in the centre
+    Z, and x1, x2, y and Z spanning L directly; None if none is found.
+
+    Reads brackets only.  Needs Z of codimension 3; y runs over all
+    points of L when there are at most 2^14, else over sums of at most
+    three basis vectors.  Raises LadderExhausted over a field that is
+    not GF(2^k), or when an eigenspace is too large for pair enumeration.
+    """
     f = L.field
     z = L.center()
     if L.n - z.dim != 3:
@@ -443,7 +470,7 @@ def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
         k = _eigen_one_space(L, y)
         if k.dim < 2:
             continue
-        if f.order ** k.dim > 1 << 12:
+        if not _points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for pair enumeration")
         pts = list(subspace_points(f, k))
         for x1, x2 in itertools.combinations(pts, 2):
@@ -453,16 +480,24 @@ def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
                 continue
             total = span(f, L.n, [x1, x2, y] + list(z.basis()))
             if total.dim == L.n:
-                return Certificate(
-                    "iii",
-                    ["[x1,y] = x1 and [x2,y] = x2 hold exactly",
-                     "[x1,x2] is central",
-                     "x1, x2, y and the center span the algebra directly",
-                     f"x1 = {L.element_str(x1)}",
-                     f"x2 = {L.element_str(x2)}",
-                     f"y = {L.element_str(y)}"],
-                    {"x1": x1, "x2": x2, "y": y, "center": z})
+                return x1, x2, y, z
     return None
+
+
+def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
+    found = eigenvector_pair(L)
+    if found is None:
+        return None
+    x1, x2, y, z = found
+    return Certificate(
+        "iii",
+        ["[x1,y] = x1 and [x2,y] = x2 hold exactly",
+         "[x1,x2] is central",
+         "x1, x2, y and the center span the algebra directly",
+         f"x1 = {L.element_str(x1)}",
+         f"x2 = {L.element_str(x2)}",
+         f"y = {L.element_str(y)}"],
+        {"x1": x1, "x2": x2, "y": y, "center": z})
 
 
 def _complements_of_line(L, k: Subspace, x):
@@ -476,16 +511,8 @@ def _complements_of_line(L, k: Subspace, x):
     lead = next(i for i, c in enumerate(x_coords) if not f.is_zero(c))
     others = [i for i in range(d) if i != lead]
     for lams in itertools.product(list(f.elements()), repeat=d - 1):
-        hs = []
-        for idx, lam in zip(others, lams):
-            v = [f.zero] * L.n
-            for j in range(L.n):
-                v[j] = basis[idx][j]
-            if not f.is_zero(lam):
-                for j in range(L.n):
-                    v[j] = f.add(v[j], f.mul(lam, x[j]))
-            hs.append(tuple(v))
-        yield hs
+        yield [lin_comb(f, (f.one, lam), (basis[idx], x), L.n)
+               for idx, lam in zip(others, lams)]
 
 
 def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
@@ -501,25 +528,19 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
         total = span(f, L.n, list(k.basis()) + [y] + list(z.basis()))
         if total.dim != L.n:
             continue
-        if f.order ** k.dim > 1 << 12:
+        if not _points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for point enumeration")
         for x in subspace_points(f, k):
             # [x, k] must be central for any valid split
             if not all(zelim.contains_vector(L.bracket(x, kb)) for kb in k.basis()):
                 continue
             for hs in _complements_of_line(L, k, x):
-                if not _abelian_list(L, hs):
+                if not _abelian(L, hs):
                     continue
                 cert = _finish_iv_v(L, tag, x, y, hs, z)
                 if cert is not None:
                     return cert
     return None
-
-
-def _abelian_list(L, vecs) -> bool:
-    f = L.field
-    return all(vec_is_zero(f, L.bracket(u, v))
-               for i, u in enumerate(vecs) for v in vecs[i + 1:])
 
 
 def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
@@ -697,7 +718,7 @@ def _triangularize_over(f, mats, n) -> List[Tuple]:
     dim = n
     while dim > 0:
         v = _common_eigenvector(f, cur_mats, dim)
-        flag.append(_combine(f, v, current_basis, n))
+        flag.append(lin_comb(f, v, current_basis, n))
         quot = Quotient(Subspace.full(f, dim), span(f, dim, [v]))
         new_mats = []
         for m in cur_mats:
@@ -708,19 +729,10 @@ def _triangularize_over(f, mats, n) -> List[Tuple]:
                 imgs.append(quot.project(img))
             new_mats.append(tuple(tuple(imgs[i][j] for j in range(quot.dim))
                                   for i in range(len(quot.lifted))))
-        current_basis = [_combine(f, lift, current_basis, n) for lift in quot.lifted]
+        current_basis = [lin_comb(f, lift, current_basis, n) for lift in quot.lifted]
         cur_mats = new_mats
         dim -= 1
     return flag
-
-
-def _combine(f, coords, basis, n):
-    out = [f.zero] * n
-    for c, row in zip(coords, basis):
-        if not f.is_zero(c):
-            for j in range(n):
-                out[j] = f.add(out[j], f.mul(c, row[j]))
-    return tuple(out)
 
 
 def _common_eigenvector(f, mats, dim) -> Tuple:
@@ -905,9 +917,9 @@ def _verify_certificate(Lq: RestrictedLieAlgebra, cert: Certificate) -> bool:
         a = cert.data["ideal"]
         if Lq.n - a.dim > 1:
             return False
-        return Lq.is_ideal(a) and Lq.is_pmap_closed(a) and _abelian(Lq, a)
+        return Lq.is_ideal(a) and Lq.is_pmap_closed(a) and _abelian(Lq, a.basis())
     if tag == "ii":
-        return Lq.nilpotency_class() == 2 and Lq.n - Lq.center().dim == 3
+        return class2_center(Lq) is not None
     if tag == "iii":
         x1, x2, y = cert.data["x1"], cert.data["x2"], cert.data["y"]
         z = Lq.center()
@@ -925,7 +937,7 @@ def _verify_certificate(Lq: RestrictedLieAlgebra, cert: Certificate) -> bool:
                 return False
             if not z.contains_vector(Lq.bracket(x, h)):
                 return False
-        if not _abelian_list(Lq, list(hs)):
+        if not _abelian(Lq, hs):
             return False
         if tag == "iv":
             if not all(vec_is_zero(f, Lq.pmap_eval(h)) for h in hs):

@@ -24,8 +24,7 @@ from .classify import ClassifyOptions, classify
 from .envelope import Envelope, EnvelopeTooLarge
 from .families import FAMILY_BUILDERS, example_7_1_report, random_instance
 from .fields import RatFunc2, gf
-from .ordinary import (LieAlgebra, corollary_classify, two_envelope,
-                       witness_search)
+from .ordinary import corollary_classify, two_envelope, witness_search
 from .specfile import AxiomError, SpecError, parse_spec, serialize
 
 
@@ -76,7 +75,7 @@ def _load(args, want=None):
         print("error: this command needs a restricted algebra "
               "(\"restricted\": true)", file=sys.stderr)
         raise SystemExit(2)
-    if want == "ordinary" and not isinstance(L, LieAlgebra):
+    if want == "ordinary" and isinstance(L, RestrictedLieAlgebra):
         print("error: this command needs an ordinary algebra "
               "(\"restricted\": false)", file=sys.stderr)
         raise SystemExit(2)

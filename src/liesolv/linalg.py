@@ -449,13 +449,18 @@ class Quotient:
         return coords
 
     def lift(self, coords: Sequence) -> Tuple:
-        f = self.field
-        out = [f.zero] * self.ambient
-        for c, row in zip(coords, self.lifted):
-            if not f.is_zero(c):
-                for j in range(self.ambient):
-                    out[j] = f.add(out[j], f.mul(c, row[j]))
-        return tuple(out)
+        return lin_comb(self.field, coords, self.lifted, self.ambient)
+
+
+def lin_comb(field, coeffs: Sequence, rows: Sequence[Sequence], ambient: int) -> Tuple:
+    """sum coeffs[i] * rows[i], a vector of length ambient."""
+    out = [field.zero] * ambient
+    for c, row in zip(coeffs, rows):
+        if not field.is_zero(c):
+            for j, x in enumerate(row):
+                if not field.is_zero(x):
+                    out[j] = field.add(out[j], field.mul(c, x))
+    return tuple(out)
 
 
 def vec_add(field, u: Sequence, v: Sequence) -> Tuple:

@@ -1,4 +1,9 @@
-"""Ordinary Lie algebras in characteristic 2 and their enveloping algebras.
+"""Enveloping algebras of ordinary Lie algebras in characteristic 2.
+
+The algebra itself is ``algebra.LieAlgebra``, the bracket-only core
+that ``RestrictedLieAlgebra`` extends.  The structural conditions of
+``corollary_classify`` reuse the bracket-only parts of the restricted
+matchers in ``classify``.
 
 U(L) has unbounded PBW exponents, so monomials are exponent tuples and
 all computations are exact on finitely many elements of bounded degree
@@ -17,11 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classify import projective_vectors, _dot
+from .algebra import LieAlgebra, RestrictedLieAlgebra
+from .classify import LadderExhausted, abelian_ideals, class2_center, eigenvector_pair
 from .fields import GF2k, FieldMismatch
-from .linalg import Quotient, Subspace, kernel, span, vec_add, vec_is_zero, unit_vector
+from .linalg import Subspace, vec_is_zero
 
 
 ORD_CONDITION_NAMES = {
@@ -30,126 +36,6 @@ ORD_CONDITION_NAMES = {
     "iii": "nilpotent of class 2 with center of codimension 3",
     "iv": "two eigenvector generators over a toral action",
 }
-
-
-class LieAlgebra:
-    """Bracket table only; alternating and Jacobi are the axioms."""
-
-    def __init__(self, field, names: Sequence[str],
-                 brackets: Dict[Tuple[int, int], Sequence]):
-        n = len(names)
-        self.field = field
-        self.n = n
-        self.names = list(names)
-        zero_vec = (field.zero,) * n
-        table = [[zero_vec] * n for _ in range(n)]
-        for (i, j), vec in brackets.items():
-            if not (0 <= i < j < n):
-                raise FieldMismatch("bracket key must satisfy 0 <= i < j < dim")
-            v = tuple(vec)
-            table[i][j] = v
-            table[j][i] = v
-        self._table = table
-
-    def basis_vector(self, i: int) -> Tuple:
-        return unit_vector(self.field, self.n, i)
-
-    def bracket(self, u: Sequence, v: Sequence) -> Tuple:
-        f = self.field
-        out = [f.zero] * self.n
-        for i in range(self.n):
-            ui, vi = u[i], v[i]
-            if f.is_zero(ui) and f.is_zero(vi):
-                continue
-            for j in range(i + 1, self.n):
-                c = f.add(f.mul(ui, v[j]), f.mul(u[j], vi))
-                if not f.is_zero(c):
-                    row = self._table[i][j]
-                    for t in range(self.n):
-                        if not f.is_zero(row[t]):
-                            out[t] = f.add(out[t], f.mul(c, row[t]))
-        return tuple(out)
-
-    def check_axioms(self):
-        from .algebra import AxiomReport, AxiomViolation
-        report = AxiomReport()
-        f = self.field
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for k in range(j + 1, self.n):
-                    s = self.bracket(self._table[i][j], self.basis_vector(k))
-                    s = vec_add(f, s, self.bracket(self._table[j][k], self.basis_vector(i)))
-                    s = vec_add(f, s, self.bracket(self._table[k][i], self.basis_vector(j)))
-                    if not vec_is_zero(f, s):
-                        report.violations.append(AxiomViolation(
-                            "jacobi", (i, j, k), "jacobi sum is nonzero"))
-        return report
-
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.n)
-
-    def span_of(self, vecs: Iterable[Sequence]) -> Subspace:
-        return span(self.field, self.n, vecs)
-
-    def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        return self.span_of([self.bracket(u, v) for u in a.basis() for v in b.basis()])
-
-    def derived_subalgebra(self) -> Subspace:
-        full = self.full_space()
-        return self.bracket_span(full, full)
-
-    def centralizer(self, s: Subspace) -> Subspace:
-        if s.dim == 0:
-            return self.full_space()
-        images = []
-        for j in range(self.n):
-            row = []
-            for v in s.basis():
-                row.extend(self.bracket(self.basis_vector(j), v))
-            images.append(tuple(row))
-        return kernel(self.field, images, self.n, self.n * s.dim)
-
-    def center(self) -> Subspace:
-        return self.centralizer(self.full_space())
-
-    def is_abelian(self) -> bool:
-        return self.derived_subalgebra().dim == 0
-
-    def nilpotency_class(self) -> Optional[int]:
-        terms = [self.full_space()]
-        while True:
-            nxt = self.bracket_span(terms[-1], self.full_space())
-            if nxt == terms[-1]:
-                return None
-            terms.append(nxt)
-            if nxt.dim == 0:
-                return len(terms) - 1
-
-    def is_metabelian(self) -> bool:
-        d1 = self.derived_subalgebra()
-        return self.bracket_span(d1, d1).dim == 0
-
-    def base_change(self, new_field, embed) -> "LieAlgebra":
-        brackets = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                row = self._table[i][j]
-                if not vec_is_zero(self.field, row):
-                    brackets[(i, j)] = tuple(embed(c) for c in row)
-        return LieAlgebra(new_field, list(self.names), brackets)
-
-    def element_str(self, v: Sequence) -> str:
-        f = self.field
-        terms = []
-        for i, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            terms.append(self.names[i] if c == f.one
-                         else f"{f.to_str(c)}·{self.names[i]}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"LieAlgebra(dim={self.n}, field={self.field!r})"
 
 
 # ----------------------------------------------------------------------
@@ -374,83 +260,45 @@ class OrdinaryVerdict:
 
 
 def abelian_codim1_ideal(L: LieAlgebra) -> Optional[Subspace]:
-    """An abelian ideal of codimension <= 1, or None."""
-    f = L.field
-    if L.is_abelian():
-        return L.full_space()
-    d1 = L.derived_subalgebra()
-    cent = L.centralizer(d1)
+    """An abelian ideal of codimension <= 1, or None.
 
-    def abelian(s):
-        basis = s.basis()
-        return all(vec_is_zero(f, L.bracket(u, v))
-                   for i, u in enumerate(basis) for v in basis[i + 1:])
-
-    codim = L.n - cent.dim
-    if codim >= 2:
-        return None
-    if codim == 1:
-        if cent.contains(d1) and abelian(cent):
-            return cent
-        return None
-    quot = Quotient(L.full_space(), d1)
-    if f.order ** quot.dim > 1 << 16:
-        return None
-    proj = [quot.project(L.basis_vector(j)) for j in range(L.n)]
-    for normal in projective_vectors(f, quot.dim):
-        images = [(_dot(f, normal, pj),) for pj in proj]
-        a = kernel(f, images, L.n, 1)
-        if a.dim == L.n - 1 and abelian(a):
-            return a
-    return None
-
-
-def _ord_match_iv(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple]]:
-    f = L.field
-    z = L.center()
-    if L.n - z.dim != 3:
-        return None
-    zelim = z.elim()
-    if f.order ** L.n > 1 << 14:
-        return None
-    from .classify import subspace_points
-    for y in subspace_points(f, L.full_space()):
-        images = []
-        for j in range(L.n):
-            img = list(L.bracket(L.basis_vector(j), y))
-            img[j] = f.add(img[j], f.one)
-            images.append(tuple(img))
-        k = kernel(f, images, L.n, L.n)
-        if k.dim < 2:
-            continue
-        pts = list(subspace_points(f, k))
-        for x1, x2 in itertools.combinations(pts, 2):
-            if span(f, L.n, [x1, x2]).dim != 2:
-                continue
-            if not zelim.contains_vector(L.bracket(x1, x2)):
-                continue
-            total = span(f, L.n, [x1, x2, y] + list(z.basis()))
-            if total.dim == L.n:
-                return x1, x2, y
-    return None
+    Raises LadderExhausted when the hyperplanes it would have to test
+    cannot be enumerated (see ``classify.abelian_ideals``).
+    """
+    return next((a for _, a in abelian_ideals(L)), None)
 
 
 def corollary_classify(L: LieAlgebra,
                        witness_budget: int = 20000) -> OrdinaryVerdict:
-    """Structural certificate first, then a refuting witness hunt."""
+    """Structural certificate first, then a refuting witness hunt.
+
+    Conditions (ii)-(iv) use the bracket-only parts of the restricted
+    matchers in ``classify``.  A condition whose search raises
+    LadderExhausted counts as not matched, and an inconclusive verdict
+    names it in its reason.
+    """
+    skipped = []
+
+    def attempt(tag, search):
+        try:
+            return search(L)
+        except LadderExhausted as exc:
+            skipped.append(f"condition ({tag}) was not decided: {exc}")
+            return None
+
     if L.is_abelian():
         return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
-    a = abelian_codim1_ideal(L)
+    a = attempt("ii", abelian_codim1_ideal)
     if a is not None and L.n - a.dim == 1:
         return OrdinaryVerdict("solvable", "ii",
                                [f"abelian ideal of dimension {a.dim} found"])
-    if L.nilpotency_class() == 2 and L.n - L.center().dim == 3:
+    if class2_center(L) is not None:
         return OrdinaryVerdict("solvable", "iii",
                                ["nilpotent of class 2",
                                 "center has codimension 3"])
-    m = _ord_match_iv(L)
+    m = attempt("iv", eigenvector_pair)
     if m is not None:
-        x1, x2, y = m
+        x1, x2, y, _ = m
         return OrdinaryVerdict("solvable", "iv",
                                ["[x1,y] = x1 and [x2,y] = x2 hold exactly",
                                 "[x1,x2] is central",
@@ -464,8 +312,8 @@ def corollary_classify(L: LieAlgebra,
                                witness_args=w.args,
                                witness_str=w.element_str)
     return OrdinaryVerdict("inconclusive",
-                           reason="no structural condition matched and the "
-                                  "witness search was exhausted")
+                           reason="; ".join(["no structural condition matched and the "
+                                             "witness search was exhausted"] + skipped))
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +456,6 @@ def two_envelope(L: LieAlgebra, m_max: int = 6) -> TwoEnvelopeResult:
 
 
 def _read_off_restricted(L: LieAlgebra, env: UEnvelope, basis: List[dict]):
-    from .algebra import RestrictedLieAlgebra
     f = L.field
     d = len(basis)
     elim = SparseElim(f)
@@ -650,7 +497,11 @@ class DescentReport:
 
 def descent_abelian_codim1(L: LieAlgebra, ext_degree: int = 2) -> DescentReport:
     """Decide abelian-codim-<=1 over the base field and an extension and
-    check that the extension having one forces the base to have one."""
+    check that the extension having one forces the base to have one.
+
+    Raises LadderExhausted when either side cannot be decided, so a
+    report always rests on both checks.
+    """
     if not isinstance(L.field, GF2k):
         raise FieldMismatch("descent test runs over GF(2^k)")
     base = abelian_codim1_ideal(L) is not None

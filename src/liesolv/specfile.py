@@ -21,11 +21,9 @@ rejected so that a parsed file serializes back byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Union
 
-from .algebra import RestrictedLieAlgebra
+from .algebra import LieAlgebra, RestrictedLieAlgebra
 from .fields import field_from_json, field_to_json
-from .ordinary import LieAlgebra
 
 FORMAT_VERSION = 1
 
@@ -63,7 +61,7 @@ def _vec_to_coord_map(field, vec) -> dict:
             if not field.is_zero(c)}
 
 
-def algebra_from_json(doc: dict) -> Union[RestrictedLieAlgebra, LieAlgebra]:
+def algebra_from_json(doc: dict) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise SpecError("top level must be a JSON object")
     unknown = set(doc) - _TOP_KEYS

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from liesolv.algebra import RestrictedLieAlgebra
+from liesolv.algebra import LieAlgebra, RestrictedLieAlgebra
 from liesolv.classify import classify, verify_verdict
 from liesolv.envelope import (
     Envelope, cond_ii_certificate, m2_embedding_check, reducedness_check,
@@ -25,8 +25,8 @@ from liesolv.families import (
 from liesolv.fields import GF2, gf
 from liesolv.linalg import span
 from liesolv.ordinary import (
-    LieAlgebra, corollary_classify, descent_abelian_codim1,
-    random_ordinary_instance, witness_search,
+    corollary_classify, descent_abelian_codim1, random_ordinary_instance,
+    witness_search,
 )
 
 GF4 = gf(4)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from liesolv.algebra import NotAbelian, RestrictedLieAlgebra, UnsupportedField
-from liesolv.fields import GF2, RATFUNC2, gf
+from liesolv.algebra import LieAlgebra, NotAbelian, RestrictedLieAlgebra, UnsupportedField
+from liesolv.fields import GF2, RATFUNC2, FieldMismatch, gf
 from liesolv.linalg import Subspace, span, vec_add, vec_is_zero
 
 GF4 = gf(4)
@@ -67,6 +67,65 @@ def test_h3_broken_pmap_reports_restricted_violation():
     report = bad.check_axioms()
     assert not report.ok
     assert any(v.kind == "restricted" and v.indices == (0,) for v in report.violations)
+
+
+@pytest.mark.parametrize("make", [
+    lambda br: LieAlgebra(GF2, ["a", "b", "c"], br),
+    lambda br: RestrictedLieAlgebra(GF2, ["a", "b", "c"], br, [(0, 0, 0)] * 3),
+], ids=["ordinary", "restricted"])
+@pytest.mark.parametrize("brackets", [
+    {(0, 1): (0, 1)},        # value of the wrong length
+    {(1, 0): (0, 0, 1)},     # key with i > j
+    {(0, 3): (0, 0, 1)},     # key outside the basis
+], ids=["short-value", "reversed-key", "key-out-of-range"])
+def test_constructor_rejects_bad_brackets(make, brackets):
+    with pytest.raises(FieldMismatch):
+        make(brackets)
+
+
+def test_ordinary_jacobi_violation_names_the_triple():
+    bad = LieAlgebra(GF2, ["a", "b", "c"], {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0)})
+    report = bad.check_axioms()
+    assert [(v.kind, v.indices) for v in report.violations] == [("jacobi", (0, 1, 2))]
+    assert "(a,b,c)" in str(report)
+
+
+def test_ordinary_algebra_is_not_restricted():
+    L = h3().base_change(GF4, lambda c: c)
+    assert isinstance(L, RestrictedLieAlgebra)
+    M = LieAlgebra(GF2, ["e1", "e2", "e3"], {(0, 1): (0, 0, 1)})
+    assert not isinstance(M, RestrictedLieAlgebra)
+    assert not isinstance(M.base_change(GF4, lambda c: c), RestrictedLieAlgebra)
+    assert M.nilpotency_class() == 2 and M.is_metabelian()
+    assert M.center() == h3().center()
+
+
+def test_tracer_patch_points_resolve():
+    # perfbench/tracing.py wraps owner.__dict__[attr] for every patch
+    # point, so a method that only inherits it (e.g. a bracket defined on
+    # LieAlgebra alone) would raise KeyError under a traced run
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mods = {name: importlib.import_module(f"liesolv.{name}") for name in (
+        "envelope", "linalg", "fields", "algebra", "classify", "ordinary",
+        "families", "specfile")}
+    patches = tracing.Patches(tracing.Tracer(), mods)
+    targets = [(owner, attr) for _, pairs, _ in patches.points for owner, attr in pairs]
+    try:
+        patches.install()
+        for owner, attr in targets:
+            assert hasattr(getattr(owner, attr), "__wrapped__"), (owner, attr)
+    finally:
+        patches.remove()
+    for owner, attr in targets:
+        assert not hasattr(getattr(owner, attr), "__wrapped__"), (owner, attr)
+    assert RestrictedLieAlgebra.bracket is LieAlgebra.bracket
 
 
 def test_one_dim_toral_passes():

@@ -4,8 +4,8 @@ import pytest
 
 from liesolv.cli import main
 from liesolv.families import heisenberg, negative_class2
-from liesolv.fields import GF2
-from liesolv.ordinary import LieAlgebra
+from liesolv.fields import GF2, RatFunc2
+from liesolv.algebra import LieAlgebra
 from liesolv.specfile import (
     AxiomError, SpecError, algebra_from_json, algebra_to_json, parse_spec,
     serialize,
@@ -155,10 +155,55 @@ def test_cli_ordinary_commands(tmp_path, capsys):
     assert "stabilized: False" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def ordinary_h3_file(tmp_path):
+    path = tmp_path / "oh3.alg"
+    path.write_text(serialize(LieAlgebra(GF2, ["e1", "e2", "e3"], {(0, 1): (0, 0, 1)})))
+    return str(path)
+
+
 def test_cli_ordinary_rejects_restricted(h3_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ordinary", "classify", h3_file])
     assert exc.value.code == 2
+    assert "needs an ordinary algebra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "solvable", "sz-index"])
+def test_cli_restricted_commands_reject_ordinary(ordinary_h3_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, ordinary_h3_file])
+    assert exc.value.code == 2
+    assert "needs a restricted algebra" in capsys.readouterr().err
+
+
+def test_cli_corpus_skips_ordinary_specs(tmp_path, capsys):
+    (tmp_path / "h3.alg").write_text(serialize(heisenberg()))
+    (tmp_path / "oh3.alg").write_text(
+        serialize(LieAlgebra(GF2, ["e1", "e2", "e3"], {(0, 1): (0, 0, 1)})))
+    assert main(["--json", "corpus", str(tmp_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["files"]
+    assert [r["file"] for r in rows] == ["h3.alg"]
+
+
+@pytest.mark.parametrize("brackets,skipped", [
+    ({(0, 1): (0, 0, 1)}, "(ii)"),                               # Heisenberg
+    ({(0, 2): (1, 0, 0, 0), (1, 2): (0, 1, 0, 0), (0, 1): (0, 0, 0, 1)}, "(iv)"),
+], ids=["heisenberg", "eigenvector-pair"])
+def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets, skipped):
+    # the enumerating conditions cannot run over F2(X,Y); they count as
+    # not decided instead of crashing, and the reason says which one
+    f = RatFunc2()
+    n = max(len(v) for v in brackets.values())
+    L = LieAlgebra(f, [f"b{i}" for i in range(n)],
+                   {k: tuple(f.one if c else f.zero for c in v) for k, v in brackets.items()})
+    path = tmp_path / "ord-ratfunc.alg"
+    path.write_text(serialize(L))
+    assert main(["--json", "ordinary", "classify", str(path),
+                 "--witness-budget", "200"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["outcome"] == "inconclusive"
+    assert f"condition {skipped} was not decided" in res["reason"]
 
 
 def test_cli_corpus(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
 
+from liesolv.algebra import LieAlgebra
+from liesolv.classify import LadderExhausted
 from liesolv.fields import GF2, gf
 from liesolv.linalg import span
 from liesolv.ordinary import (
-    LieAlgebra, SparseElim, UEnvelope, abelian_codim1_ideal, corollary_classify,
+    SparseElim, UEnvelope, abelian_codim1_ideal, corollary_classify,
     descent_abelian_codim1, random_ordinary_instance, two_envelope, witness_search,
 )
 
@@ -218,6 +220,19 @@ def test_descent_h3():
 def test_descent_abelian():
     rep = descent_abelian_codim1(LieAlgebra(GF2, ["a", "b"], {}))
     assert rep.base_has and rep.ext_has and rep.implication_holds
+
+
+def test_descent_checks_both_sides():
+    # h3 + abelian(15): dim L/L' = 17, and span(x2, z, a_i) is an abelian
+    # ideal of codimension 1, so a report must not rest on skipped checks
+    n = 18
+    L = LieAlgebra(GF2, ["x1", "x2", "z"] + [f"a{i}" for i in range(15)],
+                   {(0, 1): unit(n, 2)})
+    try:
+        rep = descent_abelian_codim1(L)
+    except LadderExhausted:
+        return
+    assert rep.base_has and rep.ext_has
 
 
 def test_descent_random_metabelian():
