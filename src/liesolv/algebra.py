@@ -162,11 +162,24 @@ class LieAlgebra:
         return self.span_of(vecs)
 
     def derived_subalgebra(self) -> Subspace:
-        full = self.full_space()
-        return self.bracket_span(full, full)
+        """L' = [L, L], the span of the table rows [b_i, b_j] for i < j.
+
+        The bracket is bilinear, so this is ``bracket_span(full, full)``
+        without a single bracket evaluation.
+        """
+        n = self.n
+        return self.span_of(self._table[i][j] for i in range(n) for j in range(i + 1, n))
 
     def center(self) -> Subspace:
-        return self.centralizer(self.full_space())
+        """Z(L), the kernel of the n x n^2 table matrix whose row i is
+        [b_i, b_0], ..., [b_i, b_{n-1}] laid end to end.
+
+        The same subspace as ``centralizer(full_space())``, read from the
+        table with no bracket evaluation.
+        """
+        n = self.n
+        images = [tuple(c for row in self._table[i] for c in row) for i in range(n)]
+        return kernel(self.field, images, n, n * n)
 
     def centralizer(self, s: Subspace) -> Subspace:
         """Largest subspace bracketing every element of s to zero."""

@@ -355,13 +355,24 @@ def _abelian(L: LieAlgebra, vecs: Sequence) -> bool:
 def abelian_ideals(L: LieAlgebra):
     """The abelian ideals of codimension at most 1, as (kind, subspace).
 
-    Reads brackets only.  An abelian L gives ("abelian", L) alone.
-    Otherwise every abelian hyperplane ideal lies between L' and its
-    centralizer: a centralizer of codimension 1 is the one candidate
-    ("centralizer"); when L' is central, every hyperplane containing L'
-    is an ideal and the abelian ones are yielded in enumeration order
-    ("hyperplane").  That enumeration raises LadderExhausted above 2^16
-    hyperplanes or over a field that is not GF(2^k).
+    Reads brackets only and decides over every field, with no cap.  An
+    abelian L gives ("abelian", L) alone.  Otherwise every abelian
+    hyperplane ideal lies between L' and its centralizer: a centralizer
+    of codimension 1 is the one candidate ("centralizer"); when L' is
+    central, every hyperplane containing L' is an ideal, and the abelian
+    ones ("hyperplane") are read off V = L/Z:
+
+    - each contains the centre Z, since a central z outside H would give
+      L = H + Fz, which is abelian;
+    - each coordinate t of the bracket is an alternating form
+      w_t(u, v) = [u, v]_t on V, and ker(phi) is isotropic for a nonzero
+      w_t iff rank w_t = 2 and phi lies in Im w_t (w_t = a^b vanishes on
+      ker(phi) iff phi is in span(a, b));
+    - so they are the kernels of the points of P(S), where S is the
+      intersection of Im w_t over the nonzero w_t and dim S <= 2.
+
+    Over GF(2^k) all of the at most q+1 points are yielded, lazily; over
+    any other field one of them, so existence is still decided.
     """
     if L.is_abelian():
         yield "abelian", L.full_space()
@@ -374,15 +385,27 @@ def abelian_ideals(L: LieAlgebra):
     if codim != 0:
         return
     f = L.field
-    quot = Quotient(L.full_space(), d1)
-    if not _points_within(f, quot.dim, 1 << 16):
-        raise LadderExhausted("hyperplane enumeration too large")
+    quot = Quotient(L.full_space(), L.center())
+    d, lifts = quot.dim, quot.lifted
+    gram = [[L.zero_vec()] * d for _ in range(d)]
+    for a, b in itertools.combinations(range(d), 2):
+        gram[a][b] = gram[b][a] = L.bracket(lifts[a], lifts[b])
+    s = None
+    for t in d1.pivots:   # a vector of L' is fixed by these coordinates
+        image = span(f, d, [tuple(w[t] for w in row) for row in gram])
+        if image.dim > 2:
+            return
+        if image.dim:
+            s = image if s is None else s.intersect(image)
+            if s.dim == 0:
+                return
+    if isinstance(f, GF2k):
+        phis = (lin_comb(f, c, s.basis(), d) for c in projective_vectors(f, s.dim))
+    else:
+        phis = s.basis()[:1]
     proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]
-    for normal in projective_vectors(f, quot.dim):
-        images = [(_dot(f, normal, pj),) for pj in proj_basis]
-        a = kernel(f, images, L.n, 1)
-        if a.dim == L.n - 1 and _abelian(L, a.basis()):
-            yield "hyperplane", a
+    for phi in phis:
+        yield "hyperplane", kernel(f, [(_dot(f, phi, pj),) for pj in proj_basis], L.n, 1)
 
 
 _CONDITION_I_RELATION = {

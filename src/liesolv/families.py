@@ -237,11 +237,12 @@ def example_7_1_extended() -> Tuple[RestrictedLieAlgebra, RatFunc2, "object"]:
 class Example71Report:
     """Three-part reproduction of the function-field example.
 
-    Part 3 carries the honest outcome of the codimension-1 search in the
-    quotient: for this bracket table the pairing obstruction is nonzero,
-    which rules any abelian codimension-1 ideal out (see "Notes on the
-    acceptance suite" in the README), so the certificate search reports
-    its failure rather than a certificate.
+    Part 3 carries the honest outcome for the quotient: for this bracket
+    table the pairing obstruction is nonzero, which rules any abelian
+    codimension-1 ideal out (see "Notes on the acceptance suite" in the
+    README).  ``part3_abelian_codim1_found`` is decided over the whole
+    quotient by ``classify.abelian_ideals``, not by testing one
+    candidate, and is False.
     """
     part1_element: str
     part1_nonzero: bool
@@ -271,6 +272,7 @@ class Example71Report:
 
 
 def example_7_1_report() -> Example71Report:
+    from .classify import abelian_ideals
     from .envelope import Envelope
 
     L = example_7_1()
@@ -312,20 +314,20 @@ def example_7_1_report() -> Example71Report:
     gens[1][idx["x2"]] = big.one
     gens[2][idx["x3"]] = big.one
     images = [quot.project(tuple(v)) for v in gens]
-    ideal = Q.restricted_closure(images)
     bracket_lines = []
-    abelian = True
     labels = ["x-bar", "sqrt(X)*x1 + x2", "sqrt(Y)*x1 + x3"]
     for i in range(3):
         for j in range(i + 1, 3):
             br = Q.bracket(images[i], images[j])
             ok = all(big.is_zero(c) for c in br)
-            abelian = abelian and ok
             bracket_lines.append(
                 f"[{labels[i]}, {labels[j]}] = {Q.element_str(br)}"
                 f" ({'zero' if ok else 'NONZERO'})")
-    found = (abelian and Q.n - ideal.space.dim <= 1
-             and _ideal_abelian(Q, ideal))
+    # decided, not searched: Q has L' = Z of dimension 1 and its one
+    # bracket form has rank 4 on Q/Z, so abelian_ideals proves that no
+    # abelian hyperplane exists (the Pfaffian argument of the README)
+    found = any(kind == "abelian" or Q.is_pmap_closed(a)
+                for kind, a in abelian_ideals(Q))
     # the rigorous obstruction: the pairing pattern evaluated in u(Q) is an
     # element of the ideal generated by [[a,b],[c,d],e]; a codimension-1
     # abelian ideal would make u(Q) embed into 2x2 matrices over a
@@ -363,12 +365,6 @@ def example_7_1_report() -> Example71Report:
         part3_obstruction=obstruction,
         notes=notes,
     )
-
-
-def _ideal_abelian(L, ideal) -> bool:
-    basis = ideal.space.basis()
-    return all(all(L.field.is_zero(c) for c in L.bracket(u, v))
-               for i, u in enumerate(basis) for v in basis[i + 1:])
 
 
 def random_instance(n: int, field, seed: int,

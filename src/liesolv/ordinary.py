@@ -262,8 +262,9 @@ class OrdinaryVerdict:
 def abelian_codim1_ideal(L: LieAlgebra) -> Optional[Subspace]:
     """An abelian ideal of codimension <= 1, or None.
 
-    Raises LadderExhausted when the hyperplanes it would have to test
-    cannot be enumerated (see ``classify.abelian_ideals``).
+    Exact over every field, F2(X,Y) included: ``classify.abelian_ideals``
+    decides the hyperplane case by a rank test on L/Z, with no
+    enumeration.
     """
     return next((a for _, a in abelian_ideals(L)), None)
 
@@ -273,22 +274,15 @@ def corollary_classify(L: LieAlgebra,
     """Structural certificate first, then a refuting witness hunt.
 
     Conditions (ii)-(iv) use the bracket-only parts of the restricted
-    matchers in ``classify``.  A condition whose search raises
-    LadderExhausted counts as not matched, and an inconclusive verdict
-    names it in its reason.
+    matchers in ``classify``.  Conditions (ii) and (iii) are decided
+    over every field.  The search of (iv) enumerates points; where it
+    raises LadderExhausted (a field that is not GF(2^k), or too many
+    points) it counts as not matched, and an inconclusive verdict names
+    it in its reason.
     """
-    skipped = []
-
-    def attempt(tag, search):
-        try:
-            return search(L)
-        except LadderExhausted as exc:
-            skipped.append(f"condition ({tag}) was not decided: {exc}")
-            return None
-
     if L.is_abelian():
         return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
-    a = attempt("ii", abelian_codim1_ideal)
+    a = abelian_codim1_ideal(L)
     if a is not None and L.n - a.dim == 1:
         return OrdinaryVerdict("solvable", "ii",
                                [f"abelian ideal of dimension {a.dim} found"])
@@ -296,7 +290,12 @@ def corollary_classify(L: LieAlgebra,
         return OrdinaryVerdict("solvable", "iii",
                                ["nilpotent of class 2",
                                 "center has codimension 3"])
-    m = attempt("iv", eigenvector_pair)
+    skipped = []
+    try:
+        m = eigenvector_pair(L)
+    except LadderExhausted as exc:
+        skipped.append(f"condition (iv) was not decided: {exc}")
+        m = None
     if m is not None:
         x1, x2, y, _ = m
         return OrdinaryVerdict("solvable", "iv",
@@ -499,7 +498,7 @@ def descent_abelian_codim1(L: LieAlgebra, ext_degree: int = 2) -> DescentReport:
     """Decide abelian-codim-<=1 over the base field and an extension and
     check that the extension having one forces the base to have one.
 
-    Raises LadderExhausted when either side cannot be decided, so a
+    Both sides are decided exactly (see ``abelian_codim1_ideal``), so a
     report always rests on both checks.
     """
     if not isinstance(L.field, GF2k):

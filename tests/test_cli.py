@@ -186,13 +186,16 @@ def test_cli_corpus_skips_ordinary_specs(tmp_path, capsys):
     assert [r["file"] for r in rows] == ["h3.alg"]
 
 
-@pytest.mark.parametrize("brackets,skipped", [
-    ({(0, 1): (0, 0, 1)}, "(ii)"),                               # Heisenberg
-    ({(0, 2): (1, 0, 0, 0), (1, 2): (0, 1, 0, 0), (0, 1): (0, 0, 0, 1)}, "(iv)"),
+@pytest.mark.parametrize("brackets,outcome,condition,skipped", [
+    ({(0, 1): (0, 0, 1)}, "solvable", "ii", None),                 # Heisenberg
+    ({(0, 2): (1, 0, 0, 0), (1, 2): (0, 1, 0, 0), (0, 1): (0, 0, 0, 1)},
+     "inconclusive", None, "(iv)"),
 ], ids=["heisenberg", "eigenvector-pair"])
-def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets, skipped):
-    # the enumerating conditions cannot run over F2(X,Y); they count as
-    # not decided instead of crashing, and the reason says which one
+def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets,
+                                                   outcome, condition, skipped):
+    # condition (ii) is decided over F2(X,Y) by the rank test on L/Z; the
+    # point enumeration of (iv) cannot run there, so it counts as not
+    # decided instead of crashing, and the reason says so
     f = RatFunc2()
     n = max(len(v) for v in brackets.values())
     L = LieAlgebra(f, [f"b{i}" for i in range(n)],
@@ -202,8 +205,9 @@ def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets, s
     assert main(["--json", "ordinary", "classify", str(path),
                  "--witness-budget", "200"]) == 0
     res = json.loads(capsys.readouterr().out)["result"]
-    assert res["outcome"] == "inconclusive"
-    assert f"condition {skipped} was not decided" in res["reason"]
+    assert (res["outcome"], res["condition"]) == (outcome, condition)
+    if skipped:
+        assert f"condition {skipped} was not decided" in res["reason"]
 
 
 def test_cli_corpus(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import random
 
 from liesolv.algebra import LieAlgebra
-from liesolv.classify import LadderExhausted
 from liesolv.fields import GF2, gf
 from liesolv.linalg import span
 from liesolv.ordinary import (
@@ -222,17 +221,22 @@ def test_descent_abelian():
     assert rep.base_has and rep.ext_has and rep.implication_holds
 
 
+def h3_plus_abelian(field, extra=15):
+    # h3 + abelian(extra): dim L/L' = extra + 2 but dim L/Z = 2, and
+    # span(x2, z, a_i) is an abelian ideal of codimension 1
+    n = extra + 3
+    return LieAlgebra(field, ["x1", "x2", "z"] + [f"a{i}" for i in range(extra)],
+                      {(0, 1): unit(n, 2)})
+
+
 def test_descent_checks_both_sides():
-    # h3 + abelian(15): dim L/L' = 17, and span(x2, z, a_i) is an abelian
-    # ideal of codimension 1, so a report must not rest on skipped checks
-    n = 18
-    L = LieAlgebra(GF2, ["x1", "x2", "z"] + [f"a{i}" for i in range(15)],
-                   {(0, 1): unit(n, 2)})
-    try:
-        rep = descent_abelian_codim1(L)
-    except LadderExhausted:
-        return
-    assert rep.base_has and rep.ext_has
+    rep = descent_abelian_codim1(h3_plus_abelian(GF2))
+    assert rep.base_has and rep.ext_has and rep.implication_holds
+
+
+def test_descent_checks_both_sides_gf4():
+    rep = descent_abelian_codim1(h3_plus_abelian(GF4))
+    assert rep.base_has and rep.ext_has and rep.implication_holds
 
 
 def test_descent_random_metabelian():
