@@ -96,12 +96,19 @@ class LieAlgebra:
             table[j][i] = v  # characteristic 2: [b_j, b_i] = [b_i, b_j]
         self._table = table
         self._zero = zero_vec
+        # The nonzero structure constants (i, j, [(t, c), ...]) with
+        # [b_i, b_j] = sum c b_t, i < j in increasing order: the bracket
+        # and the cross term of the square map cost one pass over them.
+        self._nonzero = []
+        for i, j in sorted(brackets):
+            row = [(t, c) for t, c in enumerate(table[i][j]) if not field.is_zero(c)]
+            if row:
+                self._nonzero.append((i, j, row))
 
     def _brackets(self, embed=lambda c: c) -> Dict[Tuple[int, int], Tuple]:
         """The nonzero table entries [b_i, b_j], i < j, with embed applied to each scalar."""
         return {(i, j): tuple(embed(c) for c in self._table[i][j])
-                for i in range(self.n) for j in range(i + 1, self.n)
-                if not vec_is_zero(self.field, self._table[i][j])}
+                for i, j, _ in self._nonzero}
 
     # -- basic element operations ------------------------------------
 
@@ -112,20 +119,15 @@ class LieAlgebra:
         return unit_vector(self.field, self.n, i)
 
     def bracket(self, u: Sequence, v: Sequence) -> Tuple:
+        """[u, v] = sum over the nonzero constants of (u_i v_j + u_j v_i) c b_t."""
         f = self.field
+        add, mul, is_zero = f.add, f.mul, f.is_zero
         out = list(self._zero)
-        for i in range(self.n):
-            ui = u[i]
-            vi = v[i]
-            if f.is_zero(ui) and f.is_zero(vi):
-                continue
-            for j in range(i + 1, self.n):
-                c = f.add(f.mul(ui, v[j]), f.mul(u[j], vi))
-                if not f.is_zero(c):
-                    row = self._table[i][j]
-                    for t in range(self.n):
-                        if not f.is_zero(row[t]):
-                            out[t] = f.add(out[t], f.mul(c, row[t]))
+        for i, j, row in self._nonzero:
+            c = add(mul(u[i], v[j]), mul(u[j], v[i]))
+            if not is_zero(c):
+                for t, ct in row:
+                    out[t] = add(out[t], mul(c, ct))
         return tuple(out)
 
     def ad_images(self, x: Sequence) -> List[Tuple]:
@@ -293,23 +295,22 @@ class RestrictedLieAlgebra(LieAlgebra):
 
     def pmap_eval(self, v: Sequence) -> Tuple:
         f = self.field
+        add, mul, is_zero = f.add, f.mul, f.is_zero
         out = list(self._zero)
         for i in range(self.n):
             a = v[i]
-            if f.is_zero(a):
+            if is_zero(a):
                 continue
-            a2 = f.mul(a, a)
+            a2 = mul(a, a)
             row = self.pmap[i]
             for t in range(self.n):
-                if not f.is_zero(row[t]):
-                    out[t] = f.add(out[t], f.mul(a2, row[t]))
-            for j in range(i + 1, self.n):
-                c = f.mul(a, v[j])
-                if not f.is_zero(c):
-                    row = self._table[i][j]
-                    for t in range(self.n):
-                        if not f.is_zero(row[t]):
-                            out[t] = f.add(out[t], f.mul(c, row[t]))
+                if not is_zero(row[t]):
+                    out[t] = add(out[t], mul(a2, row[t]))
+        for i, j, row in self._nonzero:
+            c = mul(v[i], v[j])
+            if not is_zero(c):
+                for t, ct in row:
+                    out[t] = add(out[t], mul(c, ct))
         return tuple(out)
 
     def check_axioms(self) -> AxiomReport:

@@ -352,6 +352,34 @@ def _abelian(L: LieAlgebra, vecs: Sequence) -> bool:
                for i, u in enumerate(vecs) for v in vecs[i + 1:])
 
 
+def isotropic_functionals(L: LieAlgebra, basis: Sequence) -> Subspace:
+    """The functionals phi on V = span(basis) whose kernels are abelian,
+    as coordinate vectors on ``basis``.
+
+    Each coordinate t of the bracket is an alternating form
+    w_t(u, v) = [u, v]_t on V, read from the Gram matrix [basis_a, basis_b].
+    A hyperplane ker(phi) is isotropic for a nonzero w_t iff rank w_t = 2
+    and phi lies in Im w_t (w_t = a^b vanishes on ker(phi) iff phi is in
+    span(a, b)).  A vector of [V, V] is fixed by its coordinates at the
+    pivots of [V, V], so those forms decide.  The result is the intersection S of their images: all of V*
+    when V is abelian (every hyperplane), else of dimension at most 2,
+    and 0 when some form has rank above 2 or the images meet in 0.
+    """
+    f, d = L.field, len(basis)
+    gram = [[L.zero_vec()] * d for _ in range(d)]
+    for a, b in itertools.combinations(range(d), 2):
+        gram[a][b] = gram[b][a] = L.bracket(basis[a], basis[b])
+    s = Subspace.full(f, d)
+    for t in span(f, L.n, (w for row in gram for w in row)).pivots:
+        image = span(f, d, [tuple(w[t] for w in row) for row in gram])
+        if image.dim > 2:
+            return Subspace.zero(f, d)
+        s = s.intersect(image)
+        if s.dim == 0:
+            break
+    return s
+
+
 def abelian_ideals(L: LieAlgebra):
     """The abelian ideals of codimension at most 1, as (kind, subspace).
 
@@ -364,12 +392,9 @@ def abelian_ideals(L: LieAlgebra):
 
     - each contains the centre Z, since a central z outside H would give
       L = H + Fz, which is abelian;
-    - each coordinate t of the bracket is an alternating form
-      w_t(u, v) = [u, v]_t on V, and ker(phi) is isotropic for a nonzero
-      w_t iff rank w_t = 2 and phi lies in Im w_t (w_t = a^b vanishes on
-      ker(phi) iff phi is in span(a, b));
-    - so they are the kernels of the points of P(S), where S is the
-      intersection of Im w_t over the nonzero w_t and dim S <= 2.
+    - so they are the kernels of the points of P(S), where S (of
+      dimension at most 2) comes from ``isotropic_functionals`` on a
+      basis of V.
 
     Over GF(2^k) all of the at most q+1 points are yielded, lazily; over
     any other field one of them, so existence is still decided.
@@ -386,19 +411,10 @@ def abelian_ideals(L: LieAlgebra):
         return
     f = L.field
     quot = Quotient(L.full_space(), L.center())
-    d, lifts = quot.dim, quot.lifted
-    gram = [[L.zero_vec()] * d for _ in range(d)]
-    for a, b in itertools.combinations(range(d), 2):
-        gram[a][b] = gram[b][a] = L.bracket(lifts[a], lifts[b])
-    s = None
-    for t in d1.pivots:   # a vector of L' is fixed by these coordinates
-        image = span(f, d, [tuple(w[t] for w in row) for row in gram])
-        if image.dim > 2:
-            return
-        if image.dim:
-            s = image if s is None else s.intersect(image)
-            if s.dim == 0:
-                return
+    d = quot.dim
+    s = isotropic_functionals(L, quot.lifted)
+    if s.dim == 0:
+        return
     if isinstance(f, GF2k):
         phis = (lin_comb(f, c, s.basis(), d) for c in projective_vectors(f, s.dim))
     else:
@@ -460,19 +476,29 @@ def _eigen_one_space(L: RestrictedLieAlgebra, y) -> Subspace:
     return kernel(f, images, L.n, L.n)
 
 
-def _candidate_ys(L: LieAlgebra):
+def _candidate_ys(L: LieAlgebra, zelim):
+    """Points y of L, the first of each class mod the centre.
+
+    All points when there are at most 2^14, else sums of at most three
+    basis vectors.  The centre is the kernel of ad, and the searches that
+    read y depend on it only through ad y, so a later y of a seen class
+    (keyed by its residue modulo ``zelim``, an eliminator of Z) would
+    repeat an earlier search.
+    """
     f = L.field
     if _points_within(f, L.n, 1 << 14):
-        yield from subspace_points(f, L.full_space())
-        return
-    for i in range(L.n):
-        yield L.basis_vector(i)
-    for size in (2, 3):
-        for combo in itertools.combinations(range(L.n), size):
-            v = [f.zero] * L.n
-            for i in combo:
-                v[i] = f.one
-            yield tuple(v)
+        ys = subspace_points(f, L.full_space())
+    else:
+        ys = itertools.chain(
+            (L.basis_vector(i) for i in range(L.n)),
+            (tuple(f.one if i in combo else f.zero for i in range(L.n))
+             for size in (2, 3) for combo in itertools.combinations(range(L.n), size)))
+    seen = set()
+    for y in ys:
+        key = zelim.residue(y)
+        if key not in seen:
+            seen.add(key)
+            yield y
 
 
 def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple, Subspace]]:
@@ -489,7 +515,7 @@ def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple, Subsp
     if L.n - z.dim != 3:
         return None
     zelim = z.elim()
-    for y in _candidate_ys(L):
+    for y in _candidate_ys(L, zelim):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
             continue
@@ -523,17 +549,35 @@ def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
         {"x1": x1, "x2": x2, "y": y, "center": z})
 
 
-def _complements_of_line(L, k: Subspace, x):
-    """All hyperplanes of k complementary to the line through x."""
+def _abelian_complements(L: LieAlgebra, k: Subspace, s: Subspace, x):
+    """Bases of the abelian hyperplanes of k complementary to the line of x.
+
+    s holds the functionals on k (coordinates on ``k.basis()``) whose
+    kernels are abelian, from ``isotropic_functionals``.  A complement is
+    spanned by b_idx + lam_idx x for the basis vectors b_idx other than
+    the first one on which x has a nonzero coordinate, and it is ker(phi)
+    with phi(x) != 0 and lam_idx = phi(b_idx) / phi(x).  All complements
+    are abelian when s is all of k*; otherwise they come from the at most
+    q+1 points of P(s).  Either way they are visited in the lexicographic
+    order of (lam_idx): GF(2^k) elements are the ints 0..q-1, so this is
+    itertools.product over ``f.elements()``.
+    """
     f = L.field
-    # coordinates on k via its pivots
-    basis = k.basis()
-    d = k.dim
+    basis, d = k.basis(), k.dim
     x_coords = tuple(x[p] for p in k.pivots)
-    # pick a coordinate where x is nonzero
     lead = next(i for i, c in enumerate(x_coords) if not f.is_zero(c))
     others = [i for i in range(d) if i != lead]
-    for lams in itertools.product(list(f.elements()), repeat=d - 1):
+    if s.dim == d:
+        lam_rows = itertools.product(list(f.elements()), repeat=d - 1)
+    else:
+        lam_rows = []
+        for c in projective_vectors(f, s.dim):
+            phi = lin_comb(f, c, s.basis(), d)
+            phi_x = _dot(f, phi, x_coords)
+            if not f.is_zero(phi_x):
+                lam_rows.append(tuple(f.div(phi[idx], phi_x) for idx in others))
+        lam_rows.sort()
+    for lams in lam_rows:
         yield [lin_comb(f, (f.one, lam), (basis[idx], x), L.n)
                for idx, lam in zip(others, lams)]
 
@@ -542,7 +586,7 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
     f = L.field
     z = L.center()
     zelim = z.elim()
-    for y in _candidate_ys(L):
+    for y in _candidate_ys(L, zelim):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
             continue
@@ -553,13 +597,14 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
             continue
         if not _points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for point enumeration")
+        s = isotropic_functionals(L, k.basis())
+        if s.dim == 0:
+            continue
         for x in subspace_points(f, k):
             # [x, k] must be central for any valid split
             if not all(zelim.contains_vector(L.bracket(x, kb)) for kb in k.basis()):
                 continue
-            for hs in _complements_of_line(L, k, x):
-                if not _abelian(L, hs):
-                    continue
+            for hs in _abelian_complements(L, k, s, x):
                 cert = _finish_iv_v(L, tag, x, y, hs, z)
                 if cert is not None:
                     return cert
@@ -589,8 +634,6 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
                 continue
             return None
         j = next(i for i, c in enumerate(rhs) if not f.is_zero(c))
-        if f.is_zero(rhs[j]):
-            return None
         cand = f.div(lhs[j], rhs[j])
         if tuple(f.mul(cand, c) for c in rhs) != tuple(lhs):
             return None

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from liesolv.cli import main
-from liesolv.families import heisenberg, negative_class2
-from liesolv.fields import GF2, RatFunc2
+from liesolv.families import family_v, heisenberg, negative_class2
+from liesolv.fields import GF2, RatFunc2, gf
 from liesolv.algebra import LieAlgebra
 from liesolv.specfile import (
     AxiomError, SpecError, algebra_from_json, algebra_to_json, parse_spec,
@@ -276,3 +276,21 @@ def test_cli_refuses_huge_envelope(tmp_path, capsys, monkeypatch, command):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error:" in err and f"limited to dimension {envelope.MAX_ENVELOPE_N}" in err
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_cli_classify_family_v_certificate(tmp_path, capsys, q):
+    # the (iv) certificate of family_v(h_dim=2), pinned so that a change
+    # in the order in which x, y and H are visited shows here
+    path = tmp_path / f"fam-v-h2-gf{q}.alg"
+    path.write_text(serialize(family_v(gf(q), h_dim=2)))
+    assert main(["--json", "classify", str(path)]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert (res["outcome"], res["condition"], res["core_dim"]) == ("solvable", "iv", 0)
+    assert res["certificate"] == [
+        "[x,y] = x and [y,h] = h hold exactly",
+        "H is strongly abelian; [x,H] is central",
+        "x = x",
+        "y = x + y",
+        "H basis: ['h1 + z1', 'h2 + z2']",
+    ]
