@@ -99,13 +99,17 @@ class Verdict:
         return out
 
 
+# The series oracle runs when dim L <= ORACLE_DIM_LIMIT; test (c) of
+# ``necessary_tests`` evaluates the first PATTERN_BUDGET 4-permutations.
+ORACLE_DIM_LIMIT = 9
+PATTERN_BUDGET = 2000
+
+
 @dataclass
 class ClassifyOptions:
     extension_ladder_max: int = 4
     exhaustive_core_dim_limit: int = 7
     oracle_crosscheck: bool = True
-    oracle_dim_limit: int = 9        # run the series oracle when dim L <= this
-    pattern_budget: int = 2000
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +190,7 @@ def _bracket_patterns(env: Envelope, budget: int):
         yield env._lie_gen(ad(a), y)
 
 
-def necessary_tests(L: RestrictedLieAlgebra,
-                    options: Optional[ClassifyOptions] = None) -> Optional[Verdict]:
+def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     """Fast refutations; None means all tests passed.
 
     Tests (b) and (c) evaluate their pattern elements natively in u(L)
@@ -196,7 +199,6 @@ def necessary_tests(L: RestrictedLieAlgebra,
     Test (c) memoises [z b y, z] per (z, b, y) and the ad table of
     [x, x b] per (x, b).
     """
-    options = options or ClassifyOptions()
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
     d1 = L.derived_subalgebra()
     d2 = L.bracket_span(d1, d1)
@@ -225,7 +227,7 @@ def necessary_tests(L: RestrictedLieAlgebra,
         lifts = Quotient(L.full_space(), L.center()).lifted
         tests.append(("pairing-combination", _pairing_elements(env, lifts)))
     # (c) bracket patterns over basis 4-tuples
-    tests.append(("bracket-pattern", _bracket_patterns(env, options.pattern_budget)))
+    tests.append(("bracket-pattern", _bracket_patterns(env, PATTERN_BUDGET)))
     for name, elems in tests:
         for w in elems:
             if not env._is_nilpotent(w)[0]:
@@ -507,29 +509,25 @@ def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple, Subsp
 
     Reads brackets only.  Needs Z of codimension 3; y runs over all
     points of L when there are at most 2^14, else over sums of at most
-    three basis vectors.  Raises LadderExhausted over a field that is
-    not GF(2^k), or when an eigenspace is too large for pair enumeration.
+    three basis vectors, and over a field that is not GF(2^k) this
+    raises LadderExhausted.  No pair is enumerated: the eigenspace k of
+    ad y for 1 meets Z + Fy only in 0 (such a v has v = [v, y] = 0), so
+    dim k <= 2, and when dim k = 2 it complements Z + Fy.  Every pair
+    is then a basis of k, with [x1, x2] a nonzero multiple of [b1, b2]
+    for the basis b1, b2 of k.  So a pair exists iff dim k = 2 and
+    [b1, b2] is central, and (b1, b1 + b2) is the one returned, the
+    first pair of the point enumeration this replaces.
     """
-    f = L.field
     z = L.center()
     if L.n - z.dim != 3:
         return None
     zelim = z.elim()
     for y in _candidate_ys(L, zelim):
         k = _eigen_one_space(L, y)
-        if k.dim < 2:
-            continue
-        if not _points_within(f, k.dim, 1 << 12):
-            raise LadderExhausted("eigenspace too large for pair enumeration")
-        pts = list(subspace_points(f, k))
-        for x1, x2 in itertools.combinations(pts, 2):
-            if span(f, L.n, [x1, x2]).dim != 2:
-                continue
-            if not zelim.contains_vector(L.bracket(x1, x2)):
-                continue
-            total = span(f, L.n, [x1, x2, y] + list(z.basis()))
-            if total.dim == L.n:
-                return x1, x2, y, z
+        if k.dim == 2:
+            b1, b2 = k.basis()
+            if zelim.contains_vector(L.bracket(b1, b2)):
+                return b1, vec_add(L.field, b1, b2), y, z
     return None
 
 
@@ -864,7 +862,7 @@ def classify(L: RestrictedLieAlgebra,
              options: Optional[ClassifyOptions] = None) -> Verdict:
     """Full decision pipeline; every verdict carries re-checkable evidence."""
     options = options or ClassifyOptions()
-    refute = necessary_tests(L, options)
+    refute = necessary_tests(L)
     if refute is not None:
         refute.oracle = _run_oracle(L, options)
         return refute
@@ -945,7 +943,7 @@ def _run_oracle(L: RestrictedLieAlgebra,
                 options: ClassifyOptions) -> Optional[dict]:
     if not options.oracle_crosscheck:
         return None
-    if not isinstance(L.field, GF2k) or L.n > options.oracle_dim_limit:
+    if not isinstance(L.field, GF2k) or L.n > ORACLE_DIM_LIMIT:
         return None
     res = Envelope(L).lie_derived_series()
     return {"outcome": res.outcome, "value": res.value, "dims": res.dims}

@@ -5,20 +5,21 @@ monomial is a bitmask over the basis indices of L and u(L) coordinates
 are indexed by the masks themselves.  The public element form is a
 sparse dict {mask: scalar}.
 
-Over GF(2^k) the arithmetic runs on stacked ints, the bit-sliced layout
-of M4RIE: an element is one int of k*2^n bits whose plane j, the bits
-[j*2^n, (j+1)*2^n), holds bit j of every coefficient.  Over GF(2) the
-stacked int is the bitmask of the monomials present.  Products are
-straightened one right generator at a time:
+Inside, an element has a native form.  Over GF(2^k) it is a stacked
+int, the bit-sliced layout of M4RIE: one int of k*2^n bits whose plane
+j, the bits [j*2^n, (j+1)*2^n), holds bit j of every coefficient; over
+GF(2) it is the bitmask of the monomials present.  Over any other field
+(F2(X,Y)) it is a ``_Sparse`` dict whose ``^`` is addition.  Both forms
+run on one straightening, one right generator at a time:
 
     b_i b_j = b_j b_i + [b_i, b_j]   (i > j)
     b_i b_i = b_i^[2]
 
-and memoised in flat tables indexed by monomial: ``right[g][m]`` is
-m*x_g and ``left[g][m]`` is x_g*m.  ``Envelope._apply`` is the one
-kernel: it applies such a table T to a stacked element x, summing
-c_m*T[m] over the monomials m of x by XORing the entries of each
-plane's set bits and folding the planes together by Horner's rule in t.
+memoised in flat tables indexed by monomial: ``right[g][m]`` is m*x_g
+and ``left[g][m]`` is x_g*m.  ``Envelope._apply`` is the one kernel: it
+applies such a table T to a native element x, summing c_m*T[m] over
+the monomials m of x.  On a stacked int it XORs the entries of each
+plane's set bits and folds the planes together by Horner's rule in t.
 
 For a fixed left factor a, the ad table Ad_a[m] = [a, m] = a*m + m*a is
 filled lazily from the right and left generator tables, and then
@@ -27,9 +28,6 @@ pair of a basis this way.  Its first step uses the associative identity
 [a, bc] = [ab, c] + [ca, b]: it makes D_1 = [u(L), u(L)] the span of the
 n*2^n brackets [m, x_g] = right[g][m] + left[g][m], not of all
 2^n(2^n-1)/2 monomial pairs.
-
-Over RatFunc2 elements stay dicts, with (monomial, generator) products
-memoised in a dict.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
@@ -90,11 +88,39 @@ class SZResult:
     witness: Optional[dict] = None  # stable element when not nilpotent
 
 
+class _Sparse(dict):
+    """The native element {mask: scalar} off GF(2^k); ``^`` is addition.
+
+    ``^`` returns a new element and leaves both operands alone, because
+    table entries are shared by every product that reads them.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field, items=()):
+        super().__init__(items)
+        self.field = field
+
+    def __xor__(self, other: dict) -> "_Sparse":
+        f = self.field
+        out = _Sparse(f, self)
+        for m, c in other.items():
+            if m in out:
+                s = f.add(out[m], c)
+                if f.is_zero(s):
+                    del out[m]
+                else:
+                    out[m] = s
+            else:
+                out[m] = c
+        return out
+
+
 class _GenTables:
     """Memoised products with generators, one flat list per generator.
 
-    ``right[g][m]`` is m*x_g and ``left[g][m]`` is x_g*m as stacked
-    ints, None until first asked for; len() counts the filled entries.
+    ``right[g][m]`` is m*x_g and ``left[g][m]`` is x_g*m as native
+    elements, None until first asked for; len() counts the filled entries.
     """
 
     __slots__ = ("right", "left")
@@ -110,8 +136,8 @@ class _GenTables:
 class Envelope:
     """u(L) with exact PBW arithmetic and solvability measurements.
 
-    ``force_dict`` runs a GF(2^k) algebra on the dict products, so tests
-    can cross-check them with the stacked kernel.
+    ``force_dict`` runs a GF(2^k) algebra on ``_Sparse`` elements, the
+    form of every other field, so tests can compare the two forms.
     """
 
     def __init__(self, algebra: RestrictedLieAlgebra, force_dict: bool = False):
@@ -124,30 +150,32 @@ class Envelope:
         self.n = algebra.n
         self.dim = 1 << algebra.n
         self.stacked = isinstance(self.field, GF2k) and not force_dict
-        self._cache: Dict[Tuple[int, int], dict] = {}   # dict products
-        self._mask_cache = _GenTables(self.n if self.stacked else 0, self.dim)
-        if self.stacked:
-            k, D = self.field.k, self.dim
-            self.k = k
-            self._plane = (1 << D) - 1
-            self._offsets = [j * D for j in range(k)]      # plane j starts at bit j*D
-            self._offsets_desc = self._offsets[::-1]
-            self._top_shift = k * D
-            # t^k = sum of t^j over the bits j < k of the modulus
-            self._fold = [j * D for j in range(k) if self.field.modulus >> j & 1]
-            self._right = self._mask_cache.right
-            self._left = self._mask_cache.left
-            # The fills reach the envelope through a weak proxy: bound to
-            # self they would put it in a reference cycle, and its tables
-            # would wait for the cyclic collector to be freed.
-            me = weakref.proxy(self)
-            self._right_fill = [partial(Envelope._fill_right, me, g) for g in range(self.n)]
-            self._left_fill = [partial(Envelope._fill_left, me, g) for g in range(self.n)]
+        # Always empty: every product lives in the generator tables.  It
+        # stays because perfbench/tracing.py counts len(_cache) too.
+        self._cache: dict = {}
+        self._mask_cache = _GenTables(self.n, self.dim)
+        self._right = self._mask_cache.right
+        self._left = self._mask_cache.left
+        # The fills reach the envelope through a weak proxy: bound to
+        # self they would put it in a reference cycle, and its tables
+        # would wait for the cyclic collector to be freed.
+        me = weakref.proxy(self)
+        self._right_fill = [partial(Envelope._fill_right, me, g) for g in range(self.n)]
+        self._left_fill = [partial(Envelope._fill_left, me, g) for g in range(self.n)]
+        if not self.stacked:
+            self._zero = _Sparse(self.field)
+            return
+        self._zero = 0
+        k, D = self.field.k, self.dim
+        self.k = k
+        self._plane = (1 << D) - 1
+        self._offsets = [j * D for j in range(k)]      # plane j starts at bit j*D
+        self._offsets_desc = self._offsets[::-1]
+        self._top_shift = k * D
+        # t^k = sum of t^j over the bits j < k of the modulus
+        self._fold = [j * D for j in range(k) if self.field.modulus >> j & 1]
 
     # -- element constructors -----------------------------------------
-
-    def zero(self) -> dict:
-        return {}
 
     def one(self) -> dict:
         return {0: self.field.one}
@@ -162,104 +190,20 @@ class Envelope:
         f = self.field
         return {1 << i: c for i, c in enumerate(v) if not f.is_zero(c)}
 
-    # -- sparse dict arithmetic ----------------------------------------
+    # -- dict arithmetic --------------------------------------------------
 
     def add(self, a: dict, b: dict) -> dict:
-        f = self.field
-        out = dict(a)
-        for m, c in b.items():
-            s = f.add(out.get(m, f.zero), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
-
-    def scale(self, c, a: dict) -> dict:
-        f = self.field
-        if f.is_zero(c):
-            return {}
-        return {m: f.mul(c, x) for m, x in a.items()}
-
-    def _iadd_scaled(self, out: dict, a: dict, c) -> None:
-        f = self.field
-        for m, x in a.items():
-            s = f.add(out.get(m, f.zero), f.mul(c, x))
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-
-    def is_zero(self, a: dict) -> bool:
-        return not a
-
-    def _mono_gen(self, mask: int, g: int) -> dict:
-        """Normal form of (monomial) * b_g on the dict products, memoized."""
-        key = (mask, g)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        f = self.field
-        top = mask.bit_length() - 1
-        if mask == 0 or g > top:
-            out = {mask | (1 << g): f.one}
-        elif g == top:
-            low = mask ^ (1 << top)
-            out = {}
-            for j, c in enumerate(self.algebra.pmap[top]):
-                if not f.is_zero(c):
-                    self._iadd_scaled(out, self._mono_gen(low, j), c)
-        else:
-            low = mask ^ (1 << top)
-            out = {}
-            inner = self._mono_gen(low, g)
-            for m2, c2 in inner.items():
-                self._iadd_scaled(out, self._mono_gen(m2, top), c2)
-            row = self.algebra._table[top][g]
-            for j, c in enumerate(row):
-                if not f.is_zero(c):
-                    self._iadd_scaled(out, self._mono_gen(low, j), c)
-        self._cache[key] = out
-        return out
-
-    def _elem_gen(self, a: dict, g: int) -> dict:
-        out: dict = {}
-        for m, c in a.items():
-            self._iadd_scaled(out, self._mono_gen(m, g), c)
-        return out
+        return dict(_Sparse(self.field, a) ^ b)
 
     def mul(self, a: dict, b: dict) -> dict:
         """PBW normal form of the product a*b."""
-        if self.stacked:
-            table, fill = self._products(self.to_mask(a))
-            return self.from_mask(self._apply(table, fill, self.to_mask(b)))
-        return self._mul_dict(a, b)
-
-    def _mul_dict(self, a: dict, b: dict) -> dict:
-        """a*b on the dict products, one right generator at a time."""
-        out: dict = {}
-        for mb, cb in b.items():
-            term = a
-            for g in _bits(mb):
-                term = self._elem_gen(term, g)
-            self._iadd_scaled(out, term, cb)
-        return out
+        table, fill = self._products(self._native(a))
+        return self._to_dict(self._apply(table, fill, self._native(b)))
 
     def lie(self, a: dict, b: dict) -> dict:
-        if self.stacked:
-            x, y = self.to_mask(a), self.to_mask(b)
-            return self.from_mask(self._apply(*self._products(x), y)
-                                  ^ self._apply(*self._products(y), x))
-        return self.add(self.mul(a, b), self.mul(b, a))
-
-    def power(self, a: dict, e: int) -> dict:
-        out = self.one()
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        x, y = self._native(a), self._native(b)
+        return self._to_dict(self._apply(*self._products(x), y)
+                             ^ self._apply(*self._products(y), x))
 
     def is_nilpotent(self, a: dict) -> Tuple[bool, Optional[int]]:
         """Square repeatedly; n+1 squarings decide nilpotency in dim 2^n."""
@@ -269,17 +213,16 @@ class Envelope:
         """``is_nilpotent`` of a native element."""
         if not cur:
             return True, 0
-        mul = self.mul_mask if self.stacked else self.mul
         for m in range(1, self.n + 2):
-            cur = mul(cur, cur)
+            cur = self.mul_mask(cur, cur)
             if not cur:
                 return True, m
         return False, None
 
-    # -- the stacked-int kernel over GF(2^k) ------------------------------
+    # -- native elements ----------------------------------------------------
 
     def to_mask(self, a: dict) -> int:
-        """The stacked int of a dict element."""
+        """The stacked int of a dict element (GF(2^k) only)."""
         D = self.dim
         out = 0
         for m, c in a.items():
@@ -299,28 +242,33 @@ class Envelope:
                 out[m] = out.get(m, 0) | 1 << j
         return out
 
-    def mul_mask(self, a: int, b: int) -> int:
-        """The product a*b of stacked ints."""
+    def mul_mask(self, a, b):
+        """The product a*b of native elements of either form."""
         table, fill = self._products(a)
         return self._apply(table, fill, b)
 
-    def lie_mask(self, a: int, b: int) -> int:
+    def lie_mask(self, a, b):
         return self.mul_mask(a, b) ^ self.mul_mask(b, a)
 
-    def _mul_t(self, x: int) -> int:
-        """t*x: every plane moves up one, and plane k folds back by the modulus."""
-        x <<= self.dim
-        top = x >> self._top_shift
-        if top:
-            x ^= top << self._top_shift
-            for s in self._fold:
-                x ^= top << s
-        return x
+    # The seven primitives below are the only methods, besides __init__,
+    # that tell the stacked form from the _Sparse one.
 
-    def _scale_stacked(self, c: int, x: int) -> int:
-        """c*x for a scalar c of GF(2^k)."""
-        if c == 1:
+    def _native(self, a: dict):
+        return self.to_mask(a) if self.stacked else _Sparse(self.field, a)
+
+    def _to_dict(self, e) -> dict:
+        return self.from_mask(e) if self.stacked else dict(e)
+
+    def _mono(self, m: int):
+        return 1 << m if self.stacked else _Sparse(self.field, {m: self.field.one})
+
+    def _scale(self, c, x):
+        """c*x for a nonzero scalar c."""
+        if c == self.field.one:
             return x
+        if not self.stacked:
+            f = self.field
+            return _Sparse(f, {m: f.mul(c, v) for m, v in x.items()})
         out = 0
         for j in reversed(range(self.k)):      # Horner over the bits of c
             if out:
@@ -329,12 +277,21 @@ class Envelope:
                 out ^= x
         return out
 
-    def _apply(self, table: list, fill, x: int) -> int:
+    def _apply(self, table: list, fill, x):
         """Sum of c_m*table[m] over the monomials m of x, c_m their coefficients.
 
-        Entries still None are computed by fill(m).  Plane j of x
-        contributes t^j times the XOR of the entries at its set bits.
+        Entries still None are computed by fill(m).  On a stacked int,
+        plane j of x contributes t^j times the XOR of the entries at its
+        set bits.
         """
+        if not self.stacked:
+            acc = self._zero
+            for m, c in x.items():
+                e = table[m]
+                if e is None:
+                    e = fill(m)
+                acc ^= self._scale(c, e)
+            return acc
         plane, top = self._plane, self._offsets_desc[0]
         acc = 0
         for s in self._offsets_desc:
@@ -353,45 +310,68 @@ class Envelope:
                 p ^= low
         return acc
 
-    def _right_entry(self, g: int, m: int) -> int:
+    def _span_add(self, elim: Eliminator, e) -> bool:
+        if not self.stacked:
+            return elim.add_vector(self.elem_to_vec(e))
+        plane = self._plane
+        return elim.add_planes([e >> s & plane for s in self._offsets])
+
+    def _basis(self, elim: Eliminator) -> list:
+        """The RREF basis of ``elim`` in pivot order, as native elements."""
+        if not self.stacked:
+            return [_Sparse(self.field, self.elem_from_row(r)) for r in elim.basis_rows()]
+        out = []
+        for planes in elim.basis_planes():
+            x = 0
+            for p, s in zip(planes, self._offsets):
+                x |= p << s
+            out.append(x)
+        return out
+
+    # -- the generator-table kernel -------------------------------------------
+
+    def _mul_t(self, x: int) -> int:
+        """t*x: every plane moves up one, and plane k folds back by the modulus."""
+        x <<= self.dim
+        top = x >> self._top_shift
+        if top:
+            x ^= top << self._top_shift
+            for s in self._fold:
+                x ^= top << s
+        return x
+
+    def _right_entry(self, g: int, m: int):
         """m*x_g, from the right generator table."""
         e = self._right[g][m]
         return self._fill_right(g, m) if e is None else e
 
-    def _left_entry(self, g: int, m: int) -> int:
+    def _left_entry(self, g: int, m: int):
         """x_g*m, from the left generator table."""
         e = self._left[g][m]
         return self._fill_left(g, m) if e is None else e
 
-    def _combo(self, vec: Sequence, low: int) -> int:
-        """low*v for v = sum_j vec[j] x_j in L."""
-        out = 0
-        for j, c in enumerate(vec):
-            if c:
-                out ^= self._scale_stacked(c, self._right_entry(j, low))
-        return out
-
-    def _fill_right(self, g: int, m: int) -> int:
+    def _fill_right(self, g: int, m: int):
         """right[g][m] = m*x_g, with x_g straightened into place."""
         top = m.bit_length() - 1
         if g > top:
-            out = 1 << (m | 1 << g)
+            out = self._mono(m | 1 << g)
         else:
             low = m ^ (1 << top)
+            low_times = partial(self._right_entry, m=low)     # j -> low*x_j
             if g == top:
-                out = self._combo(self.algebra.pmap[top], low)
+                out = self._combine(self.algebra.pmap[top], low_times)
             else:
                 # low x_top x_g = (low x_g) x_top + low [x_top, x_g]
                 out = (self._apply(self._right[top], self._right_fill[top],
                                    self._right_entry(g, low))
-                       ^ self._combo(self.algebra._table[top][g], low))
+                       ^ self._combine(self.algebra._table[top][g], low_times))
         self._right[g][m] = out
         return out
 
-    def _fill_left(self, g: int, m: int) -> int:
+    def _fill_left(self, g: int, m: int):
         """left[g][m] = x_g*m = (x_g*m')*x_top for m = m'*x_top."""
         if not m & ((2 << g) - 1):          # x_g is below every factor of m
-            out = 1 << (m | 1 << g)
+            out = self._mono(m | 1 << g)
         else:
             top = m.bit_length() - 1
             out = self._apply(self._right[top], self._right_fill[top],
@@ -399,7 +379,7 @@ class Envelope:
         self._left[g][m] = out
         return out
 
-    def _products(self, a: int, left: bool = False):
+    def _products(self, a, left: bool = False):
         """Lazy table of a*m (or m*a when ``left``) over the monomials m.
 
         Returns (table, fill) for ``_apply``.  a*m = (a*m')*x_top comes
@@ -438,7 +418,7 @@ class Envelope:
 
         return memo, fill
 
-    def _ad_table(self, a: int):
+    def _ad_table(self, a):
         """Lazy table of [a, m] = a*m + m*a over the monomials m, as (table, fill)."""
         am, am_fill = self._products(a)
         ma, ma_fill = self._products(a, left=True)
@@ -456,23 +436,6 @@ class Envelope:
 
         return ad, fill
 
-    # -- native elements: stacked ints over GF(2^k), dicts over RatFunc2 --
-
-    def _native(self, a: dict):
-        return self.to_mask(a) if self.stacked else a
-
-    def _to_dict(self, e) -> dict:
-        return self.from_mask(e) if self.stacked else e
-
-    def _mono(self, m: int):
-        return 1 << m if self.stacked else self.monomial(m)
-
-    def _span_add(self, elim: Eliminator, e) -> bool:
-        if not self.stacked:
-            return elim.add_vector(self.elem_to_vec(e))
-        plane = self._plane
-        return elim.add_planes([e >> s & plane for s in self._offsets])
-
     def _span(self, elems) -> Eliminator:
         """An eliminator holding the span of the native elements ``elems``."""
         elim = Eliminator(self.field, self.dim)
@@ -481,79 +444,44 @@ class Envelope:
                 self._span_add(elim, w)
         return elim
 
-    def _basis(self, elim: Eliminator) -> list:
-        """The RREF basis of ``elim`` in pivot order, as native elements."""
-        if not self.stacked:
-            return [self.elem_from_row(r) for r in elim.basis_rows()]
-        out = []
-        for planes in elim.basis_planes():
-            x = 0
-            for p, s in zip(planes, self._offsets):
-                x |= p << s
-            out.append(x)
-        return out
-
     def _d1_brackets(self):
         """The brackets [m, x_g] of the 2^n monomials m with the generators x_g.
 
         In an associative algebra [a, bc] = [ab, c] + [ca, b], so by
         induction on the degree of the right factor every [a, m] lies in
         the span of the [a', x_g], and these n*2^n brackets span D_1 =
-        [u(L), u(L)].  Over GF(2^k) each is a pair of table entries.
+        [u(L), u(L)].  Each is a pair of table entries.
         """
-        if not self.stacked:
-            for m in range(self.dim):
-                for g in range(self.n):
-                    yield self.lie(self.monomial(m), self.gen(g))
-            return
         for g in range(self.n):
             for m in range(self.dim):
                 yield self._right_entry(g, m) ^ self._left_entry(g, m)
 
     def _mul_gen(self, v, g: int):
         """v*x_g, from the right generator table."""
-        if self.stacked:
-            return self._apply(self._right[g], self._right_fill[g], v)
-        return self._elem_gen(v, g)
+        return self._apply(self._right[g], self._right_fill[g], v)
 
     def _gen_mul(self, g: int, v):
         """x_g*v, from the left generator table."""
-        if self.stacked:
-            return self._apply(self._left[g], self._left_fill[g], v)
-        return self._mul_dict(self.gen(g), v)
+        return self._apply(self._left[g], self._left_fill[g], v)
 
     def _lie_gen(self, v, g: int):
         """[v, x_g] = v*x_g + x_g*v."""
-        if self.stacked:
-            return self._mul_gen(v, g) ^ self._gen_mul(g, v)
-        return self.add(self._mul_gen(v, g), self._gen_mul(g, v))
+        return self._mul_gen(v, g) ^ self._gen_mul(g, v)
 
     def _combine(self, vec: Sequence, term):
         """The sum of vec[g]*term(g) over the nonzero coordinates of ``vec``."""
-        if self.stacked:
-            out = 0
-            for g, c in enumerate(vec):
-                if c:
-                    out ^= self._scale_stacked(c, term(g))
-            return out
-        out = {}
+        out, zero = self._zero, self.field.zero
         for g, c in enumerate(vec):
-            if not self.field.is_zero(c):
-                self._iadd_scaled(out, term(g), c)
+            if c != zero:
+                out ^= self._scale(c, term(g))
         return out
 
     def _ad(self, a):
-        """The map v -> [a, v]; over GF(2^k) it applies one lazy ad table of a."""
-        if self.stacked:
-            return partial(self._apply, *self._ad_table(a))
-        return lambda v: self.add(self._mul_dict(a, v), self._mul_dict(v, a))
+        """The map v -> [a, v], one apply of the lazy ad table of a."""
+        return partial(self._apply, *self._ad_table(a))
 
     def _brackets_with(self, a, vs):
-        """[a, v] for each v in ``vs``; over GF(2^k) one ad table of a serves all."""
-        if not self.stacked:
-            for v in vs:
-                yield self.lie(a, v)
-            return
+        """[a, v] for each v in ``vs``; one ad table of a serves all."""
         table, fill = self._ad_table(a)
         for v in vs:
             yield self._apply(table, fill, v)
@@ -569,11 +497,7 @@ class Envelope:
             yield self._mul_gen(v, g), self._gen_mul(g, v)
 
     def _products_with(self, u, vs):
-        """u*v for each v in ``vs``; over GF(2^k) one right table of u serves all."""
-        if not self.stacked:
-            for v in vs:
-                yield self.mul(u, v)
-            return
+        """u*v for each v in ``vs``; one right table of u serves all."""
         table, fill = self._products(u)
         for v in vs:
             yield self._apply(table, fill, v)
@@ -647,8 +571,7 @@ class Envelope:
         """
         d1 = self._basis(self._span(self._d1_brackets()))
         d2 = self._basis(self._span(self._pair_brackets(d1)))
-        gen = self._span(right ^ left if self.stacked else self.add(right, left)
-                         for u in d2 for right, left in self._gen_products(u))
+        gen = self._span(right ^ left for u in d2 for right, left in self._gen_products(u))
         # saturate to a two-sided ideal with one generator multiplication at a time
         queue = self._basis(gen)
         while queue:

@@ -275,10 +275,10 @@ def corollary_classify(L: LieAlgebra,
 
     Conditions (ii)-(iv) use the bracket-only parts of the restricted
     matchers in ``classify``.  Conditions (ii) and (iii) are decided
-    over every field.  The search of (iv) enumerates points; where it
-    raises LadderExhausted (a field that is not GF(2^k), or too many
-    points) it counts as not matched, and an inconclusive verdict names
-    it in its reason.
+    over every field.  The search of (iv) enumerates the points y of L;
+    over a field that is not GF(2^k) it raises LadderExhausted, which
+    counts as not matched, and an inconclusive verdict names it in its
+    reason.
     """
     if L.is_abelian():
         return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
@@ -429,9 +429,11 @@ def two_envelope(L: LieAlgebra, m_max: int = 6) -> TwoEnvelopeResult:
     env = UEnvelope(L)
     elim = SparseElim(L.field)
     basis: List[dict] = []
+    # each accepted element is tagged with its index in ``basis``, so the
+    # rows of ``elim`` express members in terms of the basis
     for i in range(L.n):
         e = env.gen(i)
-        if elim.add(e):
+        if elim.add(e, tag=len(basis)):
             basis.append(e)
     dims = [elim.rank]
     for _ in range(m_max):
@@ -443,25 +445,25 @@ def two_envelope(L: LieAlgebra, m_max: int = 6) -> TwoEnvelopeResult:
                 new_elems.append(env.lie(basis[i], basis[j]))
         grew = False
         for e in new_elems:
-            if e and elim.add(e):
+            if e and elim.add(e, tag=len(basis)):
                 basis.append(e)
                 grew = True
         dims.append(elim.rank)
         if not grew:
             return TwoEnvelopeResult(True, dims,
-                                     algebra=_read_off_restricted(L, env, basis),
+                                     algebra=_read_off_restricted(L, env, basis, elim),
                                      basis_elements=basis)
     return TwoEnvelopeResult(False, dims)
 
 
-def _read_off_restricted(L: LieAlgebra, env: UEnvelope, basis: List[dict]):
+def _read_off_restricted(L: LieAlgebra, env: UEnvelope, basis: List[dict],
+                         elim: SparseElim):
+    """The restricted algebra on ``basis``, a span closed under brackets
+    and squares; ``elim`` holds that span with each row tagged by the
+    indices of the basis elements it combines."""
     f = L.field
     d = len(basis)
-    elim = SparseElim(f)
-    for e in basis:
-        elim.add(e)
-    # express brackets and squares in the (re-reduced) span; the SparseElim
-    # rows are combinations of the inserted basis, tracked by augmentation
+
     def coords(elem: dict) -> Tuple:
         aug = elim.express(elem)
         if aug is None:

@@ -126,6 +126,17 @@ def test_tracer_patch_points_resolve():
     for owner, attr in targets:
         assert not hasattr(getattr(owner, attr), "__wrapped__"), (owner, attr)
     assert RestrictedLieAlgebra.bracket is LieAlgebra.bracket
+    # the tracer also reads the memo tables of an Envelope, of either form
+    from collections import defaultdict
+
+    from liesolv.families import heisenberg
+    E = mods["envelope"]
+    for env in (E.Envelope(heisenberg(gf(4))), E.Envelope(heisenberg(gf(4)), force_dict=True),
+                E.Envelope(heisenberg(RATFUNC2))):
+        counts = defaultdict(float)
+        result = env.lie_derived_series()
+        tracing._cache_entries(counts, (env,), result)
+        assert counts["envelope.cache_entries"] > 0
 
 
 def test_one_dim_toral_passes():

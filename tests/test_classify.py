@@ -5,7 +5,7 @@ import pytest
 
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.classify import (
-    ClassifyOptions, LadderExhausted, NotTriangularizable, classify,
+    PATTERN_BUDGET, LadderExhausted, NotTriangularizable, classify,
     match_condition, necessary_tests, nilpotent_core, triangularize,
     verify_verdict, _bracket_patterns, _pairing_elements,
 )
@@ -94,7 +94,7 @@ def _pattern_instances():
 
 
 def test_native_pattern_elements_match_dict_formulas():
-    budget = ClassifyOptions().pattern_budget
+    budget = PATTERN_BUDGET
     for L, has_nonzero in _pattern_instances():
         env = Envelope(L)
         ref, tests = _ref_pattern_tests(L, budget)

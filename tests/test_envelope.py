@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -9,13 +11,19 @@ from liesolv.envelope import (
     envelope_augmentation_nilpotent, m2_embedding_check, reducedness_check,
 )
 from liesolv.families import (
-    family_iv, family_v, free_class2, heisenberg, negative_class2, random_instance,
+    example_7_1, family_iv, family_v, free_class2, heisenberg, negative_class2,
+    random_instance,
 )
-from liesolv.fields import GF2, gf
+from liesolv.fields import GF2, RATFUNC2, gf
 from liesolv.linalg import span
 
 GF4 = gf(4)
 GF8 = gf(8)
+
+
+def _ratfunc_instances():
+    # F2(X,Y) has no stacked form: these run on _Sparse elements only
+    return [example_7_1(), heisenberg(RATFUNC2), family_v(RATFUNC2, 2)]
 
 
 def _off_gf2_instances():
@@ -62,11 +70,14 @@ def test_algebra_embeds_in_envelope():
 
 def test_associativity_randomized():
     rng = random.Random(51)
-    for L in [negative_class2(), heisenberg(GF4), free_class2(gens=3, center_squares=True)
-              ] + _off_gf2_instances():
+    cases = [(L, 200) for L in [negative_class2(), heisenberg(GF4),
+                                free_class2(gens=3, center_squares=True)] + _off_gf2_instances()]
+    # F2(X,Y) coefficients grow with each product, so fewer triples there
+    cases += [(L, 10) for L in _ratfunc_instances()]
+    for L, trials in cases:
         env = Envelope(L)
         f = L.field
-        for _ in range(200):
+        for _ in range(trials):
             def rand_elem():
                 return {rng.randrange(env.dim): c
                         for _ in range(3)
@@ -81,57 +92,98 @@ def _rand_elem(rng, env, terms=3):
             if not f.is_zero(c := f.random(rng))}
 
 
+def _forms(L):
+    """An Envelope of each element form: native stacked ints and _Sparse dicts."""
+    env, sparse = Envelope(L), Envelope(L, force_dict=True)
+    assert env.stacked and not sparse.stacked
+    return env, sparse
+
+
+def _dict_sum(f, *terms):
+    out = {}
+    for d in terms:
+        for m, c in d.items():
+            s = f.add(out.get(m, f.zero), c)
+            if f.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def _oracle_lie(env, a, b):
+    return _dict_sum(env.field, _left_mul_oracle(env, a, b), _left_mul_oracle(env, b, a))
+
+
+def _oracle_nilpotent(env, a):
+    """(nilpotent, squarings) by squaring with the left-multiplication oracle."""
+    if not a:
+        return True, 0
+    for m in range(1, env.n + 2):
+        a = _left_mul_oracle(env, a, a)
+        if not a:
+            return True, m
+    return False, None
+
+
 def test_stacked_kernel_agrees_with_dict_products():
-    # the stacked-int kernel against the dict products it replaced on GF(2^k)
+    # both element forms against the left-multiplication oracle
     rng = random.Random(53)
     for L in [heisenberg(), negative_class2(), free_class2(gens=4), heisenberg(GF4),
               negative_class2(GF8)] + _off_gf2_instances():
-        env, ref = Envelope(L), Envelope(L, force_dict=True)
-        assert env.stacked and not ref.stacked
+        env, sparse = _forms(L)
         for _ in range(40):
             a, b = _rand_elem(rng, env, 4), _rand_elem(rng, env, 4)
             assert env.to_mask(a) == env.to_mask(env.from_mask(env.to_mask(a)))
-            assert env.mul(a, b) == ref.mul(a, b)
-            assert env.from_mask(env.mul_mask(env.to_mask(a), env.to_mask(b))) == ref.mul(a, b)
-            assert env.lie(a, b) == ref.lie(a, b)
-            assert env.is_nilpotent(a) == ref.is_nilpotent(a)
+            want = _left_mul_oracle(env, a, b)
+            assert env.mul(a, b) == sparse.mul(a, b) == want
+            assert env.from_mask(env.mul_mask(env.to_mask(a), env.to_mask(b))) == want
+            assert sparse._to_dict(sparse.mul_mask(sparse._native(a), sparse._native(b))) == want
+            assert env.lie(a, b) == sparse.lie(a, b) == _oracle_lie(env, a, b)
+            assert env.is_nilpotent(a) == sparse.is_nilpotent(a)
+        for _ in range(5):
+            a = _rand_elem(rng, env, 2)
+            assert env.is_nilpotent(a) == sparse.is_nilpotent(a) == _oracle_nilpotent(env, a)
 
 
 def test_ad_table_gives_brackets():
-    # one apply of Ad_a to b is [a, b] = a*b + b*a, by the dict products
+    # one apply of Ad_a to b is [a, b] = a*b + b*a, by the oracle, on both forms
     rng = random.Random(67)
     for L in [negative_class2(), heisenberg(GF4)] + _off_gf2_instances():
-        env, ref = Envelope(L), Envelope(L, force_dict=True)
-        for _ in range(10):
-            a = _rand_elem(rng, env, 4)
-            table, fill = env._ad_table(env.to_mask(a))
-            for _ in range(5):
-                b = _rand_elem(rng, env, 4)
-                expected = ref.add(ref.mul(a, b), ref.mul(b, a))
-                assert env.from_mask(env._apply(table, fill, env.to_mask(b))) == expected
+        for env in _forms(L):
+            for _ in range(10):
+                a = _rand_elem(rng, env, 4)
+                table, fill = env._ad_table(env._native(a))
+                for _ in range(5):
+                    b = _rand_elem(rng, env, 4)
+                    got = env._to_dict(env._apply(table, fill, env._native(b)))
+                    assert got == _oracle_lie(env, a, b)
 
 
 def test_native_helpers_agree_with_dict_products():
-    # the generator-table helpers of the pattern tests, on both element forms
+    # the generator-table helpers of the pattern tests, on both element
+    # forms, against the oracle
     rng = random.Random(71)
     for L in [negative_class2(), heisenberg(GF4), family_v(GF8, 2)] + _off_gf2_instances():
-        ref = Envelope(L, force_dict=True)
         f = L.field
-        for env in (Envelope(L), ref):
+        for env in _forms(L):
             for _ in range(10):
                 a, b = _rand_elem(rng, env, 4), _rand_elem(rng, env, 4)
                 na, nb = env._native(a), env._native(b)
                 for g in range(L.n):
-                    x = ref.gen(g)
-                    assert env._to_dict(env._mul_gen(na, g)) == ref.mul(a, x)
-                    assert env._to_dict(env._gen_mul(g, na)) == ref.mul(x, a)
-                    assert env._to_dict(env._lie_gen(na, g)) == ref.lie(a, x)
-                assert env._to_dict(env._ad(na)(nb)) == ref.lie(a, b)
+                    x = env.gen(g)
+                    assert env._to_dict(env._mul_gen(na, g)) == _left_mul_oracle(env, a, x)
+                    assert env._to_dict(env._gen_mul(g, na)) == _left_mul_oracle(env, x, a)
+                    assert env._to_dict(env._lie_gen(na, g)) == _oracle_lie(env, a, x)
+                assert env._to_dict(env._ad(na)(nb)) == _oracle_lie(env, a, b)
                 vec = [f.random(rng) for _ in range(L.n)]
-                u = ref.from_algebra_vec(vec)
-                assert env._to_dict(env._combine(vec, partial(env._mul_gen, na))) == ref.mul(a, u)
-                assert env._to_dict(env._combine(vec, partial(env._lie_gen, na))) == ref.lie(a, u)
-                assert env._is_nilpotent(na) == ref.is_nilpotent(a)
+                u = env.from_algebra_vec(vec)
+                assert (env._to_dict(env._combine(vec, partial(env._mul_gen, na)))
+                        == _left_mul_oracle(env, a, u))
+                assert (env._to_dict(env._combine(vec, partial(env._lie_gen, na)))
+                        == _oracle_lie(env, a, u))
+            a = _rand_elem(rng, env, 2)
+            assert env._is_nilpotent(env._native(a)) == _oracle_nilpotent(env, a)
 
 
 def test_derived_series_and_sz_ideal_agree_with_dict_products():
@@ -202,7 +254,7 @@ def _left_mul_oracle(env, a, b):
 def test_mul_agrees_with_left_multiplication_oracle():
     rng = random.Random(61)
     for L in [heisenberg(), negative_class2(), free_class2(gens=3, center_squares=True),
-              heisenberg(GF4)] + _off_gf2_instances():
+              heisenberg(GF4)] + _off_gf2_instances() + _ratfunc_instances():
         env = Envelope(L)
         f = L.field
         for _ in range(40):
@@ -216,25 +268,44 @@ def test_mul_agrees_with_left_multiplication_oracle():
 
 def test_product_cache_consistency():
     # table entries m*x_g and x_g*m equal a fresh recomputation in another
-    # fill order, and the dict products
+    # fill order, and the oracle, on both element forms
     for L in [negative_class2()] + _off_gf2_instances():
-        env1, env2 = Envelope(L), Envelope(L)
-        ref = Envelope(L, force_dict=True)
-        rng = random.Random(59)
-        keys = [(rng.randrange(L.n), rng.randrange(env1.dim)) for _ in range(30)]
-        for g, m in keys:
-            env1._right_entry(g, m)
-            env1._left_entry(g, m)
-        for g, m in reversed(keys):  # different fill order
-            env2._left_entry(g, m)
-            env2._right_entry(g, m)
-        for g, m in keys:
-            assert env1._right_entry(g, m) == env2._right_entry(g, m)
-            assert env1._left_entry(g, m) == env2._left_entry(g, m)
-            assert env1.from_mask(env1._right_entry(g, m)) == ref._mono_gen(m, g)
-            assert env1.from_mask(env1._left_entry(g, m)) == ref.mul(ref.gen(g), ref.monomial(m))
-        filled = sum(e is not None for t in env1._right + env1._left for e in t)
-        assert len(env1._cache) + len(env1._mask_cache) == filled > 0
+        for force_dict in (False, True):
+            env1, env2 = Envelope(L, force_dict), Envelope(L, force_dict)
+            rng = random.Random(59)
+            keys = [(rng.randrange(L.n), rng.randrange(env1.dim)) for _ in range(30)]
+            for g, m in keys:
+                env1._right_entry(g, m)
+                env1._left_entry(g, m)
+            for g, m in reversed(keys):  # different fill order
+                env2._left_entry(g, m)
+                env2._right_entry(g, m)
+            for g, m in keys:
+                assert env1._right_entry(g, m) == env2._right_entry(g, m)
+                assert env1._left_entry(g, m) == env2._left_entry(g, m)
+                x, mono = env1.gen(g), env1.monomial(m)
+                assert env1._to_dict(env1._right_entry(g, m)) == _left_mul_oracle(env1, mono, x)
+                assert env1._to_dict(env1._left_entry(g, m)) == _left_mul_oracle(env1, x, mono)
+            filled = sum(e is not None for t in env1._right + env1._left for e in t)
+            assert len(env1._cache) + len(env1._mask_cache) == filled > 0
+
+
+def test_envelope_freed_without_cycle_collector():
+    # the tables of an Envelope hold no reference back to it, so refcounting
+    # alone frees it; a cycle would keep every table until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        for L, force_dict in [(family_v(GF4, 2), False), (family_v(GF4, 2), True),
+                              (heisenberg(RATFUNC2), False)]:
+            env = Envelope(L, force_dict)
+            env.lie_derived_series()
+            env.sz_nilpotency()
+            ref = weakref.ref(env)
+            del env
+            assert ref() is None, (L.field, force_dict)
+    finally:
+        gc.enable()
 
 
 def test_envelope_size_guard():

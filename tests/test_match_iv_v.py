@@ -6,15 +6,15 @@ import itertools
 import pytest
 
 from liesolv.classify import (
-    LadderExhausted, _abelian, _abelian_complements, _eigen_one_space, _finish_iv_v,
-    _match_iv_v, _points_within, _verify_certificate, eigenvector_pair,
+    LadderExhausted, _abelian, _abelian_complements, _candidate_ys, _eigen_one_space,
+    _finish_iv_v, _match_iv_v, _points_within, _verify_certificate, eigenvector_pair,
     isotropic_functionals, projective_vectors, subspace_points,
 )
 from liesolv.families import family_iii, family_iv, family_v, random_instance
 from liesolv.fields import GF2, gf
 from liesolv.linalg import lin_comb, span
 
-from test_abelian_ideals import central_forms
+from test_abelian_ideals import central_forms, random_algebras
 
 FIELDS = (GF2, gf(4), gf(8))
 # complements the reference may visit per algebra and tag; above it the
@@ -167,6 +167,64 @@ def test_match_iv_v_matches_enumeration():
             assert new == old, (label, tag)
     assert cases == 2 * (258 + 6)
     assert (compared, skipped, matched) == (521, 7, 35)
+
+
+def reference_pair_loop(L):
+    """eigenvector_pair as it was before the dim k <= 2 lemma: every pair
+    of points of each eigenspace, in enumeration order."""
+    f = L.field
+    z = L.center()
+    if L.n - z.dim != 3:
+        return None
+    zelim = z.elim()
+    for y in _candidate_ys(L, zelim):
+        k = _eigen_one_space(L, y)
+        if k.dim < 2:
+            continue
+        if not _points_within(f, k.dim, 1 << 12):
+            raise LadderExhausted("eigenspace too large for pair enumeration")
+        pts = list(subspace_points(f, k))
+        for x1, x2 in itertools.combinations(pts, 2):
+            if span(f, L.n, [x1, x2]).dim != 2:
+                continue
+            if not zelim.contains_vector(L.bracket(x1, x2)):
+                continue
+            total = span(f, L.n, [x1, x2, y] + list(z.basis()))
+            if total.dim == L.n:
+                return x1, x2, y, z
+    return None
+
+
+def is_eigenvector_pair(L, found):
+    x1, x2, y, z = found
+    f = L.field
+    return (L.bracket(x1, y) == x1 and L.bracket(x2, y) == x2
+            and z == L.center() and z.contains_vector(L.bracket(x1, x2))
+            and span(f, L.n, [x1, x2, y] + list(z.basis())).dim == L.n)
+
+
+def test_eigenvector_pair_lemma_matches_pair_loop():
+    # random_algebras() holds the draws of test_abelian_ideals and their
+    # base changes; the family_iii cases have a pair, rebased or not
+    cases = list(random_algebras()) + [L for _, L in matcher_cases()]
+    for field in FIELDS:
+        L = family_iii(field, central_dim=1, central_bracket=True)
+        cases += [L, z_first(L, field)] if field is not GF2 else [L]
+    found = 0
+    for L in cases:
+        new = outcome(eigenvector_pair, L)
+        assert new == outcome(reference_pair_loop, L), L
+        if new is not None:
+            found += 1
+            assert is_eigenvector_pair(L, new)
+    assert (len(cases), found) == (2304 + 264 + 5, 19)
+    # over GF(2^8) and up an eigenspace of dimension 2 has more than
+    # 2^12 points, so the pair loop gave up where the lemma decides
+    for m in (8, 9, 12):
+        L = family_iii(GF2, central_dim=1, central_bracket=True).base_change(*GF2.extend(m))
+        with pytest.raises(LadderExhausted):
+            reference_pair_loop(L)
+        assert is_eigenvector_pair(L, eigenvector_pair(L))
 
 
 def test_eigenvector_pair_dedup_matches_every_candidate():
