@@ -21,7 +21,7 @@ from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra, RestrictedIdeal, RestrictedLieAlgebra
-from .envelope import Envelope
+from .envelope import MAX_ENVELOPE_N, Envelope
 from .fields import GF2k
 from .linalg import Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero
 
@@ -964,7 +964,7 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
     if verdict.outcome == "not_solvable":
         if verdict.witness_elem is not None and verdict.witness_algebra is not None:
             wa = verdict.witness_algebra
-            if wa.n > 11:
+            if wa.n > MAX_ENVELOPE_N:
                 return True
             env = Envelope(wa)
             nil, _ = env.is_nilpotent(verdict.witness_elem)

@@ -23,11 +23,27 @@ plane's set bits and folds the planes together by Horner's rule in t.
 
 For a fixed left factor a, the ad table Ad_a[m] = [a, m] = a*m + m*a is
 filled lazily from the right and left generator tables, and then
-[a, b] is one apply of Ad_a to b.  The derived series brackets every
-pair of a basis this way.  Its first step uses the associative identity
+[a, b] is one apply of Ad_a to b.  The derived series brackets pairs
+this way.  Its first step uses the associative identity
 [a, bc] = [ab, c] + [ca, b]: it makes D_1 = [u(L), u(L)] the span of the
 n*2^n brackets [m, x_g] = right[g][m] + left[g][m], not of all
 2^n(2^n-1)/2 monomial pairs.
+
+The series is computed as a module over the centre.  A basis vector z
+of L that occurs in no nonzero structure constant commutes with every
+generator, so the subalgebra A of u(L) generated by these x_z is central
+and [c*a, c'*b] = cc'*[a, b] for c, c' in A.  Hence every term D_k is an
+A-submodule, and D_{k+1} is the A-span of the brackets of pairs of
+module generators of D_k.  A PBW monomial is m*c with m a monomial in
+the other n-r basis vectors and c one in the r central x_z, so the m
+generate u(L) over A (freely when the x_z span a p-closed subspace, by
+PBW for restricted Lie algebras: Strade and Farnsteiner, *Modular Lie
+Algebras and their Representations*, 1988), and D_1 is the A-span of
+the (n-r)*2^(n-r) brackets [m, x_g] with g non-central too.
+``Envelope._series_step`` takes such brackets, closes their span under
+right multiplication by each x_z, and keeps the accepted brackets apart
+as the generators of the next step.  With r = 0, A is the field and the
+step is a plain span.
 """
 
 from __future__ import annotations
@@ -436,25 +452,82 @@ class Envelope:
 
         return ad, fill
 
-    def _span(self, elems) -> Eliminator:
-        """An eliminator holding the span of the native elements ``elems``."""
+    def _span(self, elems, ceiling: Optional[int] = None) -> Eliminator:
+        """An eliminator holding the span of the native elements ``elems``.
+
+        It stops reading ``elems`` once its rank reaches ``ceiling``, a
+        known bound on the dimension of the span.
+        """
         elim = Eliminator(self.field, self.dim)
         for w in elems:
-            if w:
-                self._span_add(elim, w)
+            if w and self._span_add(elim, w) and elim.rank == ceiling:
+                break
         return elim
 
-    def _d1_brackets(self):
-        """The brackets [m, x_g] of the 2^n monomials m with the generators x_g.
+    def _central_gens(self) -> List[int]:
+        """The basis indices of L that occur in no nonzero structure constant.
+
+        Each such x_z commutes with every generator, so it is central in u(L).
+        """
+        moved = 0
+        for i, j, _ in self.algebra._nonzero:
+            moved |= 1 << i | 1 << j
+        return [z for z in range(self.n) if not moved >> z & 1]
+
+    def _d1_brackets(self, central: Sequence[int] = ()):
+        """The brackets [m, x_g] of the monomials m with the generators x_g,
+        both free of the indices in ``central``.
 
         In an associative algebra [a, bc] = [ab, c] + [ca, b], so by
         induction on the degree of the right factor every [a, m] lies in
         the span of the [a', x_g], and these n*2^n brackets span D_1 =
-        [u(L), u(L)].  Each is a pair of table entries.
+        [u(L), u(L)].  A central x_z brackets to 0 and factors out of a
+        monomial, m*x_z, so with ``central`` the ones left span D_1 as a
+        module over the algebra the x_z generate.  Each is a pair of
+        table entries.
         """
-        for g in range(self.n):
-            for m in range(self.dim):
+        free = self.dim - 1
+        for z in central:
+            free ^= 1 << z
+        for g in _bits(free):
+            m = 0
+            while True:         # the submasks m of free, in increasing order
                 yield self._right_entry(g, m) ^ self._left_entry(g, m)
+                if m == free:
+                    break
+                m = (m - free) & free
+
+    def _series_step(self, candidates, central: Sequence[int] = (),
+                     ceiling: Optional[int] = None):
+        """One term of a derived series: the A-span of the ``candidates``.
+
+        A is the central subalgebra generated by the x_z, z in ``central``
+        (the field when it is empty).  Each accepted candidate is added
+        to the term, and the term is closed under right multiplication
+        by every x_z, one ``_mul_gen`` per accepted vector and z.  The
+        step stops once the rank reaches ``ceiling``.  Returns the term's
+        eliminator, its RREF basis, and the module generators: the RREF
+        basis of the span of the accepted candidates alone, which is the
+        term's basis when A is the field.
+        """
+        term = Eliminator(self.field, self.dim)
+        accepted = Eliminator(self.field, self.dim) if central else term
+        for w in candidates:
+            if not (w and self._span_add(term, w)):
+                continue
+            if central:
+                self._span_add(accepted, w)
+                queue = [w]
+                while queue:
+                    v = queue.pop()
+                    for z in central:
+                        u = self._mul_gen(v, z)
+                        if u and self._span_add(term, u):
+                            queue.append(u)
+            if term.rank == ceiling:
+                break
+        basis = self._basis(term)
+        return term, basis, self._basis(accepted) if central else basis
 
     def _mul_gen(self, v, g: int):
         """v*x_g, from the right generator table."""
@@ -525,28 +598,36 @@ class Envelope:
                            keep_terms: bool = False) -> SeriesResult:
         """D_0 = sub (default u(L)), D_{k+1} = span[D_k, D_k], until 0 or stable.
 
-        When D_0 is all of u(L), D_1 is spanned by the n*2^n brackets
-        [m, x_g] of monomials with generators (see ``_d1_brackets``),
-        not by all 2^n(2^n-1)/2 monomial pairs.  Later steps bracket
-        every pair of basis elements of D_k, each left factor through
-        its ad table.
+        When D_0 is all of u(L), the terms are computed as modules over
+        the algebra A generated by the central basis vectors of L (see
+        the module docstring): D_1 from the brackets [m, x_g] of monomials
+        with generators free of the central indices (``_d1_brackets``),
+        D_{k+1} from the brackets of pairs of module generators of D_k,
+        each left factor through its ad table, and ``_series_step``
+        closes each span under A.  Since D_{k+1} lies in D_k, a step
+        stops bracketing when its rank reaches dim D_k: the series has
+        stabilized.  A given ``sub`` need not be an A-module, so its
+        series runs over the field and brackets every pair of basis
+        elements, with no ceiling.
         """
         if sub is None:
-            elems = None
+            gens = None
             dims = [self.dim]
+            central = self._central_gens()
         else:
             if sub.ambient != self.dim or sub.field != self.field:
                 raise AlgebraMismatch("subspace does not live in this envelope")
-            elems = [self._native(self.elem_from_row(r)) for r in sub.rows]
-            dims = [len(elems)]
+            gens = [self._native(self.elem_from_row(r)) for r in sub.rows]
+            dims = [len(gens)]
+            central = []
         terms: Optional[List[Subspace]] = None
         if keep_terms:
             terms = [Subspace.full(self.field, self.dim) if sub is None else sub]
-        prev = elems
+        prev = gens
         for _ in range(max_steps):
-            elim = self._span(self._d1_brackets() if elems is None
-                              else self._pair_brackets(elems))
-            cur = self._basis(elim)
+            elim, cur, gens = self._series_step(
+                self._d1_brackets(central) if gens is None else self._pair_brackets(gens),
+                central, dims[-1] if sub is None else None)
             dims.append(len(cur))
             if keep_terms:
                 terms.append(elim.to_subspace())
@@ -554,7 +635,7 @@ class Envelope:
                 return SeriesResult(dims, "reached_zero", len(dims) - 1, terms)
             if cur == prev:
                 return SeriesResult(dims, "stabilized", len(cur), terms)
-            prev = elems = cur
+            prev = cur
         return SeriesResult(dims, "budget_exceeded", dims[-1], terms)
 
     # -- Lie-solvability witness machinery ---------------------------------
@@ -562,16 +643,20 @@ class Envelope:
     def sz_ideal(self) -> List[dict]:
         """Basis of the two-sided ideal generated by all [[a,b],[c,d],e].
 
-        D_1 comes from ``_d1_brackets`` and D_2 from ``_pair_brackets``.
-        The ideal is generated by the [u, x_g] for u in a basis of D_2
-        and generators x_g, because [u, m1*m2] = [u, m1]*m2 + m1*[u, m2]
-        puts every [u, m] in the ideal they generate; the saturation
-        below closes it under left and right multiplication by
-        generators.
+        D_1 and D_2 are computed as in ``lie_derived_series``, as modules
+        over the algebra A generated by the central basis vectors.  The
+        ideal is generated by the [u, x_g] for u in D_2 and generators
+        x_g, because [u, m1*m2] = [u, m1]*m2 + m1*[u, m2] puts every
+        [u, m] in the ideal they generate.  For u = c*s with c in A,
+        [c*s, x_g] = c*[s, x_g], so the [s, x_g] for the module generators
+        s of D_2 and the non-central x_g suffice; the saturation below
+        closes them under left and right multiplication by generators.
         """
-        d1 = self._basis(self._span(self._d1_brackets()))
-        d2 = self._basis(self._span(self._pair_brackets(d1)))
-        gen = self._span(right ^ left for u in d2 for right, left in self._gen_products(u))
+        central = self._central_gens()
+        _, d1, d1_gens = self._series_step(self._d1_brackets(central), central)
+        _, _, d2_gens = self._series_step(self._pair_brackets(d1_gens), central, len(d1))
+        moved = [g for g in range(self.n) if g not in central]
+        gen = self._span(self._lie_gen(s, g) for s in d2_gens for g in moved)
         # saturate to a two-sided ideal with one generator multiplication at a time
         queue = self._basis(gen)
         while queue:
@@ -583,7 +668,11 @@ class Envelope:
         return [self._to_dict(e) for e in self._basis(gen)]
 
     def sz_nilpotency(self) -> SZResult:
-        """Associative nilpotency index of the ideal from sz_ideal."""
+        """Associative nilpotency index of the ideal I from sz_ideal.
+
+        I^{p+1} lies in I^p, so each power stops multiplying once its
+        rank reaches dim I^p.
+        """
         ideal = self.sz_ideal()
         if not ideal:
             return SZResult(True, 1, 0)
@@ -591,8 +680,9 @@ class Envelope:
         cur = base
         power = 1
         while True:
-            nxt = self._basis(self._span(w for u in cur
-                                         for w in self._products_with(u, base)))
+            nxt = self._basis(self._span((w for u in cur
+                                          for w in self._products_with(u, base)),
+                                         len(cur)))
             if not nxt:
                 return SZResult(True, power + 1, len(base))
             if nxt == cur:
@@ -718,10 +808,8 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
     zdim = z.dim
     zmasks = [m << r for m in range(1 << zdim)]
     x1, x2, x3 = (1 << i if i < r else 0 for i in range(3))
-    w_h = [w for w in (x1, x2, x3, x1 | x2, x1 | x3, x2 | x3, 0)
-           if w or w == 0]
-    # drop duplicate masks caused by missing generators
-    w_h = sorted(set(w_h))
+    # the set drops duplicate masks caused by missing generators
+    w_h = sorted({x1, x2, x3, x1 | x2, x1 | x3, x2 | x3, 0})
     w_k = sorted({x1, x2, x3, 0})
     w_m = sorted({x1 | x2, x1 | x3, x2 | x3} - {x1, x2, x3, 0})
 
