@@ -2,11 +2,14 @@
 
 The pipeline refutes first (non-nilpotent elements of the ideal
 generated by [[a,b],[c,d],e] in u(L) kill solvability outright), then
-tries to certify solvability by computing a canonical 2-nilpotent core
-ideal over a ladder of field extensions and matching the quotient
-against the five structural conditions.  Every positive verdict carries
-re-checkable witnesses; a refutation carries a concrete non-nilpotent
-element.
+tries to certify solvability over a ladder of field extensions.  At each
+degree it computes a canonical 2-nilpotent core ideal and matches the
+quotient against the five structural conditions.  When none matches, it
+tries one alternative core, the restricted closure of the 2-nilpotent
+locus of the whole centre (the canonical core takes that locus on the
+derived algebra only), if it differs from the canonical core and is
+2-nilpotent.  Every positive verdict carries re-checkable witnesses; a
+refutation carries a concrete non-nilpotent element.
 
 The parts of conditions (i)-(iii) that read brackets only
 (``abelian_ideals``, ``class2_center``, ``eigenvector_pair``) take any
@@ -47,13 +50,6 @@ class LadderExhausted(Exception):
     pass
 
 
-class NotTriangularizable(Exception):
-    def __init__(self, witness, description):
-        super().__init__(description)
-        self.witness = witness
-        self.description = description
-
-
 @dataclass
 class Certificate:
     condition: str
@@ -78,7 +74,6 @@ class Verdict:
     # rich fields for re-verification (not serialized)
     core_space: Optional[Subspace] = None
     extended_algebra: Optional[RestrictedLieAlgebra] = None
-    quotient_algebra: Optional[RestrictedLieAlgebra] = None
     witness_elem: Optional[dict] = None
     witness_algebra: Optional[RestrictedLieAlgebra] = None
 
@@ -108,7 +103,6 @@ PATTERN_BUDGET = 2000
 @dataclass
 class ClassifyOptions:
     extension_ladder_max: int = 4
-    exhaustive_core_dim_limit: int = 7
     oracle_crosscheck: bool = True
 
 
@@ -310,18 +304,11 @@ def _central_2nilpotent_locus(L: RestrictedLieAlgebra, z: Subspace) -> Subspace:
 
     z must consist of central elements; it is square-closed inside the
     center first so that the Fitting machinery applies, and the eventual
-    kernel is intersected back with z.
+    kernel is intersected back with z.  Needs a GF(2^k) field, as the
+    Fitting decomposition does.
     """
     if z.dim == 0:
         return z
-    if not isinstance(L.field, GF2k):
-        # over the function field, collect the central basis vectors that
-        # square to zero eventually; sums of such elements stay 2-nilpotent
-        vecs = [v for v in z.basis() if L.is_2nilpotent_element(v)[0]]
-        sub = span(L.field, L.n, vecs)
-        if all(L.is_2nilpotent_element(v)[0] for v in sub.basis()):
-            return sub
-        return Subspace.zero(L.field, L.n)
     closed = L.p_closure(z)
     zalg, zbasis = L.subalgebra_on(closed)
     _, nil = zalg.torus_decomposition()
@@ -660,184 +647,6 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
 
 
 # ----------------------------------------------------------------------
-# triangularization
-# ----------------------------------------------------------------------
-
-def _mat_mul(f, a, b):
-    n = len(a)
-    return tuple(tuple(_dot(f, a[i], tuple(b[r][j] for r in range(n)))
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_add(f, a, b):
-    return tuple(tuple(f.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_commutator(f, a, b):
-    return _mat_add(f, _mat_mul(f, a, b), _mat_mul(f, b, a))
-
-
-def _mat_is_nilpotent(f, a) -> bool:
-    n = len(a)
-    cur = a
-    e = 1
-    while e < n:
-        cur = _mat_mul(f, cur, cur)
-        e *= 2
-    return all(f.is_zero(c) for row in cur for c in row)
-
-
-def _min_poly(f, a) -> List:
-    """Coefficients (low to high) of the minimal polynomial of a."""
-    n = len(a)
-    from .linalg import Eliminator
-    elim = Eliminator(f, n * n + n + 1)
-    power = tuple(tuple(f.one if i == j else f.zero for j in range(n)) for i in range(n))
-    for d in range(n + 1):
-        flat = tuple(c for row in power for c in row)
-        tag = [f.zero] * (n + 1)
-        tag[d] = f.one
-        elim.add_vector(flat + tuple(tag))
-        for piv, row in zip(elim.pivots, elim.basis_rows()):
-            if piv >= n * n:
-                poly = list(row[n * n:])
-                while poly and f.is_zero(poly[-1]):
-                    poly.pop()
-                return poly
-        power = _mat_mul(f, power, a)
-    raise AssertionError("minimal polynomial must have degree <= n")
-
-
-def _poly_eval(f, poly, r):
-    acc = f.zero
-    for c in reversed(poly):
-        acc = f.add(f.mul(acc, r), c)
-    return acc
-
-
-def _poly_div_linear(f, poly, r):
-    """Divide poly by (lambda + r); returns (quotient, remainder)."""
-    m = len(poly) - 1
-    q = [f.zero] * m
-    q[m - 1] = poly[m]
-    for i in range(m - 1, 0, -1):
-        q[i - 1] = f.add(poly[i], f.mul(r, q[i]))
-    rem = f.add(poly[0], f.mul(r, q[0]))
-    return q, rem
-
-
-def _min_poly_roots(f, a) -> Optional[List]:
-    """Roots of the minimal polynomial of a; None if it does not split."""
-    poly = _min_poly(f, a)
-    roots = []
-    while len(poly) > 1:
-        root = next((r for r in f.elements() if f.is_zero(_poly_eval(f, poly, r))), None)
-        if root is None:
-            return None
-        poly, rem = _poly_div_linear(f, poly, root)
-        if not f.is_zero(rem):
-            raise AssertionError("division by a verified root left a remainder")
-        roots.append(root)
-    return sorted(set(roots))
-
-
-def triangularize(matrices: Sequence, field,
-                  ladder_max: int = 4) -> List[List[Tuple]]:
-    """Common flag for a Lie set of matrices with nilpotent commutators.
-
-    Returns the flag as a list of vectors (each extending the span by
-    one dimension).  Raises NotTriangularizable with a witness
-    commutator, or LadderExhausted when eigenvalues refuse to split
-    within the extension ladder.
-    """
-    if not matrices:
-        return []
-    n = len(matrices[0])
-    degree = 1
-    f = field
-    mats = [tuple(tuple(row) for row in m) for m in matrices]
-    while True:
-        try:
-            return _triangularize_over(f, mats, n)
-        except LadderExhausted:
-            degree += 1
-            if degree > ladder_max:
-                raise
-            big, embed = field.extend(degree)
-            f = big
-            mats = [tuple(tuple(embed(c) for c in row) for row in m)
-                    for m in matrices]
-
-
-def _triangularize_over(f, mats, n) -> List[Tuple]:
-    for a, b in itertools.combinations(mats, 2):
-        comm = _mat_commutator(f, a, b)
-        if not _mat_is_nilpotent(f, comm):
-            raise NotTriangularizable(comm, "a pairwise commutator is not nilpotent")
-    flag: List[Tuple] = []
-    # work with explicit coordinates of the current quotient
-    current_basis = [tuple(f.one if i == j else f.zero for j in range(n))
-                     for i in range(n)]
-    cur_mats = mats
-    dim = n
-    while dim > 0:
-        v = _common_eigenvector(f, cur_mats, dim)
-        flag.append(lin_comb(f, v, current_basis, n))
-        quot = Quotient(Subspace.full(f, dim), span(f, dim, [v]))
-        new_mats = []
-        for m in cur_mats:
-            imgs = []
-            for lift in quot.lifted:
-                img = tuple(_dot(f, lift, tuple(m[r][j] for r in range(dim)))
-                            for j in range(dim))
-                imgs.append(quot.project(img))
-            new_mats.append(tuple(tuple(imgs[i][j] for j in range(quot.dim))
-                                  for i in range(len(quot.lifted))))
-        current_basis = [lin_comb(f, lift, current_basis, n) for lift in quot.lifted]
-        cur_mats = new_mats
-        dim -= 1
-    return flag
-
-
-def _common_eigenvector(f, mats, dim) -> Tuple:
-    if dim == 0:
-        raise AssertionError("no eigenvector in dimension 0")
-    # joint kernel of the commutator algebra (Engel part)
-    comms = []
-    for a, b in itertools.combinations(mats, 2):
-        c = _mat_commutator(f, a, b)
-        flat = tuple(x for row in c for x in row)
-        if not vec_is_zero(f, flat):
-            comms.append(c)
-    w = Subspace.full(f, dim)
-    for c in comms:
-        if not _mat_is_nilpotent(f, c):
-            raise NotTriangularizable(c, "commutator became non-nilpotent on a quotient")
-        ker = kernel(f, [tuple(c[r]) for r in range(dim)], dim, dim)
-        w = w.intersect(ker)
-    if w.dim == 0:
-        raise NotTriangularizable(None, "commutators have no joint kernel vector")
-    # the matrices commute on w; intersect eigenspaces sequentially
-    for m in mats:
-        roots = _min_poly_roots(f, m)
-        if roots is None:
-            raise LadderExhausted("a minimal polynomial does not split")
-        best = None
-        for r in roots:
-            shifted = tuple(tuple(f.add(m[i][j], r) if i == j else m[i][j]
-                                  for j in range(dim)) for i in range(dim))
-            ker = kernel(f, list(shifted), dim, dim)
-            cand = w.intersect(ker)
-            if cand.dim > 0:
-                best = cand
-                break
-        if best is None:
-            raise NotTriangularizable(m, "matrix has no eigenvector inside the joint kernel")
-        w = best
-    return w.basis()[0]
-
-
-# ----------------------------------------------------------------------
 # the full pipeline
 # ----------------------------------------------------------------------
 
@@ -854,7 +663,7 @@ def _try_core_and_match(Lm: RestrictedLieAlgebra, degree: int,
                 outcome="solvable", condition=tag, extension_degree=degree,
                 core_basis=[Lm.element_str(r) for r in core.space.rows],
                 certificate=cert, core_space=core.space,
-                extended_algebra=Lm, quotient_algebra=quotient_alg)
+                extended_algebra=Lm)
     return None
 
 
@@ -899,29 +708,17 @@ def classify(L: RestrictedLieAlgebra,
         except LadderExhausted as exc:
             ladder_note = str(exc)
             verdict = None
+        if verdict is None:
+            # any 2-nilpotent restricted ideal may serve as the core
+            alt = Lm.restricted_closure(_central_2nilpotent_locus(Lm, Lm.center()).rows)
+            if alt.space != core.space and Lm.is_2nilpotent_ideal(alt.space)[0]:
+                try:
+                    verdict = _try_core_and_match(Lm, degree, alt)
+                except LadderExhausted:
+                    pass
         if verdict is not None:
             verdict.oracle = _run_oracle(L, options)
             return verdict
-        # exhaustive fallback: alternative cores from subsets of the locus basis
-        if Lm.n <= options.exhaustive_core_dim_limit:
-            locus = _central_2nilpotent_locus(Lm, Lm.center())
-            rows = list(locus.rows)
-            for size in range(len(rows), -1, -1):
-                for subset in itertools.combinations(rows, size):
-                    alt = Lm.restricted_closure(list(subset)) if subset else \
-                        RestrictedIdeal(Subspace.zero(Lm.field, Lm.n))
-                    if alt.space == core.space:
-                        continue
-                    ok, _ = Lm.is_2nilpotent_ideal(alt.space)
-                    if not ok:
-                        continue
-                    try:
-                        verdict = _try_core_and_match(Lm, degree, alt)
-                    except LadderExhausted:
-                        verdict = None
-                    if verdict is not None:
-                        verdict.oracle = _run_oracle(L, options)
-                        return verdict
     oracle = _run_oracle(L, options)
     if oracle is not None:
         if oracle["outcome"] == "stabilized":

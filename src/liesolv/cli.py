@@ -22,8 +22,8 @@ from . import __version__
 from .algebra import RestrictedLieAlgebra
 from .classify import ClassifyOptions, classify
 from .envelope import Envelope, EnvelopeTooLarge
-from .families import FAMILY_BUILDERS, example_7_1_report, random_instance
-from .fields import RatFunc2, gf
+from .families import FAMILY_BUILDERS, BadParameters, example_7_1_report, random_instance
+from .fields import FieldError, RatFunc2, gf
 from .ordinary import corollary_classify, two_envelope, witness_search
 from .specfile import AxiomError, SpecError, parse_spec, serialize
 
@@ -55,8 +55,7 @@ def _report(args, command: str, payload: dict, text_lines, digest=None) -> None:
 
 def _budget_block(args) -> dict:
     out = {}
-    for key in ("ladder", "core_dim", "witness_depth", "witness_degree",
-                "witness_budget", "seed"):
+    for key in ("ladder", "witness_depth", "witness_degree", "witness_budget"):
         if hasattr(args, key):
             out[key] = getattr(args, key)
     return out
@@ -125,7 +124,6 @@ def cmd_classify(args) -> int:
     L = _load(args, want="restricted")
     options = ClassifyOptions(
         extension_ladder_max=args.ladder,
-        exhaustive_core_dim_limit=args.core_dim,
         oracle_crosscheck=not args.no_oracle,
     )
     verdict = classify(L, options)
@@ -169,33 +167,11 @@ def cmd_sz_index(args) -> int:
 
 
 def cmd_family(args) -> int:
-    tag = args.tag
-    if tag == "random":
-        field = _field_by_name(args.field)
-        L, attempts = random_instance(args.dim, field, args.seed)
-        note = f"random instance accepted after {attempts} attempts"
-    else:
-        builder = FAMILY_BUILDERS.get(tag)
-        if builder is None:
-            print(f"error: unknown family {tag!r}; known: "
-                  f"{sorted(FAMILY_BUILDERS) + ['random']}", file=sys.stderr)
-            return 1
-        kwargs = {}
-        for opt in args.opt or []:
-            if "=" not in opt:
-                print(f"error: family option {opt!r} is not key=value",
-                      file=sys.stderr)
-                return 1
-            key, val = opt.split("=", 1)
-            kwargs[key] = _parse_opt_value(val)
-        if tag != "example-7-1" and args.field != "gf2":
-            kwargs.setdefault("field", _field_by_name(args.field))
-        try:
-            L = builder(**kwargs)
-        except TypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        note = f"family {tag}"
+    try:
+        L, note = _build_family(args)
+    except (BadParameters, FieldError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = serialize(L)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -204,6 +180,30 @@ def cmd_family(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _build_family(args):
+    """(algebra, note) for the family command; bad input raises BadParameters,
+    FieldError or, for an unknown builder keyword, TypeError."""
+    tag = args.tag
+    if tag == "random":
+        L, attempts = random_instance(args.dim, _field_by_name(args.field), args.seed)
+        return L, f"random instance accepted after {attempts} attempts"
+    builder = FAMILY_BUILDERS.get(tag)
+    if builder is None:
+        raise BadParameters(f"unknown family {tag!r}; known: "
+                            f"{sorted(FAMILY_BUILDERS) + ['random']}")
+    kwargs = {}
+    for opt in args.opt or []:
+        if "=" not in opt:
+            raise BadParameters(f"family option {opt!r} is not key=value")
+        key, val = opt.split("=", 1)
+        if key == "field":
+            raise BadParameters("set the field with --field, not --opt")
+        kwargs[key] = _parse_opt_value(val)
+    if tag != "example-7-1" and args.field != "gf2":
+        kwargs.setdefault("field", _field_by_name(args.field))
+    return builder(**kwargs), f"family {tag}"
 
 
 def _parse_opt_value(val: str):
@@ -218,9 +218,9 @@ def _parse_opt_value(val: str):
 def _field_by_name(name: str):
     if name == "ratfunc2":
         return RatFunc2()
-    if name.startswith("gf"):
+    if name.startswith("gf") and name[2:].isdigit():
         return gf(int(name[2:]))
-    raise SystemExit(f"unknown field {name!r}")
+    raise FieldError(f"unknown field {name!r}; use gf<q> or ratfunc2")
 
 
 def cmd_example_7_1(args) -> int:
@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--ladder", type=int, default=4,
                     help="maximum extension degree (default 4)")
-    sp.add_argument("--core-dim", type=int, default=7,
-                    help="dimension cap for the exhaustive core search (default 7)")
     sp.add_argument("--no-oracle", action="store_true",
                     help="skip the derived-series cross-check")
     sp.set_defaults(fn=cmd_classify)
@@ -382,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("corpus", help="classify every .alg file in a directory "
                                        "and cross-check the oracle")
     sp.add_argument("dir")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_corpus)
     return p
 

@@ -370,8 +370,8 @@ def example_7_1_report() -> Example71Report:
 def random_instance(n: int, field, seed: int,
                     max_attempts: int = 4000) -> Tuple[RestrictedLieAlgebra, int]:
     """Rejection-sample a valid restricted Lie algebra; returns (L, attempts)."""
-    if n > 8:
-        raise BadParameters("random instances are capped at dimension 8")
+    if not 1 <= n <= 8:
+        raise BadParameters("random instances need a dimension from 1 to 8")
     rng = random.Random(f"{seed}:{n}:{getattr(field, 'k', 0)}")
     for attempt in range(1, max_attempts + 1):
         brackets = {}

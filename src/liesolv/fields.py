@@ -300,8 +300,8 @@ GF2 = GF2k(1, 0b11)
 def gf(q: int) -> GF2k:
     """GF(q) for q a power of 2, with the smallest irreducible modulus."""
     k = q.bit_length() - 1
-    if 1 << k != q:
-        raise FieldError(f"{q} is not a power of 2")
+    if k < 1 or 1 << k != q:
+        raise FieldError(f"{q} is not a power of 2 above 1")
     return GF2k(k)
 
 

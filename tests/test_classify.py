@@ -5,9 +5,9 @@ import pytest
 
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.classify import (
-    PATTERN_BUDGET, LadderExhausted, NotTriangularizable, classify,
-    match_condition, necessary_tests, nilpotent_core, triangularize,
-    verify_verdict, _bracket_patterns, _pairing_elements,
+    PATTERN_BUDGET, ClassifyOptions, LadderExhausted, Verdict, classify, match_condition,
+    necessary_tests, nilpotent_core, verify_verdict, _bracket_patterns,
+    _central_2nilpotent_locus, _pairing_elements, _run_oracle, _try_core_and_match,
 )
 from liesolv.envelope import Envelope
 from liesolv.families import (
@@ -276,64 +276,102 @@ def test_base_change_invariance_of_oracle():
 
 
 # ----------------------------------------------------------------------
-# triangularization
+# the alternative core
 # ----------------------------------------------------------------------
 
-def _apply(f, mat, v):
-    n = len(mat)
-    out = [f.zero] * n
-    for i, c in enumerate(v):
-        if not f.is_zero(c):
-            for j in range(n):
-                out[j] = f.add(out[j], f.mul(c, mat[i][j]))
-    return tuple(out)
+def _with_central_w(L, square_w, w_toral=False):
+    """L plus a central basis vector w, with w^[2] = w when w_toral and 0
+    otherwise, and w added to the squares of the basis vectors in square_w."""
+    f = L.field
+    n = L.n + 1
+    pmap = [row + (f.one if name in square_w else f.zero,)
+            for name, row in zip(L.names, L.pmap)]
+    pmap.append((f.zero,) * L.n + (f.one if w_toral else f.zero,))
+    brackets = {key: row + (f.zero,) for key, row in L._brackets().items()}
+    M = RestrictedLieAlgebra(f, L.names + ["w"], brackets, pmap)
+    assert M.check_axioms().ok
+    return M
 
 
-def _check_flag(f, mats, flag):
-    n = len(flag)
-    for k in range(1, n + 1):
-        vk = span(f, n, flag[:k])
-        assert vk.dim == k
-        for m in mats:
-            for v in flag[:k]:
-                assert vk.contains_vector(_apply(f, m, v))
+@pytest.mark.parametrize("q,h_dim", [(2, 2), (4, 2), (2, 3), (4, 3)])
+def test_alternative_core_certifies_family_v_with_central_w(q, h_dim):
+    # z1^[2] = z1 + w: the canonical core is 0 and matches nothing; the
+    # closure of the centre's 2-nilpotent locus, span(w), gives (iv)
+    L = _with_central_w(family_v(gf(q), h_dim=h_dim), {"z1"})
+    assert nilpotent_core(L).space.dim == 0
+    v = classify(L)
+    assert (v.outcome, v.condition, v.core_basis) == ("solvable", "iv", ["w"])
+    assert v.oracle["outcome"] == "reached_zero"
+    assert verify_verdict(L, v)
 
 
-def test_triangularize_strictly_upper():
-    mats = [
-        ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
-        ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
-    ]
-    flag = triangularize(mats, GF2)
-    _check_flag(GF2, mats, flag)
+def _classify_subset_search(L):
+    """classify with the former alternative-core search, as the reference:
+    after the canonical core, the restricted closures of every subset of a
+    basis of the centre's 2-nilpotent locus, largest first.  Returns the
+    verdict and whether an alternative core decided it."""
+    options = ClassifyOptions()
+    refute = necessary_tests(L)
+    if refute is not None:
+        refute.oracle = _run_oracle(L, options)
+        return refute, False
+    for degree in range(1, options.extension_ladder_max + 1):
+        if degree == 1:
+            Lm = L
+        else:
+            big, embed = L.field.extend(degree)
+            Lm = L.base_change(big, embed)
+        core = nilpotent_core(Lm)
+        try:
+            verdict = _try_core_and_match(Lm, degree, core)
+        except LadderExhausted:
+            verdict = None
+        if verdict is not None:
+            verdict.oracle = _run_oracle(L, options)
+            return verdict, False
+        rows = list(_central_2nilpotent_locus(Lm, Lm.center()).rows)
+        for size in range(len(rows), -1, -1):
+            for subset in itertools.combinations(rows, size):
+                alt = Lm.restricted_closure(subset)
+                if alt.space == core.space or not Lm.is_2nilpotent_ideal(alt.space)[0]:
+                    continue
+                try:
+                    verdict = _try_core_and_match(Lm, degree, alt)
+                except LadderExhausted:
+                    verdict = None
+                if verdict is not None:
+                    verdict.oracle = _run_oracle(L, options)
+                    return verdict, True
+    oracle = _run_oracle(L, options)
+    if oracle["outcome"] == "stabilized":
+        return Verdict(outcome="not_solvable", witness_kind="oracle_stabilized",
+                       witness_str=f"derived series stabilized at dimension {oracle['value']}",
+                       oracle=oracle), False
+    return Verdict(outcome="inconclusive",
+                   reason="no condition matched within the ladder, but the derived "
+                          "series oracle reached zero (matcher incompleteness)",
+                   oracle=oracle), False
 
 
-def test_triangularize_swap_matrix():
-    # char poly (x+1)^2 splits; eigenvector (1,1)
-    mats = [((0, 1), (1, 0))]
-    flag = triangularize(mats, GF2)
-    assert flag[0] == (1, 1)
-    _check_flag(GF2, mats, flag)
+def _central_extensions(seed):
+    """Central extensions by one w of small families over GF(2) and GF(4),
+    with w added to the squares of a random set of basis vectors."""
+    rng = random.Random(seed)
+    for q in (2, 4):
+        f = gf(q)
+        bases = [heisenberg(f), family_iii(f), family_iv(f, h_dim=2),
+                 family_v(f, h_dim=1), family_v(f, h_dim=2),
+                 random_instance(5, f, seed)[0]]
+        for L in bases:
+            for _ in range(3):
+                square_w = {name for name in L.names if rng.random() < 0.5}
+                yield _with_central_w(L, square_w, w_toral=rng.random() < 0.3)
 
 
-def test_triangularize_needs_extension():
-    # companion matrix of t^2+t+1 has no eigenvalue over GF(2)
-    mats = [((0, 1), (1, 1))]
-    flag = triangularize(mats, GF2, ladder_max=2)
-    assert len(flag) == 2
-    with pytest.raises(LadderExhausted):
-        triangularize(mats, GF2, ladder_max=1)
-
-
-def test_triangularize_rejects_non_nilpotent_commutator():
-    a = ((0, 1), (0, 0))
-    b = ((0, 0), (1, 0))
-    with pytest.raises(NotTriangularizable):
-        triangularize([a, b], GF2)
-
-
-def test_triangularize_commuting_family():
-    mats = [((1, 0), (0, 0)), ((1, 1), (0, 1))]
-    # commutator = [[0,1],[0,0]], nilpotent
-    flag = triangularize(mats, GF2)
-    _check_flag(GF2, mats, flag)
+def test_alternative_core_matches_subset_search():
+    decided_by_alternative = 0
+    for L in _central_extensions(0):
+        want, by_alternative = _classify_subset_search(L)
+        assert classify(L).to_json() == want.to_json(), (L.names, L.pmap)
+        decided_by_alternative += by_alternative
+    assert decided_by_alternative >= 3

@@ -131,6 +131,23 @@ def test_cli_family_unknown_tag(capsys):
     assert main(["family", "nope"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fam-v", "--field", "gf3"],
+    ["fam-v", "--field", "gfx"],
+    ["fam-v", "--field", "gf0"],
+    ["random", "--field", "gf0"],
+    ["random", "--dim", "9"],
+    ["random", "--dim", "0"],
+    ["fam-v", "--opt", "h_dim=0"],
+    ["fam-v", "--opt", "h_dim"],
+    ["fam-v", "--opt", "bogus=1"],
+    ["fam-v", "--opt", "field=gf4"],
+])
+def test_cli_family_bad_input_is_an_error(capsys, argv):
+    assert main(["family"] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_json_deterministic(n7_file, capsys):
     assert main(["--json", "classify", n7_file]) == 0
     first = capsys.readouterr().out
@@ -140,6 +157,7 @@ def test_cli_json_deterministic(n7_file, capsys):
     doc = json.loads(first)
     assert doc["result"]["outcome"] == "not_solvable"
     assert doc["input_digest"]
+    assert doc["budgets"] == {"ladder": 4}
 
 
 def test_cli_ordinary_commands(tmp_path, capsys):
@@ -182,8 +200,9 @@ def test_cli_corpus_skips_ordinary_specs(tmp_path, capsys):
     (tmp_path / "oh3.alg").write_text(
         serialize(LieAlgebra(GF2, ["e1", "e2", "e3"], {(0, 1): (0, 0, 1)})))
     assert main(["--json", "corpus", str(tmp_path)]) == 0
-    rows = json.loads(capsys.readouterr().out)["result"]["files"]
-    assert [r["file"] for r in rows] == ["h3.alg"]
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["file"] for r in doc["result"]["files"]] == ["h3.alg"]
+    assert doc["budgets"] == {}
 
 
 @pytest.mark.parametrize("brackets,outcome,condition,skipped", [
