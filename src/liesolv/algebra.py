@@ -18,11 +18,12 @@ in characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 from .linalg import (
-    Eliminator, Quotient, Subspace, kernel, lin_comb, span, unit_vector,
+    Eliminator, Quotient, Subspace, kernel, lin_comb, saturate, span, unit_vector,
     vec_add, vec_is_zero, vec_scale,
 )
 
@@ -197,26 +198,14 @@ class LieAlgebra:
 
     def series(self, kind: str) -> List[Subspace]:
         """Derived, lower central, or upper central series until stable."""
-        if kind == "derived":
-            terms = [self.full_space()]
-            while True:
-                nxt = self.bracket_span(terms[-1], terms[-1])
-                if nxt == terms[-1]:
-                    break
-                terms.append(nxt)
-                if nxt.dim == 0:
-                    break
-            return terms
-        if kind == "lower_central":
+        if kind in ("derived", "lower_central"):
             full = self.full_space()
             terms = [full]
-            while True:
-                nxt = self.bracket_span(terms[-1], full)
+            while terms[-1].dim:
+                nxt = self.bracket_span(terms[-1], terms[-1] if kind == "derived" else full)
                 if nxt == terms[-1]:
                     break
                 terms.append(nxt)
-                if nxt.dim == 0:
-                    break
             return terms
         if kind == "upper_central":
             terms = [Subspace.zero(self.field, self.n)]
@@ -339,30 +328,23 @@ class RestrictedLieAlgebra(LieAlgebra):
         return RestrictedIdeal(s)
 
     def restricted_closure(self, gens: Iterable[Sequence]) -> RestrictedIdeal:
-        """Least restricted ideal containing gens, by worklist saturation."""
-        current = self.span_of(gens)
-        while True:
-            vecs = list(current.basis())
-            for v in current.basis():
-                for j in range(self.n):
-                    vecs.append(self.bracket(v, self.basis_vector(j)))
-                vecs.append(self.pmap_eval(v))
-            nxt = self.span_of(vecs)
-            if nxt == current:
-                return RestrictedIdeal(current)
-            current = nxt
+        """Least restricted ideal containing gens.
+
+        The span is closed under each [., b_j] and the square map.  That
+        suffices: (sum c_a w_a)^[2] = sum c_a^2 w_a^[2] + sum c_a c_b [w_a, w_b],
+        and the brackets lie in a span closed under [., L].
+        """
+        maps = [partial(self.bracket, v=self.basis_vector(j)) for j in range(self.n)]
+        return RestrictedIdeal(self._saturated(gens, maps + [self.pmap_eval]))
 
     def p_closure(self, s: Subspace) -> Subspace:
         """Closure of a bracket-closed subspace under the square map."""
-        current = s
-        while True:
-            vecs = list(current.basis())
-            for v in current.basis():
-                vecs.append(self.pmap_eval(v))
-            nxt = self.span_of(vecs)
-            if nxt == current:
-                return current
-            current = nxt
+        return self._saturated(s.basis(), [self.pmap_eval])
+
+    def _saturated(self, vecs: Iterable[Sequence], maps) -> Subspace:
+        elim = Eliminator(self.field, self.n)
+        saturate(elim.add_vector, vecs, maps)
+        return elim.to_subspace()
 
     # -- 2-nilpotency -----------------------------------------------------
 

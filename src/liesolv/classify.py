@@ -196,8 +196,8 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
     d1 = L.derived_subalgebra()
     d2 = L.bracket_span(d1, d1)
-    gens = [L.bracket(v, L.basis_vector(j)) for v in d2.basis() for j in range(L.n)]
-    closure = L.restricted_closure([g for g in gens if not vec_is_zero(L.field, g)])
+    closure = L.restricted_closure(L.bracket(v, L.basis_vector(j))
+                                   for v in d2.basis() for j in range(L.n))
     if closure.space.dim:
         ok, chain = L.is_2nilpotent_ideal(closure.space)
         if not ok:
@@ -256,43 +256,34 @@ def _find_non_2nilpotent(L: RestrictedLieAlgebra, stable: Subspace):
 def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
     """Fixpoint core: repeatedly absorb the closure of [[L',L'],L] and the
     2-nilpotent locus of the center, pulled back through the quotients."""
-    f = L.field
     core_gens: List[tuple] = []
     while True:
-        core = L.restricted_closure(core_gens) if core_gens else None
-        if core and core.space.dim == L.n:
+        core = L.restricted_closure(core_gens)
+        if core.space.dim == L.n:
             break
-        if core:
+        if core.space.dim:
             M, quot = L.quotient(core)
             lift = quot.lift
         else:
             M, lift = L, lambda w: w
-        grew = False
         d1 = M.derived_subalgebra()
         d2 = M.bracket_span(d1, d1)
-        gens = [M.bracket(v, M.basis_vector(j)) for v in d2.basis() for j in range(M.n)]
-        gens = [g for g in gens if not vec_is_zero(f, g)]
-        if gens:
-            cl = M.restricted_closure(gens)
+        cl = M.restricted_closure(M.bracket(v, M.basis_vector(j))
+                                  for v in d2.basis() for j in range(M.n))
+        if cl.space.dim:
             ok, chain = M.is_2nilpotent_ideal(cl.space)
             if not ok:
                 w = _find_non_2nilpotent(M, chain[-1])
                 raise CoreNotNilpotent(
                     w, "closure of [[L',L'],L] is not 2-nilpotent in the reduced algebra")
-            if cl.space.dim:
-                core_gens.extend(lift(row) for row in cl.space.rows)
-                grew = True
-        if not grew:
-            # 2-nilpotent part of L' intersected with the center
-            z = M.center().intersect(M.derived_subalgebra())
-            locus = _central_2nilpotent_locus(M, z)
-            if locus.dim:
-                core_gens.extend(lift(row) for row in locus.rows)
-                grew = True
-        if not grew:
+            core_gens.extend(lift(row) for row in cl.space.rows)
+            continue
+        # 2-nilpotent part of L' intersected with the center
+        locus = _central_2nilpotent_locus(M, M.center().intersect(d1))
+        if not locus.dim:
             break
-    ideal = L.restricted_closure(core_gens) if core_gens else RestrictedIdeal(
-        Subspace.zero(f, L.n))
+        core_gens.extend(lift(row) for row in locus.rows)
+    ideal = L.restricted_closure(core_gens)
     ok, _ = L.is_2nilpotent_ideal(ideal.space)
     if not ok:
         raise CoreNotNilpotent(None, "accumulated core failed the 2-nilpotency check")
@@ -571,6 +562,7 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
     f = L.field
     z = L.center()
     zelim = z.elim()
+    mod_z = Quotient(L.full_space(), z)
     for y in _candidate_ys(L, zelim):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
@@ -585,15 +577,27 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
         s = isotropic_functionals(L, k.basis())
         if s.dim == 0:
             continue
-        for x in subspace_points(f, k):
-            # [x, k] must be central for any valid split
-            if not all(zelim.contains_vector(L.bracket(x, kb)) for kb in k.basis()):
-                continue
+        # [x, k] must be central for any valid split
+        for x in subspace_points(f, _central_on(L, k, mod_z)):
             for hs in _abelian_complements(L, k, s, x):
                 cert = _finish_iv_v(L, tag, x, y, hs, z)
                 if cert is not None:
                     return cert
     return None
+
+
+def _central_on(L: LieAlgebra, k: Subspace, mod_z: Quotient) -> Subspace:
+    """{x in k : [x, k] lies in the centre}, with mod_z the projection L -> L/Z.
+
+    It is the kernel of x -> ([x, b_j] mod Z)_j over the basis b_j of k.
+    Its points come in the order of the points of k that pass this test:
+    a point's lead and its first difference from another lie on pivots
+    of the kernel, which are pivots of k too.
+    """
+    f, basis = L.field, k.basis()
+    images = [tuple(c for b in basis for c in mod_z.project(L.bracket(a, b))) for a in basis]
+    ker = kernel(f, images, k.dim, k.dim * mod_z.dim)
+    return span(f, L.n, [lin_comb(f, row, basis, L.n) for row in ker.rows])
 
 
 def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
@@ -762,13 +766,25 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
         if verdict.witness_elem is not None and verdict.witness_algebra is not None:
             wa = verdict.witness_algebra
             if wa.n > MAX_ENVELOPE_N:
-                return True
+                return _non_2nilpotent_in_l(wa, verdict.witness_elem)
             env = Envelope(wa)
             nil, _ = env.is_nilpotent(verdict.witness_elem)
             return not nil
         return verdict.oracle is not None and verdict.oracle["outcome"] == "stabilized" \
             or verdict.witness_kind == "necessary_test"
     return True
+
+
+def _non_2nilpotent_in_l(L: RestrictedLieAlgebra, elem: dict) -> bool:
+    """Whether a witness too large for u(L) is a non-nilpotent element of L.
+
+    For x in L, x^(2^e) = x^[2^e] in u(L), so x is nilpotent there iff it
+    is 2-nilpotent in L.  A witness of higher PBW degree is not decided.
+    """
+    if not all(m and not m & (m - 1) for m in elem):
+        return False
+    v = [elem.get(1 << i, L.field.zero) for i in range(L.n)]
+    return not L.is_2nilpotent_element(v)[0]
 
 
 def _verify_certificate(Lq: RestrictedLieAlgebra, cert: Certificate) -> bool:

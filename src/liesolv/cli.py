@@ -200,19 +200,21 @@ def _build_family(args):
         key, val = opt.split("=", 1)
         if key == "field":
             raise BadParameters("set the field with --field, not --opt")
-        kwargs[key] = _parse_opt_value(val)
+        kwargs[key] = _parse_opt_value(key, val)
     if tag != "example-7-1" and args.field != "gf2":
         kwargs.setdefault("field", _field_by_name(args.field))
     return builder(**kwargs), f"family {tag}"
 
 
-def _parse_opt_value(val: str):
+def _parse_opt_value(key: str, val: str):
+    """An integer, or true/false; any other value is refused with its key."""
     if val in ("true", "false"):
         return val == "true"
     try:
         return int(val)
     except ValueError:
-        return val
+        raise BadParameters(f"family option {key!r} takes an integer or true/false, "
+                            f"not {val!r}") from None
 
 
 def _field_by_name(name: str):
@@ -273,10 +275,10 @@ def cmd_ordinary(args) -> int:
         payload = {"stabilized": res.stabilized, "dims": res.dims}
         text = [f"square-closure spans: {' -> '.join(str(d) for d in res.dims)}",
                 f"stabilized: {res.stabilized}"]
-        if res.stabilized and res.algebra is not None:
-            payload["closure_dim"] = res.algebra.n
+        if res.stabilized:
+            payload["closure_dim"] = res.dims[-1]
             text.append(f"closure is a restricted algebra of dimension "
-                        f"{res.algebra.n}")
+                        f"{res.dims[-1]}")
     _report(args, f"ordinary-{args.action}", payload, text, _digest(args.file))
     return 0
 

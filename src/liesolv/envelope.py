@@ -56,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
-from .linalg import Eliminator, Quotient, Subspace
+from .linalg import Eliminator, Quotient, Subspace, saturate
 
 # u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
 # pairs of them, so larger algebras are refused before anything is built.
@@ -327,6 +327,8 @@ class Envelope:
         return acc
 
     def _span_add(self, elim: Eliminator, e) -> bool:
+        if not e:
+            return False
         if not self.stacked:
             return elim.add_vector(self.elem_to_vec(e))
         plane = self._plane
@@ -452,17 +454,17 @@ class Envelope:
 
         return ad, fill
 
-    def _span(self, elems, ceiling: Optional[int] = None) -> Eliminator:
-        """An eliminator holding the span of the native elements ``elems``.
+    def _saturate(self, vectors, maps, ceiling: Optional[int] = None):
+        """``saturate`` into a fresh eliminator, stopping at rank ``ceiling``.
 
-        It stops reading ``elems`` once its rank reaches ``ceiling``, a
-        known bound on the dimension of the span.
+        Returns the eliminator and the accepted inputs.
         """
         elim = Eliminator(self.field, self.dim)
-        for w in elems:
-            if w and self._span_add(elim, w) and elim.rank == ceiling:
-                break
-        return elim
+        return elim, saturate(partial(self._span_add, elim), vectors, maps, ceiling)
+
+    def _span(self, elems) -> Eliminator:
+        """An eliminator holding the span of the native elements ``elems``."""
+        return self._saturate(elems, ())[0]
 
     def _central_gens(self) -> List[int]:
         """The basis indices of L that occur in no nonzero structure constant.
@@ -502,32 +504,23 @@ class Envelope:
         """One term of a derived series: the A-span of the ``candidates``.
 
         A is the central subalgebra generated by the x_z, z in ``central``
-        (the field when it is empty).  Each accepted candidate is added
-        to the term, and the term is closed under right multiplication
-        by every x_z, one ``_mul_gen`` per accepted vector and z.  The
+        (the field when it is empty), so the term is the span of the
+        candidates closed under right multiplication by every x_z.  The
         step stops once the rank reaches ``ceiling``.  Returns the term's
         eliminator, its RREF basis, and the module generators: the RREF
         basis of the span of the accepted candidates alone, which is the
         term's basis when A is the field.
         """
-        term = Eliminator(self.field, self.dim)
-        accepted = Eliminator(self.field, self.dim) if central else term
-        for w in candidates:
-            if not (w and self._span_add(term, w)):
-                continue
-            if central:
-                self._span_add(accepted, w)
-                queue = [w]
-                while queue:
-                    v = queue.pop()
-                    for z in central:
-                        u = self._mul_gen(v, z)
-                        if u and self._span_add(term, u):
-                            queue.append(u)
-            if term.rank == ceiling:
-                break
+        term, accepted = self._saturate(candidates, [self._times_gen(z) for z in central],
+                                        ceiling)
         basis = self._basis(term)
-        return term, basis, self._basis(accepted) if central else basis
+        return term, basis, self._basis(self._span(accepted)) if central else basis
+
+    def _times_gen(self, g: int, left: bool = False):
+        """The map v -> v*x_g (x_g*v when ``left``), one apply of a generator table."""
+        if left:
+            return partial(self._apply, self._left[g], self._left_fill[g])
+        return partial(self._apply, self._right[g], self._right_fill[g])
 
     def _mul_gen(self, v, g: int):
         """v*x_g, from the right generator table."""
@@ -563,17 +556,6 @@ class Envelope:
         """[a, b] for every pair a before b of ``elems``."""
         for i in range(len(elems) - 1):
             yield from self._brackets_with(elems[i], elems[i + 1:])
-
-    def _gen_products(self, v):
-        """(v*x_g, x_g*v) for each generator x_g."""
-        for g in range(self.n):
-            yield self._mul_gen(v, g), self._gen_mul(g, v)
-
-    def _products_with(self, u, vs):
-        """u*v for each v in ``vs``; one right table of u serves all."""
-        table, fill = self._products(u)
-        for v in vs:
-            yield self._apply(table, fill, v)
 
     # -- coordinate rows ----------------------------------------------------
 
@@ -649,45 +631,60 @@ class Envelope:
         x_g, because [u, m1*m2] = [u, m1]*m2 + m1*[u, m2] puts every
         [u, m] in the ideal they generate.  For u = c*s with c in A,
         [c*s, x_g] = c*[s, x_g], so the [s, x_g] for the module generators
-        s of D_2 and the non-central x_g suffice; the saturation below
-        closes them under left and right multiplication by generators.
+        s of D_2 and the non-central x_g suffice.
+        """
+        ideal, _ = self._sz_ideal()
+        return [self._to_dict(e) for e in self._basis(ideal)]
+
+    def _sz_ideal(self):
+        """The eliminator of the sz ideal and the seeds [s, x_g] that generate it.
+
+        The seeds are closed under left and right multiplication by the
+        generators; a seed is kept only if it was not already in the
+        ideal of the seeds before it, so the kept ones still generate it.
         """
         central = self._central_gens()
         _, d1, d1_gens = self._series_step(self._d1_brackets(central), central)
         _, _, d2_gens = self._series_step(self._pair_brackets(d1_gens), central, len(d1))
         moved = [g for g in range(self.n) if g not in central]
-        gen = self._span(self._lie_gen(s, g) for s in d2_gens for g in moved)
-        # saturate to a two-sided ideal with one generator multiplication at a time
-        queue = self._basis(gen)
-        while queue:
-            v = queue.pop()
-            for pair in self._gen_products(v):
-                for w in pair:
-                    if w and self._span_add(gen, w):
-                        queue.append(w)
-        return [self._to_dict(e) for e in self._basis(gen)]
+        sides = [self._times_gen(g) for g in range(self.n)]
+        sides += [self._times_gen(g, left=True) for g in moved]      # x_z*v = v*x_z
+        return self._saturate((self._lie_gen(s, g) for s in d2_gens for g in moved), sides)
 
     def sz_nilpotency(self) -> SZResult:
         """Associative nilpotency index of the ideal I from sz_ideal.
 
-        I^{p+1} lies in I^p, so each power stops multiplying once its
-        rank reaches dim I^p.
+        The powers come from ``_power_index`` and the seeds of I; a*s is
+        one apply of the lazy table of m*s, which serves every power.
         """
-        ideal = self.sz_ideal()
-        if not ideal:
+        ideal, seeds = self._sz_ideal()
+        if not ideal.rank:
             return SZResult(True, 1, 0)
-        base = [self._native(e) for e in ideal]
-        cur = base
+        times = [partial(self._apply, *self._products(s, left=True)) for s in seeds]
+        index, stable = self._power_index(self._basis(ideal), times)
+        if index is not None:
+            return SZResult(True, index, ideal.rank)
+        return SZResult(False, None, ideal.rank, self._pick_non_nilpotent(stable))
+
+    def _power_index(self, basis: list, times: list):
+        """(m, None) for the least m with I^m = 0, or (None, the RREF basis of I^p = I^(p+1)).
+
+        I is spanned by ``basis`` and generated as a two-sided ideal by
+        seeds s, and ``times`` holds the maps a -> a*s.  As I^p is an
+        ideal, I^(p+1) = I^p*S*u(L): the a*s for a in a basis of I^p,
+        closed under right multiplication by the generators.  It lies in
+        I^p, so it stops once its rank reaches dim I^p.
+        """
+        right = [self._times_gen(g) for g in range(self.n)]
         power = 1
         while True:
-            nxt = self._basis(self._span((w for u in cur
-                                          for w in self._products_with(u, base)),
-                                         len(cur)))
+            elim, _ = self._saturate((f(a) for a in basis for f in times), right, len(basis))
+            nxt = self._basis(elim)
             if not nxt:
-                return SZResult(True, power + 1, len(base))
-            if nxt == cur:
-                return SZResult(False, None, len(base), self._pick_non_nilpotent(nxt))
-            cur = nxt
+                return power + 1, None
+            if len(nxt) == len(basis):
+                return None, nxt
+            basis = nxt
             power += 1
 
     def _pick_non_nilpotent(self, basis) -> dict:
@@ -720,19 +717,10 @@ def envelope_augmentation_nilpotent(L: RestrictedLieAlgebra) -> Tuple[bool, Opti
     Used to cross-check the chain criterion for 2-nilpotency of ideals.
     """
     env = Envelope(L)
-    base = [env._mono(m) for m in range(1, env.dim)]
-    cur = base
-    power = 1
-    prev_dim = None
-    while True:
-        elim = env._span(w for u in cur for w in env._products_with(u, base))
-        if not elim.rank:
-            return True, power + 1
-        if elim.rank == prev_dim:
-            return False, None
-        prev_dim = elim.rank
-        cur = env._basis(elim)
-        power += 1
+    # the augmentation ideal is generated by the x_g, and a*x_g is one generator-table apply
+    index, _ = env._power_index([env._mono(m) for m in range(1, env.dim)],
+                                [env._times_gen(g) for g in range(env.n)])
+    return index is not None, index
 
 
 def reducedness_check(L: RestrictedLieAlgebra, samples: int = 40, seed: int = 0) -> bool:

@@ -15,7 +15,7 @@ lists.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 
@@ -391,6 +391,35 @@ class Subspace:
 
 def span(field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
     return Subspace(field, ambient, vectors)
+
+
+def saturate(add: Callable[[object], bool], vectors: Iterable, maps: Sequence[Callable] = (),
+             ceiling: Optional[int] = None) -> list:
+    """Close a span under linear maps with one worklist; returns the accepted inputs.
+
+    ``add`` puts a vector into the span and returns True when it is new,
+    that is when the rank grows by one.  Every map is applied to each
+    new input, and to each new image in turn, before the next input is
+    read.  The loop ends once ``ceiling`` vectors are new, a known bound
+    on the rank the span can gain.
+    """
+    accepted, queue, rank = [], [], 0
+    for v in vectors:
+        if not add(v):
+            continue
+        accepted.append(v)
+        queue.append(v)
+        rank += 1
+        while queue:
+            if rank == ceiling:
+                return accepted
+            u = queue.pop()
+            for f in maps:
+                w = f(u)
+                if add(w):
+                    queue.append(w)
+                    rank += 1
+    return accepted
 
 
 def kernel(field, images: Sequence[Sequence], dom: int, codom: int) -> Subspace:

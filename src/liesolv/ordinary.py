@@ -24,10 +24,10 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import LieAlgebra, RestrictedLieAlgebra
+from .algebra import LieAlgebra
 from .classify import LadderExhausted, abelian_ideals, class2_center, eigenvector_pair
 from .fields import GF2k, FieldMismatch
-from .linalg import Subspace, vec_is_zero
+from .linalg import Subspace
 
 
 ORD_CONDITION_NAMES = {
@@ -167,26 +167,23 @@ class SparseElim:
 
     Used for subspaces of U(L), whose ambient monomial set is unbounded;
     rows are sparse dicts and pivots are the smallest key by
-    (total degree, tuple) order.  Augmentation tracks each inserted
-    generator so members can be expressed in terms of them.
+    (total degree, tuple) order.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows: List[Tuple[Tuple, dict, dict]] = []  # (pivot, row, aug)
-        self.count = 0
+        self.rows: List[Tuple[Tuple, dict]] = []  # (pivot, row)
 
     @staticmethod
     def _key(m):
         return (sum(m), m)
 
-    def _reduce(self, vec: dict, aug: dict) -> Tuple[dict, dict]:
+    def _reduce(self, vec: dict) -> dict:
         # rows are sorted by pivot and each row's support starts at its
         # pivot, so one ordered pass fully reduces the vector
         f = self.field
         vec = dict(vec)
-        aug = dict(aug)
-        for piv, row, raug in self.rows:
+        for piv, row in self.rows:
             c = vec.get(piv)
             if c is not None and not f.is_zero(c):
                 for m, x in row.items():
@@ -195,19 +192,11 @@ class SparseElim:
                         vec.pop(m, None)
                     else:
                         vec[m] = s
-                for t, x in raug.items():
-                    s = f.add(aug.get(t, f.zero), f.mul(c, x))
-                    if f.is_zero(s):
-                        aug.pop(t, None)
-                    else:
-                        aug[t] = s
-        return vec, aug
+        return vec
 
-    def add(self, vec: dict, tag=None) -> bool:
+    def add(self, vec: dict) -> bool:
         f = self.field
-        tag = tag if tag is not None else self.count
-        self.count += 1
-        vec, aug = self._reduce(vec, {tag: f.one})
+        vec = self._reduce(vec)
         if not vec:
             return False
         piv = min(vec, key=self._key)
@@ -215,21 +204,13 @@ class SparseElim:
         if lead != f.one:
             inv = f.inv(lead)
             vec = {m: f.mul(inv, c) for m, c in vec.items()}
-            aug = {t: f.mul(inv, c) for t, c in aug.items()}
-        self.rows.append((piv, vec, aug))
+        self.rows.append((piv, vec))
         self.rows.sort(key=lambda r: self._key(r[0]))
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def express(self, vec: dict) -> Optional[dict]:
-        """Coefficients over the inserted tags, or None if not in the span."""
-        res, aug = self._reduce(vec, {})
-        if res:
-            return None
-        return aug  # vec + sum aug[t]*gen_t = 0, i.e. vec = sum aug[t]*gen_t
 
 
 # ----------------------------------------------------------------------
@@ -415,74 +396,30 @@ def _exponent_tuples(n: int, max_total: int):
 class TwoEnvelopeResult:
     stabilized: bool
     dims: List[int]
-    algebra: Optional[object] = None     # RestrictedLieAlgebra when stabilized
-    basis_elements: Optional[List[dict]] = None
 
 
 def two_envelope(L: LieAlgebra, m_max: int = 6) -> TwoEnvelopeResult:
     """Accumulate spans of iterated squares of L inside U(L).
 
-    When the total span stabilizes it carries a restricted structure
-    (brackets and squares read off inside U(L)), which is returned for
-    hand-off to the restricted classifier.
+    V_0 is L and V_(t+1) adds the squares and brackets of a basis of V_t.
+    The spans stabilize only when n = 0: every element of V_t has PBW
+    degree at most 2^t, while b_1^(2^(t+1)) is in V_(t+1) and is a PBW
+    monomial of higher degree, so each round grows the span.
     """
     env = UEnvelope(L)
     elim = SparseElim(L.field)
-    basis: List[dict] = []
-    # each accepted element is tagged with its index in ``basis``, so the
-    # rows of ``elim`` express members in terms of the basis
-    for i in range(L.n):
-        e = env.gen(i)
-        if elim.add(e, tag=len(basis)):
-            basis.append(e)
+    basis = [env.gen(i) for i in range(L.n) if elim.add(env.gen(i))]
     dims = [elim.rank]
     for _ in range(m_max):
-        new_elems = []
-        for w in basis:
-            new_elems.append(env.square(w))
+        new_elems = [env.square(w) for w in basis]
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 new_elems.append(env.lie(basis[i], basis[j]))
-        grew = False
-        for e in new_elems:
-            if e and elim.add(e, tag=len(basis)):
-                basis.append(e)
-                grew = True
+        basis += [e for e in new_elems if elim.add(e)]
         dims.append(elim.rank)
-        if not grew:
-            return TwoEnvelopeResult(True, dims,
-                                     algebra=_read_off_restricted(L, env, basis, elim),
-                                     basis_elements=basis)
+        if dims[-1] == dims[-2]:
+            return TwoEnvelopeResult(True, dims)
     return TwoEnvelopeResult(False, dims)
-
-
-def _read_off_restricted(L: LieAlgebra, env: UEnvelope, basis: List[dict],
-                         elim: SparseElim):
-    """The restricted algebra on ``basis``, a span closed under brackets
-    and squares; ``elim`` holds that span with each row tagged by the
-    indices of the basis elements it combines."""
-    f = L.field
-    d = len(basis)
-
-    def coords(elem: dict) -> Tuple:
-        aug = elim.express(elem)
-        if aug is None:
-            raise AssertionError("closure is not closed")
-        out = [f.zero] * d
-        for t, c in aug.items():
-            out[t] = c
-        return tuple(out)
-
-    brackets = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            w = env.lie(basis[i], basis[j])
-            val = coords(w)
-            if not vec_is_zero(f, val):
-                brackets[(i, j)] = val
-    pmap = [coords(env.square(basis[i])) for i in range(d)]
-    names = [f"w{i+1}" for i in range(d)]
-    return RestrictedLieAlgebra(f, names, brackets, pmap)
 
 
 # ----------------------------------------------------------------------

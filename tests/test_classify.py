@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from liesolv.classify import (
     necessary_tests, nilpotent_core, verify_verdict, _bracket_patterns,
     _central_2nilpotent_locus, _pairing_elements, _run_oracle, _try_core_and_match,
 )
-from liesolv.envelope import Envelope
+from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
     family_i, family_iii, family_iv, family_v, free_class2, heisenberg,
     negative_class2, random_instance,
@@ -375,3 +376,50 @@ def test_alternative_core_matches_subset_search():
         assert classify(L).to_json() == want.to_json(), (L.names, L.pmap)
         decided_by_alternative += by_alternative
     assert decided_by_alternative >= 3
+
+
+def _gl3():
+    """gl_3(GF(2)) on the matrix units E_ij, with x^[2] = x^2."""
+    n = 9
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            (i, j), (k, l) = divmod(a, 3), divmod(b, 3)
+            v = [0] * n
+            if j == k:
+                v[3 * i + l] ^= 1
+            if l == i:
+                v[3 * k + j] ^= 1
+            if any(v):
+                brackets[(a, b)] = tuple(v)
+    pmap = [tuple(int(t == a) for t in range(n)) if a in (0, 4, 8) else (0,) * n
+            for a in range(n)]
+    return RestrictedLieAlgebra(GF2, [f"E{i}{j}" for i in range(3) for j in range(3)],
+                                brackets, pmap)
+
+
+def test_verify_verdict_decides_a_witness_above_max_envelope_n():
+    # gl_3 plus a 4-dim abelian algebra with zero squares has n = 13, too
+    # large for u(L): a degree-1 witness is checked by its squares in L,
+    # and any other witness is rejected
+    L = _gl3()
+    assert L.check_axioms().ok
+    M = L.direct_sum(RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(4)], {},
+                                          [(0,) * 4] * 4))
+    assert M.n == 13 > MAX_ENVELOPE_N
+    verdicts = {}
+    for A in (L, M):
+        v = verdicts[A.n] = classify(A)
+        assert v.outcome == "not_solvable" and v.witness_str == "E00 + E22"
+        assert v.witness_algebra is A
+        assert verify_verdict(A, v)
+        # E01 squares to zero: nilpotent, so no witness
+        assert not verify_verdict(A, replace(v, witness_elem={1 << 1: 1}))
+        # E11 is toral, so it is a witness
+        assert verify_verdict(A, replace(v, witness_elem={1 << 4: 1}))
+    # a padding vector has zero square
+    assert not verify_verdict(M, replace(verdicts[13], witness_elem={1 << 12: 1}))
+    # E00*E11 is a product of commuting idempotents, not nilpotent, but it
+    # is of PBW degree 2 and is not decided above the limit
+    assert verify_verdict(L, replace(verdicts[9], witness_elem={1 | 1 << 4: 1}))
+    assert not verify_verdict(M, replace(verdicts[13], witness_elem={1 | 1 << 4: 1}))

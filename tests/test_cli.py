@@ -148,6 +148,27 @@ def test_cli_family_bad_input_is_an_error(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tag,opt", [
+    ("fam-v", "h_dim=x"),
+    ("fam-v", "h_dim=2.0"),
+    ("fam-v", "h_dim="),
+    ("fam-i", "toral_action=yes"),
+    ("fam-i", "toral_action=False"),
+    ("fam-i", "toral_action=TRUE"),
+])
+def test_cli_family_opt_value_must_be_integer_or_boolean(capsys, tag, opt):
+    assert main(["family", tag, "--opt", opt]) == 1
+    key = opt.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: family option {key!r} takes an integer")
+
+
+def test_cli_family_opt_values_parse(capsys):
+    assert main(["family", "fam-i", "--opt", "toral_action=false", "--opt", "moved=1"]) == 0
+    off = capsys.readouterr().out
+    assert main(["family", "fam-i", "--opt", "toral_action=true", "--opt", "moved=1"]) == 0
+    assert capsys.readouterr().out != off
+
+
 def test_cli_json_deterministic(n7_file, capsys):
     assert main(["--json", "classify", n7_file]) == 0
     first = capsys.readouterr().out

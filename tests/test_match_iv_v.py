@@ -6,13 +6,15 @@ import itertools
 import pytest
 
 from liesolv.classify import (
-    LadderExhausted, _abelian, _abelian_complements, _candidate_ys, _eigen_one_space,
+    LadderExhausted, _abelian, _abelian_complements, _candidate_ys, _central_on,
+    _eigen_one_space,
     _finish_iv_v, _match_iv_v, _points_within, _verify_certificate, eigenvector_pair,
     isotropic_functionals, projective_vectors, subspace_points,
 )
+from liesolv.algebra import LieAlgebra
 from liesolv.families import family_iii, family_iv, family_v, random_instance
 from liesolv.fields import GF2, gf
-from liesolv.linalg import lin_comb, span
+from liesolv.linalg import Quotient, lin_comb, span
 
 from test_abelian_ideals import central_forms, random_algebras
 
@@ -297,3 +299,37 @@ def test_isotropic_functionals_hand_built(name):
             assert list(_abelian_complements(L, k, s, x)) == old, (field, x)
             complements += len(old)
         assert complements > 0 or expected == 0
+
+
+def _noncentral_eigenspace(field):
+    """[a,y] = a, [b,y] = b, [c,y] = c, [a,b] = w, [a,w] = b: the eigenspace
+    of y is span{a, b, c}, and only the line of c brackets it into Z = 0."""
+    def unit(i):
+        return tuple(field.one if j == i else field.zero for j in range(5))
+
+    L = LieAlgebra(field, ["y", "a", "b", "c", "w"],
+                   {(0, 1): unit(1), (0, 2): unit(2), (0, 3): unit(3), (1, 2): unit(4),
+                    (1, 4): unit(2)})
+    assert L.check_axioms().ok
+    return L
+
+
+def test_central_on_lists_the_points_the_filter_kept():
+    # the points of {x in k : [x, k] central} come in the order in which
+    # filtering every point of k found them
+    checked = proper = 0
+    cases = list(matcher_cases())
+    cases += [(f"noncentral-q{f.order}", _noncentral_eigenspace(f)) for f in FIELDS]
+    for label, L in cases:
+        f, z = L.field, L.center()
+        zelim, mod_z = z.elim(), Quotient(L.full_space(), z)
+        for y in _candidate_ys(L, zelim):
+            k = _eigen_one_space(L, y)
+            if k.dim < 2 or not _points_within(f, k.dim, 1 << 10):
+                continue
+            want = [x for x in subspace_points(f, k)
+                    if all(zelim.contains_vector(L.bracket(x, b)) for b in k.basis())]
+            assert list(subspace_points(f, _central_on(L, k, mod_z))) == want, label
+            checked += 1
+            proper += len(want) < (f.order ** k.dim - 1) // (f.order - 1)
+    assert (checked, proper) == (711, 24)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from liesolv.algebra import LieAlgebra
 from liesolv.fields import GF2, gf
 from liesolv.linalg import span
@@ -95,16 +97,15 @@ def test_u_domain_property_sampled():
         assert env.mul(a, b)
 
 
-def test_sparse_elim_express():
+def test_sparse_elim_rank():
     elim = SparseElim(GF2)
     env = UEnvelope(ordinary_h3())
     e1, e2 = env.gen(0), env.gen(1)
     assert elim.add(e1)
     assert elim.add(e2)
     assert not elim.add(env.add(e1, e2))
-    coords = elim.express(env.add(e1, e2))
-    assert coords == {0: 1, 1: 1}
-    assert elim.express(env.gen(2)) is None
+    assert elim.add(env.gen(2))
+    assert elim.rank == 3
 
 
 def test_corollary_classify_abelian():
@@ -175,6 +176,17 @@ def test_two_envelope_grows_on_nonabelian():
     assert res.dims[-1] > res.dims[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_envelope_never_stabilizes_for_positive_dim(n):
+    # every element of V_t has PBW degree <= 2^t and b_1^(2^(t+1)) is a new
+    # PBW monomial, so the span grows at every round
+    for seed in range(5):
+        L = random_ordinary_instance(n, GF2, seed)[0]
+        res = two_envelope(L, m_max=3)
+        assert not res.stabilized
+        assert all(a < b for a, b in zip(res.dims, res.dims[1:])), (n, seed, res.dims)
+
+
 def test_two_envelope_spans_nested():
     res = two_envelope(ordinary_h3(), m_max=3)
     assert res.dims == sorted(res.dims)
@@ -183,12 +195,7 @@ def test_two_envelope_spans_nested():
 def test_two_envelope_degenerate_zero_dim():
     L = LieAlgebra(GF2, [], {})
     res = two_envelope(L, m_max=2)
-    assert res.stabilized
-    assert res.algebra.n == 0
-    # cross-module consistency on the one stabilizing case: the restricted
-    # classifier agrees with the ordinary one
-    from liesolv.classify import classify
-    assert classify(res.algebra).outcome == "solvable"
+    assert res.stabilized and res.dims == [0, 0]
     assert corollary_classify(L).outcome == "solvable"
 
 

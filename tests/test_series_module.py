@@ -54,12 +54,12 @@ def _all_pairs_sz_ideal(env):
     """The sz ideal seeded from [u, x_g] for every u in a basis of D_2."""
     d1 = env._basis(env._span(env._d1_brackets()))
     d2 = env._basis(env._span(env._pair_brackets(d1)))
-    gen = env._span(right ^ left for u in d2 for right, left in env._gen_products(u))
+    gen = env._span(env._lie_gen(u, g) for u in d2 for g in range(env.n))
     queue = env._basis(gen)
     while queue:
         v = queue.pop()
-        for pair in env._gen_products(v):
-            for w in pair:
+        for g in range(env.n):
+            for w in (env._mul_gen(v, g), env._gen_mul(g, v)):
                 if w and env._span_add(gen, w):
                     queue.append(w)
     return [env._to_dict(e) for e in env._basis(gen)]
