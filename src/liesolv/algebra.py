@@ -457,11 +457,10 @@ class RestrictedLieAlgebra(LieAlgebra):
 
     # -- derived algebras ------------------------------------------------
 
-    def quotient(self, ideal: RestrictedIdeal,
-                 name_prefix: str = "q") -> Tuple["RestrictedLieAlgebra", Quotient]:
+    def quotient(self, ideal: RestrictedIdeal) -> Tuple["RestrictedLieAlgebra", Quotient]:
         quot = Quotient(self.full_space(), ideal.space)
         d = quot.dim
-        names = [f"{name_prefix}{i}" for i in range(d)]
+        names = [f"q{i}" for i in range(d)]
         brackets = {}
         for i in range(d):
             for j in range(i + 1, d):
@@ -529,8 +528,7 @@ class RestrictedLieAlgebra(LieAlgebra):
         pmap = [to_new(self.pmap_eval(v)) for v in new_basis]
         return RestrictedLieAlgebra(f, names, brackets, pmap)
 
-    def subalgebra_on(self, s: Subspace,
-                      name_prefix: str = "s") -> Tuple["RestrictedLieAlgebra", List[Tuple]]:
+    def subalgebra_on(self, s: Subspace) -> Tuple["RestrictedLieAlgebra", List[Tuple]]:
         """The restricted algebra structure on a bracket- and square-closed subspace."""
         basis = s.basis()
         e = s.elim()
@@ -556,5 +554,5 @@ class RestrictedLieAlgebra(LieAlgebra):
             if not e.contains_vector(w):
                 raise NotAnIdeal("subspace is not square-closed")
             pmap.append(coords(w))
-        names = [f"{name_prefix}{i}" for i in range(d)]
+        names = [f"s{i}" for i in range(d)]
         return RestrictedLieAlgebra(f, names, brackets, pmap), basis

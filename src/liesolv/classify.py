@@ -2,14 +2,17 @@
 
 The pipeline refutes first (non-nilpotent elements of the ideal
 generated by [[a,b],[c,d],e] in u(L) kill solvability outright), then
-tries to certify solvability over a ladder of field extensions.  At each
-degree it computes a canonical 2-nilpotent core ideal and matches the
-quotient against the five structural conditions.  When none matches, it
-tries one alternative core, the restricted closure of the 2-nilpotent
-locus of the whole centre (the canonical core takes that locus on the
-derived algebra only), if it differs from the canonical core and is
-2-nilpotent.  Every positive verdict carries re-checkable witnesses; a
-refutation carries a concrete non-nilpotent element.
+tries to certify solvability over a ladder of field extensions.  It
+computes a canonical 2-nilpotent core ideal once, over the base field,
+and at each degree matches the base-changed quotient against the five
+structural conditions; every step of the core commutes with base
+change, so the core of L⊗K is the embedded core of L.  When none
+matches, it tries one alternative core, found on the first miss: the
+restricted closure of the 2-nilpotent locus of the whole centre (the
+canonical core takes that locus on the derived algebra only), if it
+differs from the canonical core and is 2-nilpotent.  Every positive
+verdict carries re-checkable witnesses; a refutation carries a concrete
+non-nilpotent element.
 
 The parts of conditions (i)-(iii) that read brackets only
 (``abelian_ideals``, ``class2_center``, ``eigenvector_pair``) take any
@@ -40,11 +43,6 @@ CONDITION_NAMES = {
 class CoreNotNilpotent(Exception):
     """The canonical core candidate is not 2-nilpotent (a refutation signal)."""
 
-    def __init__(self, witness_vec, description):
-        super().__init__(description)
-        self.witness_vec = witness_vec
-        self.description = description
-
 
 class LadderExhausted(Exception):
     pass
@@ -72,8 +70,7 @@ class Verdict:
     reason: Optional[str] = None
     oracle: Optional[dict] = None
     # rich fields for re-verification (not serialized)
-    core_space: Optional[Subspace] = None
-    extended_algebra: Optional[RestrictedLieAlgebra] = None
+    core_space: Optional[Subspace] = None   # in the coordinates of L⊗K
     witness_elem: Optional[dict] = None
     witness_algebra: Optional[RestrictedLieAlgebra] = None
 
@@ -194,10 +191,7 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     [x, x b] per (x, b).
     """
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
-    d1 = L.derived_subalgebra()
-    d2 = L.bracket_span(d1, d1)
-    closure = L.restricted_closure(L.bracket(v, L.basis_vector(j))
-                                   for v in d2.basis() for j in range(L.n))
+    closure = _bracket_closure(L)
     if closure.space.dim:
         ok, chain = L.is_2nilpotent_ideal(closure.space)
         if not ok:
@@ -234,6 +228,14 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     return None
 
 
+def _bracket_closure(L: RestrictedLieAlgebra) -> RestrictedIdeal:
+    """C, the restricted closure of [[L',L'],L]: test (a) and the start of the core."""
+    d1 = L.derived_subalgebra()
+    d2 = L.bracket_span(d1, d1)
+    return L.restricted_closure(L.bracket(v, L.basis_vector(j))
+                                for v in d2.basis() for j in range(L.n))
+
+
 def _find_non_2nilpotent(L: RestrictedLieAlgebra, stable: Subspace):
     """Hunt for a single non-2-nilpotent element inside a stable chain term."""
     f = L.field
@@ -254,40 +256,29 @@ def _find_non_2nilpotent(L: RestrictedLieAlgebra, stable: Subspace):
 # ----------------------------------------------------------------------
 
 def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
-    """Fixpoint core: repeatedly absorb the closure of [[L',L'],L] and the
-    2-nilpotent locus of the center, pulled back through the quotients."""
-    core_gens: List[tuple] = []
-    while True:
-        core = L.restricted_closure(core_gens)
-        if core.space.dim == L.n:
-            break
+    """Fixpoint core: the closure C of [[L',L'],L], then repeatedly the
+    2-nilpotent locus of M' intersected with the centre of M = L/core,
+    pulled back through the quotient.
+
+    C is absorbed once: [[M',M'],M] is the image of [[L',L'],L], which
+    lies in C and so in the core, and its closure in M is 0.
+    """
+    core = _bracket_closure(L)
+    if not L.is_2nilpotent_ideal(core.space)[0]:
+        raise CoreNotNilpotent("closure of [[L',L'],L] is not 2-nilpotent")
+    while core.space.dim < L.n:
         if core.space.dim:
             M, quot = L.quotient(core)
             lift = quot.lift
         else:
             M, lift = L, lambda w: w
-        d1 = M.derived_subalgebra()
-        d2 = M.bracket_span(d1, d1)
-        cl = M.restricted_closure(M.bracket(v, M.basis_vector(j))
-                                  for v in d2.basis() for j in range(M.n))
-        if cl.space.dim:
-            ok, chain = M.is_2nilpotent_ideal(cl.space)
-            if not ok:
-                w = _find_non_2nilpotent(M, chain[-1])
-                raise CoreNotNilpotent(
-                    w, "closure of [[L',L'],L] is not 2-nilpotent in the reduced algebra")
-            core_gens.extend(lift(row) for row in cl.space.rows)
-            continue
-        # 2-nilpotent part of L' intersected with the center
-        locus = _central_2nilpotent_locus(M, M.center().intersect(d1))
+        locus = _central_2nilpotent_locus(M, M.center().intersect(M.derived_subalgebra()))
         if not locus.dim:
             break
-        core_gens.extend(lift(row) for row in locus.rows)
-    ideal = L.restricted_closure(core_gens)
-    ok, _ = L.is_2nilpotent_ideal(ideal.space)
-    if not ok:
-        raise CoreNotNilpotent(None, "accumulated core failed the 2-nilpotency check")
-    return ideal
+        core = L.restricted_closure([*core.space.rows, *map(lift, locus.rows)])
+    if not L.is_2nilpotent_ideal(core.space)[0]:
+        raise CoreNotNilpotent("accumulated core failed the 2-nilpotency check")
+    return core
 
 
 def _central_2nilpotent_locus(L: RestrictedLieAlgebra, z: Subspace) -> Subspace:
@@ -657,18 +648,42 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
 TAG_ORDER = ["i", "ii", "iii", "iv", "v"]
 
 
-def _try_core_and_match(Lm: RestrictedLieAlgebra, degree: int,
-                        core: RestrictedIdeal) -> Optional[Verdict]:
-    quotient_alg, _ = Lm.quotient(core) if core.space.dim else (Lm, None)
+def _quotient(L: RestrictedLieAlgebra, core: RestrictedIdeal) -> RestrictedLieAlgebra:
+    return L.quotient(core)[0] if core.space.dim else L
+
+
+def _alternative_core(L: RestrictedLieAlgebra, core: RestrictedIdeal) -> tuple:
+    """(ideal, quotient) of the restricted closure of the centre's
+    2-nilpotent locus, or () when it equals core or is not 2-nilpotent."""
+    alt = L.restricted_closure(_central_2nilpotent_locus(L, L.center()).rows)
+    if alt.space != core.space and L.is_2nilpotent_ideal(alt.space)[0]:
+        return alt, _quotient(L, alt)
+    return ()
+
+
+def _match_over(Q: RestrictedLieAlgebra, ext) -> Optional[Certificate]:
+    """The first condition that Q⊗K matches, with ext = (K, embedding),
+    or None for Q over its own field."""
+    Qm = Q.base_change(*ext) if ext else Q
     for tag in TAG_ORDER:
-        cert = match_condition(quotient_alg, tag)
+        cert = match_condition(Qm, tag)
         if cert is not None:
-            return Verdict(
-                outcome="solvable", condition=tag, extension_degree=degree,
-                core_basis=[Lm.element_str(r) for r in core.space.rows],
-                certificate=cert, core_space=core.space,
-                extended_algebra=Lm)
+            return cert
     return None
+
+
+def _solvable_verdict(L: RestrictedLieAlgebra, degree: int, ext,
+                      core: RestrictedIdeal, cert: Certificate) -> Verdict:
+    """The verdict of a match over ext; the core of L⊗K is the embedded core of L."""
+    if ext:
+        big, embed = ext
+        Lm = L.base_change(big, embed)
+        space = Lm.span_of(tuple(map(embed, row)) for row in core.space.rows)
+    else:
+        Lm, space = L, core.space
+    return Verdict(outcome="solvable", condition=cert.condition, extension_degree=degree,
+                   core_basis=[Lm.element_str(r) for r in space.rows],
+                   certificate=cert, core_space=space)
 
 
 def classify(L: RestrictedLieAlgebra,
@@ -683,44 +698,36 @@ def classify(L: RestrictedLieAlgebra,
         return Verdict(outcome="inconclusive",
                        reason="structural matching needs a GF(2^k) base field; "
                               "only the refutation tests run over this field")
+    # test (a) passed, so the core is 2-nilpotent
+    core = nilpotent_core(L)
+    quotient = _quotient(L, core)
+    alt = None              # looked for on the first miss
     ladder_note = None
     for degree in range(1, options.extension_ladder_max + 1):
-        if degree == 1:
-            Lm = L
-        else:
+        ext = None
+        if degree > 1:
             try:
-                big, embed = L.field.extend(degree)
+                ext = L.field.extend(degree)
             except Exception as exc:           # degree too large for root search
                 ladder_note = str(exc)
                 break
-            Lm = L.base_change(big, embed)
+        used = core
         try:
-            core = nilpotent_core(Lm)
-        except CoreNotNilpotent as exc:
-            w = exc.witness_vec
-            return Verdict(
-                outcome="not_solvable", witness_kind="necessary_test",
-                extension_degree=degree,
-                witness_str=Lm.element_str(w) if w is not None else exc.description,
-                reason=exc.description,
-                witness_elem={1 << i: c for i, c in enumerate(w)
-                              if not Lm.field.is_zero(c)} if w is not None else None,
-                witness_algebra=Lm,
-                oracle=_run_oracle(L, options))
-        try:
-            verdict = _try_core_and_match(Lm, degree, core)
+            cert = _match_over(quotient, ext)
         except LadderExhausted as exc:
-            ladder_note = str(exc)
-            verdict = None
-        if verdict is None:
+            ladder_note, cert = str(exc), None
+        if cert is None:
             # any 2-nilpotent restricted ideal may serve as the core
-            alt = Lm.restricted_closure(_central_2nilpotent_locus(Lm, Lm.center()).rows)
-            if alt.space != core.space and Lm.is_2nilpotent_ideal(alt.space)[0]:
+            if alt is None:
+                alt = _alternative_core(L, core)
+            if alt:
+                used = alt[0]
                 try:
-                    verdict = _try_core_and_match(Lm, degree, alt)
+                    cert = _match_over(alt[1], ext)
                 except LadderExhausted:
                     pass
-        if verdict is not None:
+        if cert is not None:
+            verdict = _solvable_verdict(L, degree, ext, used, cert)
             verdict.oracle = _run_oracle(L, options)
             return verdict
     oracle = _run_oracle(L, options)
@@ -751,9 +758,14 @@ def _run_oracle(L: RestrictedLieAlgebra,
 
 
 def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
-    """Re-check the carried evidence of a classify verdict from scratch."""
+    """Re-check the carried evidence of a classify verdict from scratch.
+
+    L⊗K is rebuilt from L and the extension degree, and a
+    ``necessary_test`` refutation from the closure C of [[L',L'],L].
+    """
     if verdict.outcome == "solvable":
-        Lm = verdict.extended_algebra
+        degree = verdict.extension_degree
+        Lm = L.base_change(*L.field.extend(degree)) if degree > 1 else L
         core = verdict.core_space
         ok, _ = Lm.is_2nilpotent_ideal(core)
         if not ok:
@@ -763,28 +775,34 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
         cert = verdict.certificate
         return _verify_certificate(quotient_alg, cert)
     if verdict.outcome == "not_solvable":
+        if verdict.witness_kind == "necessary_test":
+            closure = _bracket_closure(L).space
+            if L.is_2nilpotent_ideal(closure)[0]:
+                return False
+            return verdict.witness_elem is None or \
+                _non_2nilpotent_in(L, verdict.witness_elem, closure)
         if verdict.witness_elem is not None and verdict.witness_algebra is not None:
             wa = verdict.witness_algebra
             if wa.n > MAX_ENVELOPE_N:
-                return _non_2nilpotent_in_l(wa, verdict.witness_elem)
+                return _non_2nilpotent_in(wa, verdict.witness_elem, wa.full_space())
             env = Envelope(wa)
             nil, _ = env.is_nilpotent(verdict.witness_elem)
             return not nil
-        return verdict.oracle is not None and verdict.oracle["outcome"] == "stabilized" \
-            or verdict.witness_kind == "necessary_test"
+        return verdict.oracle is not None and verdict.oracle["outcome"] == "stabilized"
     return True
 
 
-def _non_2nilpotent_in_l(L: RestrictedLieAlgebra, elem: dict) -> bool:
-    """Whether a witness too large for u(L) is a non-nilpotent element of L.
+def _non_2nilpotent_in(L: RestrictedLieAlgebra, elem: dict, space: Subspace) -> bool:
+    """Whether a witness, in PBW masks, is an element of space ⊆ L that is
+    not nilpotent.
 
     For x in L, x^(2^e) = x^[2^e] in u(L), so x is nilpotent there iff it
-    is 2-nilpotent in L.  A witness of higher PBW degree is not decided.
+    is 2-nilpotent in L.  A witness of any other PBW degree is rejected.
     """
-    if not all(m and not m & (m - 1) for m in elem):
+    if any(m <= 0 or m & (m - 1) or m >> L.n for m in elem):
         return False
     v = [elem.get(1 << i, L.field.zero) for i in range(L.n)]
-    return not L.is_2nilpotent_element(v)[0]
+    return space.contains_vector(v) and not L.is_2nilpotent_element(v)[0]
 
 
 def _verify_certificate(Lq: RestrictedLieAlgebra, cert: Certificate) -> bool:

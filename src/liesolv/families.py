@@ -302,7 +302,7 @@ def example_7_1_report() -> Example71Report:
     j_2nil, _ = Lx.is_2nilpotent_ideal(j_ideal.space)
     j_ok = j_2nil and j_ideal.space.dim == 2
 
-    Q, quot = Lx.quotient(j_ideal, name_prefix="q")
+    Q, quot = Lx.quotient(j_ideal)
     gens = []
     for coeff, gen_idx in ((None, idx["x"]), (a1, idx["x1"]), (b1, idx["x1"])):
         v = [big.zero] * 7

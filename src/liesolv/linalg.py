@@ -275,11 +275,6 @@ class Eliminator:
             raise FieldMismatch("packed rows need a GF(2^k) eliminator")
         return [list(r) for r in self._impl.basis()]
 
-    def basis_masks(self) -> List[int]:
-        """The RREF rows as bitmasks, in pivot order (GF(2) only)."""
-        self._check_gf2()
-        return [r[0] for r in self._impl.basis()]
-
     def to_subspace(self) -> "Subspace":
         return Subspace._from_rref(self.field, self.ambient,
                                    self.basis_rows(), self.pivots)

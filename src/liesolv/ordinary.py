@@ -136,9 +136,6 @@ class UEnvelope:
     def lie(self, a: dict, b: dict) -> dict:
         return self.add(self.mul(a, b), self.mul(b, a))
 
-    def square(self, a: dict) -> dict:
-        return self.mul(a, a)
-
     def element_str(self, a: dict) -> str:
         if not a:
             return "0"
@@ -156,61 +153,6 @@ class UEnvelope:
             c = a[m]
             parts.append(mono if c == f.one else f"{f.to_str(c)}·{mono}")
         return " + ".join(parts)
-
-
-# ----------------------------------------------------------------------
-# sparse elimination over dynamic monomial columns
-# ----------------------------------------------------------------------
-
-class SparseElim:
-    """RREF accumulator keyed by arbitrary ordered column keys.
-
-    Used for subspaces of U(L), whose ambient monomial set is unbounded;
-    rows are sparse dicts and pivots are the smallest key by
-    (total degree, tuple) order.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: List[Tuple[Tuple, dict]] = []  # (pivot, row)
-
-    @staticmethod
-    def _key(m):
-        return (sum(m), m)
-
-    def _reduce(self, vec: dict) -> dict:
-        # rows are sorted by pivot and each row's support starts at its
-        # pivot, so one ordered pass fully reduces the vector
-        f = self.field
-        vec = dict(vec)
-        for piv, row in self.rows:
-            c = vec.get(piv)
-            if c is not None and not f.is_zero(c):
-                for m, x in row.items():
-                    s = f.add(vec.get(m, f.zero), f.mul(c, x))
-                    if f.is_zero(s):
-                        vec.pop(m, None)
-                    else:
-                        vec[m] = s
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        f = self.field
-        vec = self._reduce(vec)
-        if not vec:
-            return False
-        piv = min(vec, key=self._key)
-        lead = vec[piv]
-        if lead != f.one:
-            inv = f.inv(lead)
-            vec = {m: f.mul(inv, c) for m, c in vec.items()}
-        self.rows.append((piv, vec))
-        self.rows.sort(key=lambda r: self._key(r[0]))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 # ----------------------------------------------------------------------
@@ -399,27 +341,17 @@ class TwoEnvelopeResult:
 
 
 def two_envelope(L: LieAlgebra, m_max: int = 6) -> TwoEnvelopeResult:
-    """Accumulate spans of iterated squares of L inside U(L).
+    """The dimensions of the spans of iterated squares of L inside U(L).
 
     V_0 is L and V_(t+1) adds the squares and brackets of a basis of V_t.
-    The spans stabilize only when n = 0: every element of V_t has PBW
-    degree at most 2^t, while b_1^(2^(t+1)) is in V_(t+1) and is a PBW
-    monomial of higher degree, so each round grows the span.
+    In characteristic 2, [x^2, y] = [x, [x, y]], so every bracket falls
+    back into L and V_t = L + span{b_i^(2^s) : 1 <= s <= t}, of dimension
+    (t+1)n: the powers b_i^(2^s) are distinct PBW monomials of degree
+    2^s.  So the spans stabilize (at 0) only when n = 0.
     """
-    env = UEnvelope(L)
-    elim = SparseElim(L.field)
-    basis = [env.gen(i) for i in range(L.n) if elim.add(env.gen(i))]
-    dims = [elim.rank]
-    for _ in range(m_max):
-        new_elems = [env.square(w) for w in basis]
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                new_elems.append(env.lie(basis[i], basis[j]))
-        basis += [e for e in new_elems if elim.add(e)]
-        dims.append(elim.rank)
-        if dims[-1] == dims[-2]:
-            return TwoEnvelopeResult(True, dims)
-    return TwoEnvelopeResult(False, dims)
+    if m_max > 0 and L.n == 0:
+        return TwoEnvelopeResult(True, [0, 0])
+    return TwoEnvelopeResult(False, [(t + 1) * L.n for t in range(max(m_max, 0) + 1)])
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.classify import (
-    PATTERN_BUDGET, ClassifyOptions, LadderExhausted, Verdict, classify, match_condition,
-    necessary_tests, nilpotent_core, verify_verdict, _bracket_patterns,
-    _central_2nilpotent_locus, _pairing_elements, _run_oracle, _try_core_and_match,
+    PATTERN_BUDGET, TAG_ORDER, ClassifyOptions, CoreNotNilpotent, LadderExhausted, Verdict,
+    classify, match_condition, necessary_tests, nilpotent_core, verify_verdict,
+    _alternative_core, _bracket_patterns, _central_2nilpotent_locus,
+    _match_over, _pairing_elements, _quotient, _run_oracle, _solvable_verdict,
 )
 from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
@@ -306,6 +307,20 @@ def test_alternative_core_certifies_family_v_with_central_w(q, h_dim):
     assert verify_verdict(L, v)
 
 
+def _try_core_and_match(Lm, degree, core):
+    """Match Lm modulo core against the conditions: the per-degree step of
+    the reference below, which runs on L⊗K itself."""
+    quotient_alg, _ = Lm.quotient(core) if core.space.dim else (Lm, None)
+    for tag in TAG_ORDER:
+        cert = match_condition(quotient_alg, tag)
+        if cert is not None:
+            return Verdict(
+                outcome="solvable", condition=tag, extension_degree=degree,
+                core_basis=[Lm.element_str(r) for r in core.space.rows],
+                certificate=cert, core_space=core.space)
+    return None
+
+
 def _classify_subset_search(L):
     """classify with the former alternative-core search, as the reference:
     after the canonical core, the restricted closures of every subset of a
@@ -378,6 +393,141 @@ def test_alternative_core_matches_subset_search():
     assert decided_by_alternative >= 3
 
 
+# ----------------------------------------------------------------------
+# one core, over the base field
+# ----------------------------------------------------------------------
+
+def _nilpotent_core_rounds(L):
+    """The core as computed before C was absorbed once: each round takes
+    the closure of [[M',M'],M] on M = L/core, and only when it is 0 the
+    2-nilpotent locus of M' intersected with the centre.  Returns the core
+    and the number of rounds that grew it."""
+    core_gens, rounds = [], 0
+    while True:
+        core = L.restricted_closure(core_gens)
+        if core.space.dim == L.n:
+            break
+        if core.space.dim:
+            M, quot = L.quotient(core)
+            lift = quot.lift
+        else:
+            M, lift = L, lambda w: w
+        d1 = M.derived_subalgebra()
+        d2 = M.bracket_span(d1, d1)
+        cl = M.restricted_closure(M.bracket(v, M.basis_vector(j))
+                                  for v in d2.basis() for j in range(M.n))
+        rounds += 1
+        if cl.space.dim:
+            if not M.is_2nilpotent_ideal(cl.space)[0]:
+                raise CoreNotNilpotent("closure of [[M',M'],M] is not 2-nilpotent")
+            core_gens.extend(lift(row) for row in cl.space.rows)
+            continue
+        locus = _central_2nilpotent_locus(M, M.center().intersect(d1))
+        if not locus.dim:
+            break
+        core_gens.extend(lift(row) for row in locus.rows)
+    ideal = L.restricted_closure(core_gens)
+    assert L.is_2nilpotent_ideal(ideal.space)[0]
+    return ideal, rounds
+
+
+def _family_instances(f):
+    return [heisenberg(f), family_i(f), family_i(f, toral=0, nilchain=2, moved=2,
+                                                  toral_action=True),
+            free_class2(f, gens=3), free_class2(f, gens=3, center_squares=True),
+            family_iii(f), family_iii(f, central_dim=1, central_bracket=True),
+            family_iv(f, h_dim=2), family_v(f, h_dim=2), negative_class2(f)]
+
+
+def _core_instances():
+    """random_instance for n = 2..7 and 35 seeds, and the families, over
+    GF(2), GF(4) and GF(8), then the central extensions and gl_3, whose
+    closure C is not 2-nilpotent."""
+    for f in (GF2, GF4, gf(8)):
+        for n in range(2, 8):
+            for seed in range(35):
+                yield random_instance(n, f, seed)[0]
+        yield from _family_instances(f)
+    yield from _central_extensions(0)
+    yield _gl3()
+
+
+def test_nilpotent_core_matches_the_per_round_closure():
+    count = refuted = multi_round = 0
+    for L in _core_instances():
+        count += 1
+        try:
+            want, rounds = _nilpotent_core_rounds(L)
+        except CoreNotNilpotent:
+            with pytest.raises(CoreNotNilpotent):
+                nilpotent_core(L)
+            refuted += 1
+            continue
+        assert nilpotent_core(L).space == want.space, (L.names, L.pmap)
+        # a round on a nonzero core found the closure 0 there
+        multi_round += rounds > 1
+    assert count >= 600
+    assert multi_round >= 10 and refuted >= 1
+
+
+def _embedded(ext, rows):
+    return tuple(tuple(map(ext[1], r)) for r in rows)
+
+
+def _base_change_cases():
+    for f in (GF2, GF4, gf(8)):
+        yield from _family_instances(f)
+        for seed in range(4):
+            yield random_instance(5, f, seed)[0]
+    yield from itertools.islice(_central_extensions(1), 0, None, 3)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_base_change_commutes_with_core_and_quotient(degree):
+    for L in _base_change_cases():
+        if necessary_tests(L) is not None:
+            continue
+        ext = L.field.extend(degree)
+        Lm = L.base_change(*ext)
+        core, core_m = nilpotent_core(L), nilpotent_core(Lm)
+        assert core_m.space.rows == _embedded(ext, core.space.rows), L.names
+        Q, Qm = _quotient(L, core).base_change(*ext), _quotient(Lm, core_m)
+        assert (Q.names, Q._table, Q.pmap) == (Qm.names, Qm._table, Qm.pmap), L.names
+        alt, alt_m = _alternative_core(L, core), _alternative_core(Lm, core_m)
+        assert bool(alt) == bool(alt_m), L.names
+        if alt:
+            assert alt_m[0].space.rows == _embedded(ext, alt[0].space.rows)
+            Q = alt[1].base_change(*ext)
+            assert (Q._table, Q.pmap) == (alt_m[1]._table, alt_m[1].pmap)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_verdict_over_an_extension_matches_the_core_of_the_extension(degree):
+    # classify decides these at degree 1; the match over L⊗K of its
+    # quotient gives the verdict that the core of L⊗K itself gives, and
+    # verify_verdict rebuilds L⊗K and accepts it
+    matched = 0
+    for f in (GF2, GF4):
+        for L in _family_instances(f):
+            core = nilpotent_core(L)
+            ext = L.field.extend(degree)
+            Lm = L.base_change(*ext)
+            try:
+                want = _try_core_and_match(Lm, degree, nilpotent_core(Lm))
+                cert = _match_over(_quotient(L, core), ext)
+            except LadderExhausted:
+                continue
+            assert (cert is None) == (want is None), L.names
+            if cert is None:
+                continue
+            got = _solvable_verdict(L, degree, ext, core, cert)
+            assert got.to_json() == want.to_json()
+            assert got.core_space == want.core_space
+            assert verify_verdict(L, got)
+            matched += 1
+    assert matched >= 10
+
+
 def _gl3():
     """gl_3(GF(2)) on the matrix units E_ij, with x^[2] = x^2."""
     n = 9
@@ -400,8 +550,8 @@ def _gl3():
 
 def test_verify_verdict_decides_a_witness_above_max_envelope_n():
     # gl_3 plus a 4-dim abelian algebra with zero squares has n = 13, too
-    # large for u(L): a degree-1 witness is checked by its squares in L,
-    # and any other witness is rejected
+    # large for u(L).  A necessary_test witness is checked in L for any n:
+    # it must be a degree-1 element of C that is not 2-nilpotent
     L = _gl3()
     assert L.check_axioms().ok
     M = L.direct_sum(RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(4)], {},
@@ -411,15 +561,31 @@ def test_verify_verdict_decides_a_witness_above_max_envelope_n():
     for A in (L, M):
         v = verdicts[A.n] = classify(A)
         assert v.outcome == "not_solvable" and v.witness_str == "E00 + E22"
+        assert v.witness_kind == "necessary_test"
         assert v.witness_algebra is A
         assert verify_verdict(A, v)
         # E01 squares to zero: nilpotent, so no witness
         assert not verify_verdict(A, replace(v, witness_elem={1 << 1: 1}))
-        # E11 is toral, so it is a witness
-        assert verify_verdict(A, replace(v, witness_elem={1 << 4: 1}))
+        # E11 is toral, but it has trace 1, so it lies outside C = sl_3
+        assert not verify_verdict(A, replace(v, witness_elem={1 << 4: 1}))
     # a padding vector has zero square
     assert not verify_verdict(M, replace(verdicts[13], witness_elem={1 << 12: 1}))
     # E00*E11 is a product of commuting idempotents, not nilpotent, but it
-    # is of PBW degree 2 and is not decided above the limit
-    assert verify_verdict(L, replace(verdicts[9], witness_elem={1 | 1 << 4: 1}))
-    assert not verify_verdict(M, replace(verdicts[13], witness_elem={1 | 1 << 4: 1}))
+    # has PBW degree 2, so it is not an element of the closure C = sl_3
+    for A in (L, M):
+        v = verdicts[A.n]
+        assert not verify_verdict(A, replace(v, witness_elem={1 | 1 << 4: 1}))
+        # E00 + E11 is toral and lies in C
+        assert verify_verdict(A, replace(v, witness_elem={1: 1, 1 << 4: 1}))
+        # with no element, the verdict is re-derived from C alone
+        assert verify_verdict(A, replace(v, witness_elem=None))
+
+
+def test_verify_verdict_rederives_a_necessary_test_refutation():
+    # C = 0 on the Heisenberg algebra: a bare necessary_test refutation is refuted
+    bare = Verdict("not_solvable", witness_kind="necessary_test")
+    assert not verify_verdict(heisenberg(), bare)
+    assert not verify_verdict(heisenberg(), replace(bare, witness_elem={1 << 2: 1}))
+    assert verify_verdict(_gl3(), bare)
+    # the unit of u(L) is not an element of L
+    assert not verify_verdict(_gl3(), replace(bare, witness_elem={0: 1}))

@@ -88,26 +88,21 @@ def test_eliminator_basis_accessors():
     e2 = Eliminator(GF2, 9)
     for v in _low_rank_vecs(GF2, 9, 4, 7, rng):
         e2.add_vector(v)
-    assert e2.basis_masks() == [pack_row(GF2, r)[0] for r in e2.basis_rows()]
-    assert e2.basis_planes() == [[m] for m in e2.basis_masks()]
+    assert e2.basis_planes() == [pack_row(GF2, r) for r in e2.basis_rows()]
     e4 = Eliminator(GF4, 9)
     for v in _low_rank_vecs(GF4, 9, 4, 7, rng):
         e4.add_vector(v)
     assert e4.basis_planes() == [pack_row(GF4, r) for r in e4.basis_rows()]
-    with pytest.raises(FieldMismatch):
-        e4.basis_masks()
     for generic in (Eliminator(RATFUNC2, 3), Eliminator(GF2, 3, force_generic=True)):
         with pytest.raises(FieldMismatch):
             generic.basis_planes()
-        with pytest.raises(FieldMismatch):
-            generic.basis_masks()
 
 
 def test_add_mask_needs_packed_gf2():
     e = Eliminator(GF2, 4)
     assert e.add_mask(0b0110)
     assert not e.add_mask(0b0110)
-    assert e.basis_masks() == [0b0110]
+    assert e.basis_planes() == [[0b0110]]
     for elim in (Eliminator(GF4, 4), Eliminator(gf(8), 4), Eliminator(RATFUNC2, 4),
                  Eliminator(GF2, 4, force_generic=True)):
         with pytest.raises(FieldMismatch):

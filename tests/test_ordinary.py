@@ -3,10 +3,11 @@ import random
 import pytest
 
 from liesolv.algebra import LieAlgebra
-from liesolv.fields import GF2, gf
+from liesolv.families import example_7_1, family_v, heisenberg
+from liesolv.fields import GF2, RATFUNC2, gf
 from liesolv.linalg import span
 from liesolv.ordinary import (
-    SparseElim, UEnvelope, abelian_codim1_ideal, corollary_classify,
+    TwoEnvelopeResult, UEnvelope, abelian_codim1_ideal, corollary_classify,
     descent_abelian_codim1, random_ordinary_instance, two_envelope, witness_search,
 )
 
@@ -95,6 +96,95 @@ def test_u_domain_property_sampled():
             return out or {(0, 0, 0): 1}
         a, b = rand_nonzero(), rand_nonzero()
         assert env.mul(a, b)
+
+
+class SparseElim:
+    """RREF accumulator over the monomials of U(L), with pivots the least
+    monomial by (total degree, exponent tuple): the elimination of the
+    square-closure loop that ``two_envelope`` replaced."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot, row), sorted by pivot
+
+    @staticmethod
+    def _key(m):
+        return (sum(m), m)
+
+    def _reduce(self, vec):
+        f = self.field
+        vec = dict(vec)
+        for piv, row in self.rows:
+            c = vec.get(piv)
+            if c is not None and not f.is_zero(c):
+                for m, x in row.items():
+                    s = f.add(vec.get(m, f.zero), f.mul(c, x))
+                    if f.is_zero(s):
+                        vec.pop(m, None)
+                    else:
+                        vec[m] = s
+        return vec
+
+    def add(self, vec):
+        f = self.field
+        vec = self._reduce(vec)
+        if not vec:
+            return False
+        piv = min(vec, key=self._key)
+        inv = f.inv(vec[piv])
+        self.rows.append((piv, {m: f.mul(inv, c) for m, c in vec.items()}))
+        self.rows.sort(key=lambda r: self._key(r[0]))
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
+def _two_envelope_loop(L, m_max):
+    """The spans V_t accumulated in U(L), as the reference for the closed
+    form of ``two_envelope``: V_(t+1) adds the squares and brackets of a
+    basis of V_t."""
+    env = UEnvelope(L)
+    elim = SparseElim(L.field)
+    basis = [env.gen(i) for i in range(L.n) if elim.add(env.gen(i))]
+    dims = [elim.rank]
+    for _ in range(m_max):
+        new_elems = [env.mul(w, w) for w in basis]
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                new_elems.append(env.lie(basis[i], basis[j]))
+        basis += [e for e in new_elems if elim.add(e)]
+        dims.append(elim.rank)
+        if dims[-1] == dims[-2]:
+            return TwoEnvelopeResult(True, dims)
+    return TwoEnvelopeResult(False, dims)
+
+
+def _envelope_cases():
+    for field in (GF2, GF4):
+        for n in (1, 2, 3, 4):
+            for seed in range(6):
+                yield random_ordinary_instance(n, field, seed)[0], 3
+    yield heisenberg(), 3
+    for field in (GF2, GF4):
+        yield LieAlgebra(field, [], {}), 2
+        yield LieAlgebra(field, ["x"], {}), 0
+    one, zero = RATFUNC2.one, RATFUNC2.zero
+    ratfunc = [free2_ordinary(2, RATFUNC2), free2_ordinary(3, RATFUNC2),
+               heisenberg(RATFUNC2), family_v(RATFUNC2, 1), example_7_1(),
+               LieAlgebra(RATFUNC2, ["x"], {}),
+               LieAlgebra(RATFUNC2, ["x", "y"], {(0, 1): (one, zero)}),
+               LieAlgebra(RATFUNC2, [], {})]
+    for L in ratfunc:
+        yield L, 2
+
+
+def test_two_envelope_closed_form_matches_the_loop():
+    cases = list(_envelope_cases())
+    assert len(cases) >= 48 + 1 + 8
+    for L, m_max in cases:
+        assert two_envelope(L, m_max) == _two_envelope_loop(L, m_max), (L.names, m_max)
 
 
 def test_sparse_elim_rank():
