@@ -5,7 +5,8 @@ Jacobi check and everything computed from brackets alone (spans,
 centralisers, the three series, base change).  ``RestrictedLieAlgebra``
 is a ``LieAlgebra`` plus the square image of each basis vector, and adds
 what reads it: the restricted axiom, p-closure, restricted ideals,
-2-nilpotency, the torus decomposition, quotients.  Elements are
+2-nilpotency, the Fitting parts of the square map on central elements
+(the torus decomposition among them), quotients.  Elements are
 coordinate tuples; the square of a general element is defined by the
 unique semilinear extension
 
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .fields import GF2k, FieldMismatch
 from .linalg import (
     Eliminator, Quotient, Subspace, kernel, lin_comb, saturate, span, unit_vector,
-    vec_add, vec_is_zero, vec_scale,
+    vec_add, vec_is_zero,
 )
 
 
@@ -392,64 +393,50 @@ class RestrictedLieAlgebra(LieAlgebra):
         ok, _ = self.is_2nilpotent_ideal(derived)
         return ok
 
-    # -- torus decomposition ------------------------------------------------
+    # -- the square map's Fitting parts ------------------------------------
+
+    def square_fitting(self, s: Subspace) -> Tuple[Subspace, Subspace]:
+        """(image, kernel) of phi^n on s, where phi is the square map.
+
+        s must lie in the centre, or L be abelian.  Then phi is additive on
+        s and on its images, and phi(c x) = c^2 phi(x), so
+
+            phi^n(sum a_i s_i) = sum a_i^(2^n) phi^n(s_i).
+
+        The image is the span of the phi^n(s_i).  The kernel is the linear
+        kernel of the phi^n(s_i) with c -> c^(2^-n) applied to each
+        coordinate, which takes an RREF basis to an RREF basis.  An element
+        of s that phi kills eventually is killed within n steps, since it
+        lies in the square-closure of s, of dimension at most n; s itself
+        need not be square-closed.  Needs a perfect field, i.e. GF(2^k).
+        """
+        f = self.field
+        if not isinstance(f, GF2k):
+            raise UnsupportedField("the square map's Fitting parts need a GF(2^k) field")
+        basis, n = s.basis(), self.n
+        images = []
+        for v in basis:
+            for _ in range(n):
+                v = self.pmap_eval(v)
+            images.append(v)
+        # c^(2^-n) = c^(2^m) with m = -n mod k, since c^(2^k) = c
+        root = 1 << (-n % f.k)
+        ker = kernel(f, images, s.dim, n)
+        nil = [lin_comb(f, [f.pow(c, root) for c in row], basis, n) for row in ker.rows]
+        return self.span_of(images), self.span_of(nil)
 
     def torus_decomposition(self) -> Tuple[Subspace, Subspace]:
         """Fitting decomposition of the square map on an abelian algebra.
 
-        Returns (T, N): the square map is bijective on T and nilpotent on
-        N, and L = T + N directly.  Needs a perfect field, i.e. GF(2^k).
+        Returns (T, N) = (im phi^n, ker phi^n), the full-space case of
+        ``square_fitting``: the square map is bijective on T and nilpotent
+        on N, and L = T + N directly.  Needs a perfect field, i.e. GF(2^k).
         """
         if not self.is_abelian():
             raise NotAbelian("torus decomposition needs an abelian algebra")
-        f = self.field
-        if not isinstance(f, GF2k):
+        if not isinstance(self.field, GF2k):
             raise UnsupportedField("torus decomposition is defined over GF(2^k) only")
-        t = self.full_space()
-        while True:
-            img = self.span_of([self.pmap_eval(v) for v in t.basis()])
-            if img == t:
-                break
-            t = img
-        # eventual kernel of the square map, computed over GF(2) where it is linear
-        k, n = f.k, self.n
-        dim2 = n * k
-        t_pows = [f.pow(2, s) if k > 1 else 1 for s in range(k)]
-
-        def to_bits(vec) -> Tuple[int, ...]:
-            bits = []
-            for i in range(n):
-                for s in range(k):
-                    bits.append((vec[i] >> s) & 1)
-            return tuple(bits)
-
-        images = []
-        for i in range(n):
-            for s in range(k):
-                sq = f.mul(t_pows[s], t_pows[s])
-                img_vec = vec_scale(f, sq, self.pmap[i])
-                images.append(to_bits(img_vec))
-        # iterate the GF(2) kernel chain K_{j+1} = preimage of K_j to its fixpoint
-        from .fields import GF2
-        cur = kernel(GF2, images, dim2, dim2)
-        while True:
-            quot = Quotient(Subspace.full(GF2, dim2), cur)
-            proj_images = [quot.project(img) for img in images]
-            nxt = kernel(GF2, proj_images, dim2, quot.dim)
-            if nxt == cur:
-                break
-            cur = nxt
-        n_vecs = []
-        for row in cur.basis():
-            vec = []
-            for i in range(n):
-                c = 0
-                for s in range(k):
-                    if row[i * k + s]:
-                        c ^= t_pows[s]
-                vec.append(c)
-            n_vecs.append(tuple(vec))
-        nil = self.span_of(n_vecs)
+        t, nil = self.square_fitting(self.full_space())
         total, inter = t.sum_intersect(nil)
         if total.dim != self.n or inter.dim != 0:
             raise AssertionError("Fitting decomposition failed to split the algebra")
@@ -500,23 +487,11 @@ class RestrictedLieAlgebra(LieAlgebra):
             elim.add_vector(tuple(vec) + tuple(tag))
         if any(p >= n for p in elim.pivots) or elim.rank != n:
             raise FieldMismatch("rebase vectors are linearly dependent")
-        all_rows = elim.basis_rows()
-        left_rows = [row[:n] for row in all_rows]
-        inv_rows = [row[n:] for row in all_rows]
-        pivots = elim.pivots
+        # all n pivots lie in the left block, so the RREF of [B | I] is [I | B^-1]
+        inv_rows = [row[n:] for row in elim.basis_rows()]
 
         def to_new(vec):
-            out = [f.zero] * n
-            residue = list(vec)
-            for idx, p in enumerate(pivots):
-                c = residue[p]
-                if not f.is_zero(c):
-                    row = left_rows[idx]
-                    for j in range(n):
-                        residue[j] = f.add(residue[j], f.mul(c, row[j]))
-                    for j in range(n):
-                        out[j] = f.add(out[j], f.mul(c, inv_rows[idx][j]))
-            return tuple(out)
+            return lin_comb(f, vec, inv_rows, n)
 
         names = list(names) if names else [f"u{i}" for i in range(n)]
         brackets = {}
@@ -527,32 +502,3 @@ class RestrictedLieAlgebra(LieAlgebra):
                     brackets[(i, j)] = val
         pmap = [to_new(self.pmap_eval(v)) for v in new_basis]
         return RestrictedLieAlgebra(f, names, brackets, pmap)
-
-    def subalgebra_on(self, s: Subspace) -> Tuple["RestrictedLieAlgebra", List[Tuple]]:
-        """The restricted algebra structure on a bracket- and square-closed subspace."""
-        basis = s.basis()
-        e = s.elim()
-        f = self.field
-        d = len(basis)
-
-        def coords(vec):
-            # basis rows are in RREF, so coordinates read off at the pivots
-            return tuple(vec[p] for p in s.pivots)
-
-        brackets = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                w = self.bracket(basis[i], basis[j])
-                if not e.contains_vector(w):
-                    raise NotAnIdeal("subspace is not bracket-closed")
-                val = coords(w)
-                if not vec_is_zero(f, val):
-                    brackets[(i, j)] = val
-        pmap = []
-        for i in range(d):
-            w = self.pmap_eval(basis[i])
-            if not e.contains_vector(w):
-                raise NotAnIdeal("subspace is not square-closed")
-            pmap.append(coords(w))
-        names = [f"s{i}" for i in range(d)]
-        return RestrictedLieAlgebra(f, names, brackets, pmap), basis

@@ -27,7 +27,7 @@ from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra, RestrictedIdeal, RestrictedLieAlgebra
-from .envelope import MAX_ENVELOPE_N, Envelope
+from .envelope import Envelope
 from .fields import GF2k
 from .linalg import Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero
 
@@ -284,18 +284,15 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
 def _central_2nilpotent_locus(L: RestrictedLieAlgebra, z: Subspace) -> Subspace:
     """Largest subspace of z whose elements the square map kills eventually.
 
-    z must consist of central elements; it is square-closed inside the
-    center first so that the Fitting machinery applies, and the eventual
-    kernel is intersected back with z.  Needs a GF(2^k) field, as the
-    Fitting decomposition does.
+    z must consist of central elements, where the square map is
+    semilinear: the locus is the kernel of phi^n on z, with n = dim L
+    (``RestrictedLieAlgebra.square_fitting``), since z need not be
+    square-closed and its kernel chain can stall before it grows again.
+    Needs a GF(2^k) field.
     """
     if z.dim == 0:
         return z
-    closed = L.p_closure(z)
-    zalg, zbasis = L.subalgebra_on(closed)
-    _, nil = zalg.torus_decomposition()
-    vecs = [lin_comb(L.field, row, zbasis, L.n) for row in nil.rows]
-    return span(L.field, L.n, vecs).intersect(z)
+    return L.square_fitting(z)[1]
 
 
 # ----------------------------------------------------------------------
@@ -760,20 +757,22 @@ def _run_oracle(L: RestrictedLieAlgebra,
 def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
     """Re-check the carried evidence of a classify verdict from scratch.
 
-    L⊗K is rebuilt from L and the extension degree, and a
-    ``necessary_test`` refutation from the closure C of [[L',L'],L].
+    L⊗K is rebuilt from L and the extension degree, and the carried core
+    must be a 2-nilpotent restricted ideal of it.  A ``necessary_test``
+    refutation is re-derived from the closure C of [[L',L'],L], and an
+    ``sz_witness`` must be the one ``necessary_tests(L)`` finds and not
+    nilpotent in u(L).
     """
     if verdict.outcome == "solvable":
         degree = verdict.extension_degree
         Lm = L.base_change(*L.field.extend(degree)) if degree > 1 else L
         core = verdict.core_space
-        ok, _ = Lm.is_2nilpotent_ideal(core)
-        if not ok:
+        if core is None or verdict.certificate is None:
             return False
-        ideal = Lm.restricted_ideal(core)
-        quotient_alg, _ = Lm.quotient(ideal) if core.dim else (Lm, None)
-        cert = verdict.certificate
-        return _verify_certificate(quotient_alg, cert)
+        if not (Lm.is_ideal(core) and Lm.is_pmap_closed(core)
+                and Lm.is_2nilpotent_ideal(core)[0]):
+            return False
+        return _verify_certificate(_quotient(Lm, RestrictedIdeal(core)), verdict.certificate)
     if verdict.outcome == "not_solvable":
         if verdict.witness_kind == "necessary_test":
             closure = _bracket_closure(L).space
@@ -781,13 +780,12 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
                 return False
             return verdict.witness_elem is None or \
                 _non_2nilpotent_in(L, verdict.witness_elem, closure)
-        if verdict.witness_elem is not None and verdict.witness_algebra is not None:
-            wa = verdict.witness_algebra
-            if wa.n > MAX_ENVELOPE_N:
-                return _non_2nilpotent_in(wa, verdict.witness_elem, wa.full_space())
-            env = Envelope(wa)
-            nil, _ = env.is_nilpotent(verdict.witness_elem)
-            return not nil
+        if verdict.witness_kind == "sz_witness":
+            derived = necessary_tests(L)
+            if derived is None or derived.witness_kind != "sz_witness" \
+                    or derived.witness_elem != verdict.witness_elem:
+                return False
+            return not Envelope(L).is_nilpotent(verdict.witness_elem)[0]
         return verdict.oracle is not None and verdict.oracle["outcome"] == "stabilized"
     return True
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2, RatFunc2
+from .linalg import Quotient
 
 
 class BadParameters(Exception):
@@ -272,7 +273,7 @@ class Example71Report:
 
 
 def example_7_1_report() -> Example71Report:
-    from .classify import abelian_ideals
+    from .classify import _pairing_elements, abelian_ideals
     from .envelope import Envelope
 
     L = example_7_1()
@@ -331,22 +332,18 @@ def example_7_1_report() -> Example71Report:
     # the rigorous obstruction: the pairing pattern evaluated in u(Q) is an
     # element of the ideal generated by [[a,b],[c,d],e]; a codimension-1
     # abelian ideal would make u(Q) embed into 2x2 matrices over a
-    # commutative ring and force it to vanish
+    # commutative ring and force it to vanish (the first element of
+    # necessary test (b) on u(Q))
     envq = Envelope(Q)
-    zq = Q.center()
-    from .linalg import Quotient as _Quot
-    comp = _Quot(Q.full_space(), zq)
-    lifts = [envq.from_algebra_vec(l) for l in comp.lifted]
-    obstruction = ""
-    if len(lifts) >= 4:
-        t1 = envq.lie(envq.mul(envq.mul(lifts[3], lifts[2]), lifts[0]), lifts[3])
-        t2 = envq.lie(envq.mul(lifts[3], lifts[0]), lifts[0])
-        w_pat = envq.lie(envq.lie(t1, t2), lifts[1])
-        if w_pat:
-            obstruction = (f"pairing element in u(quotient) is nonzero: "
-                           f"{envq.element_str(w_pat)}")
-        else:
-            obstruction = "pairing element in u(quotient) vanishes"
+    lifts = Quotient(Q.full_space(), Q.center()).lifted
+    w_pat = next(_pairing_elements(envq, lifts), None)
+    if w_pat is None:
+        obstruction = ""
+    elif w_pat:
+        obstruction = (f"pairing element in u(quotient) is nonzero: "
+                       f"{envq.element_str(envq._to_dict(w_pat))}")
+    else:
+        obstruction = "pairing element in u(quotient) vanishes"
     notes = [
         "parts 1 and 2 reproduce the quoted computations exactly",
         "part 3 fails for this bracket table: the part-1 element factors as "

@@ -334,6 +334,40 @@ def test_torus_decomposition_random_abelian_corpus():
                 assert ok
 
 
+def _random_abelian(rng, field, n):
+    """An abelian algebra with a sparse random square map; any square map
+    is restricted on an abelian algebra, since ad vanishes."""
+    pmap = []
+    for _ in range(n):
+        row = [field.zero] * n
+        for _ in range(rng.randrange(3)):
+            row[rng.randrange(n)] = field.random(rng)
+        pmap.append(tuple(row))
+    return RestrictedLieAlgebra(field, [f"a{i}" for i in range(n)], {}, pmap)
+
+
+def test_torus_decomposition_matches_point_enumeration():
+    # every point v of L: v is in N iff iterating the square map kills it,
+    # and T is the set of the phi^n(v)
+    rng = random.Random(14)
+    count = mixed = 0
+    for field, max_n in ((GF2, 8), (GF4, 4), (gf(8), 3)):
+        for _ in range(100):
+            L = _random_abelian(rng, field, rng.randrange(1, max_n + 1))
+            t, nil = L.torus_decomposition()
+            images = set()
+            for v in itertools.product(field.elements(), repeat=L.n):
+                assert L.is_2nilpotent_element(v)[0] == nil.contains_vector(v), L.pmap
+                for _ in range(L.n):
+                    v = L.pmap_eval(v)
+                images.add(v)
+            assert len(images) == field.order ** t.dim
+            assert all(t.contains_vector(w) for w in images), L.pmap
+            count += 1
+            mixed += 0 < t.dim < L.n
+    assert count == 300 and mixed >= 50
+
+
 def test_torus_decomposition_errors():
     with pytest.raises(NotAbelian):
         h3().torus_decomposition()

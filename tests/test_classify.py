@@ -10,6 +10,7 @@ from liesolv.classify import (
     classify, match_condition, necessary_tests, nilpotent_core, verify_verdict,
     _alternative_core, _bracket_patterns, _central_2nilpotent_locus,
     _match_over, _pairing_elements, _quotient, _run_oracle, _solvable_verdict,
+    subspace_points,
 )
 from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
@@ -307,6 +308,18 @@ def test_alternative_core_certifies_family_v_with_central_w(q, h_dim):
     assert verify_verdict(L, v)
 
 
+def test_bracket_pattern_test_refutes_a_central_extension():
+    # family_v(GF(4), h_dim=2) plus a toral central w added to the squares
+    # of y, h1, z1 and z2 is not nilpotent, so the pairing test (b) does
+    # not run; the bracket-pattern test (c) refutes it, and so does the oracle
+    L = _with_central_w(family_v(GF4, h_dim=2), {"y", "h1", "z1", "z2"}, w_toral=True)
+    assert L.nilpotency_class() is None
+    v = classify(L)
+    assert (v.witness_kind, v.reason) == ("sz_witness", "bracket-pattern element is not nilpotent")
+    assert v.oracle["outcome"] == "stabilized"
+    assert verify_verdict(L, v)
+
+
 def _try_core_and_match(Lm, degree, core):
     """Match Lm modulo core against the conditions: the per-degree step of
     the reference below, which runs on L⊗K itself."""
@@ -470,6 +483,54 @@ def test_nilpotent_core_matches_the_per_round_closure():
     assert multi_round >= 10 and refuted >= 1
 
 
+def _locus_algebras():
+    """The core instances and, where the core is proper and nonzero, the
+    quotient by it."""
+    for L in _core_instances():
+        yield L
+        try:
+            core = nilpotent_core(L)
+        except CoreNotNilpotent:
+            continue
+        if 0 < core.space.dim < L.n:
+            yield _quotient(L, core)
+
+
+def test_central_2nilpotent_locus_matches_point_enumeration():
+    # on the centre and its meet with L', the locus is exactly the points
+    # that iterating the square map kills
+    algebras = proper = 0
+    for L in _locus_algebras():
+        z = L.center()
+        checked = False
+        for s in (z, z.intersect(L.derived_subalgebra())):
+            if L.field.order ** s.dim > 1 << 12:
+                continue
+            locus = _central_2nilpotent_locus(L, s)
+            assert s.contains(locus)
+            elim = locus.elim()
+            for v in subspace_points(L.field, s):
+                assert L.is_2nilpotent_element(v)[0] == elim.contains_vector(v), \
+                    (L.names, L.pmap)
+            checked = True
+            proper += 0 < locus.dim < s.dim
+        algebras += checked
+    assert algebras >= 600 and proper >= 150, (algebras, proper)
+
+
+def test_central_2nilpotent_locus_iterates_past_a_stall():
+    # a^[2] = b, b^[2] = 0 on an abelian algebra: phi kills no point of
+    # z = span{a} in dim z = 1 step, but a in two
+    L = RestrictedLieAlgebra(GF2, ["a", "b"], {}, [(0, 1), (0, 0)])
+    z = span(GF2, 2, [(1, 0)])
+    assert _central_2nilpotent_locus(L, z) == z
+    # c^[2] = c + a: a point with a c-coordinate keeps it under phi, so
+    # the locus of span{c, a} is span{a}
+    M = RestrictedLieAlgebra(GF2, ["a", "b", "c"], {}, [(0, 1, 0), (0, 0, 0), (1, 0, 1)])
+    assert _central_2nilpotent_locus(M, span(GF2, 3, [(0, 0, 1), (1, 0, 0)])) == \
+        span(GF2, 3, [(1, 0, 0)])
+
+
 def _embedded(ext, rows):
     return tuple(tuple(map(ext[1], r)) for r in rows)
 
@@ -589,3 +650,36 @@ def test_verify_verdict_rederives_a_necessary_test_refutation():
     assert verify_verdict(_gl3(), bare)
     # the unit of u(L) is not an element of L
     assert not verify_verdict(_gl3(), replace(bare, witness_elem={0: 1}))
+
+
+def test_verify_verdict_refutes_a_core_that_is_not_a_restricted_ideal():
+    # span{e1} of H3 has zero squares, but [e1, e2] = e3 leaves it
+    L = heisenberg()
+    v = classify(L)
+    assert verify_verdict(L, v)
+    assert not verify_verdict(L, replace(v, core_space=span(GF2, 3, [(1, 0, 0)])))
+    # a solvable verdict without its core or its certificate
+    assert not verify_verdict(L, replace(v, core_space=None))
+    assert not verify_verdict(L, replace(v, certificate=None))
+    # a^[2] = b: span{a} is an ideal of the abelian algebra and its
+    # closure span{a, b} is 2-nilpotent, but span{a} is not square-closed
+    A = RestrictedLieAlgebra(GF2, ["a", "b"], {}, [(0, 1), (0, 0)])
+    v = classify(A)
+    assert v.outcome == "solvable" and verify_verdict(A, v)
+    assert not verify_verdict(A, replace(v, core_space=span(GF2, 2, [(1, 0)])))
+
+
+def test_verify_verdict_rederives_an_sz_witness():
+    # the unit of u(H3) is not nilpotent, but necessary_tests finds no sz
+    # witness on H3
+    bare = Verdict("not_solvable", witness_kind="sz_witness", witness_elem={0: 1},
+                   witness_algebra=heisenberg())
+    assert not verify_verdict(heisenberg(), bare)
+    L = negative_class2()
+    v = classify(L)
+    assert v.witness_kind == "sz_witness" and verify_verdict(L, v)
+    # a non-nilpotent element other than the one necessary_tests finds
+    assert not Envelope(L).is_nilpotent({0: 1})[0]
+    assert not verify_verdict(L, replace(v, witness_elem={0: 1}))
+    assert not verify_verdict(L, replace(v, witness_elem=None))
+    assert not verify_verdict(heisenberg(), v)

@@ -420,16 +420,16 @@ def test_free_class2_pairing_identity():
 
 
 def test_chain_criterion_matches_envelope_oracle():
-    cases = []
+    # (L, s, the restricted subalgebra on the square-closure of s)
     L1 = heisenberg()
-    cases.append((L1, span(GF2, 3, [(1, 0, 0), (0, 0, 1)])))
+    # span{e1, e3} of H3 is abelian with zero squares
+    sub1 = RestrictedLieAlgebra(GF2, ["e1", "e3"], {}, [(0, 0), (0, 0)])
     L2 = negative_class2()
-    cases.append((L2, L2.full_space()))
     L3 = RestrictedLieAlgebra(GF2, ["a", "b"], {}, [(0, 1), (0, 0)])
-    cases.append((L3, L3.full_space()))
-    for L, sub in cases:
+    cases = [(L1, span(GF2, 3, [(1, 0, 0), (0, 0, 1)]), sub1),
+             (L2, L2.full_space(), L2), (L3, L3.full_space(), L3)]
+    for L, sub, sub_alg in cases:
         ok_chain, _ = L.is_2nilpotent_ideal(sub)
-        sub_alg, _ = L.subalgebra_on(L.p_closure(sub))
         ok_env, _ = envelope_augmentation_nilpotent(sub_alg)
         assert ok_chain == ok_env
 
