@@ -7,8 +7,10 @@ is a ``LieAlgebra`` plus the square image of each basis vector, and adds
 what reads it: the restricted axiom, p-closure, restricted ideals,
 2-nilpotency, the Fitting parts of the square map on central elements
 (the torus decomposition among them), quotients.  Elements are
-coordinate tuples; the square of a general element is defined by the
-unique semilinear extension
+coordinate tuples, and a restricted ideal is a plain ``Subspace``; the
+quotient by one is read from the bracket table and the square images
+at the columns that are not pivots of the ideal.  The square of a
+general element is defined by the unique semilinear extension
 
     (sum a_i b_i)^[2] = sum a_i^2 b_i^[2] + sum_{i<j} a_i a_j [b_i, b_j],
 
@@ -30,10 +32,6 @@ from .linalg import (
 
 
 class NotAbelian(Exception):
-    pass
-
-
-class NotAnIdeal(Exception):
     pass
 
 
@@ -60,16 +58,6 @@ class AxiomReport:
         if self.ok:
             return "all axioms hold"
         return "\n".join(f"{v.kind}{v.indices}: {v.detail}" for v in self.violations)
-
-
-@dataclass(frozen=True)
-class RestrictedIdeal:
-    """A subspace verified closed under [., L] and under the square map."""
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
 
 class LieAlgebra:
@@ -214,14 +202,10 @@ class LieAlgebra:
                 prev = terms[-1]
                 if prev.dim == self.n:
                     break
-                quot = Quotient(self.full_space(), prev)
-                images = []
-                for j in range(self.n):
-                    row = []
-                    for i in range(self.n):
-                        row.extend(quot.project(self.bracket(self.basis_vector(j),
-                                                             self.basis_vector(i))))
-                    images.append(tuple(row))
+                # [b_j, b_i] mod prev, read from the table
+                quot = Quotient(prev)
+                images = [tuple(c for v in self._table[j] for c in quot.project(v))
+                          for j in range(self.n)]
                 nxt = kernel(self.field, images, self.n, self.n * quot.dim)
                 if nxt == prev:
                     break
@@ -321,14 +305,7 @@ class RestrictedLieAlgebra(LieAlgebra):
         e = s.elim()
         return all(e.contains_vector(self.pmap_eval(v)) for v in s.basis())
 
-    def restricted_ideal(self, s: Subspace) -> RestrictedIdeal:
-        if not self.is_ideal(s):
-            raise NotAnIdeal("subspace is not bracket-closed against the algebra")
-        if not self.is_pmap_closed(s):
-            raise NotAnIdeal("subspace is not closed under the square map")
-        return RestrictedIdeal(s)
-
-    def restricted_closure(self, gens: Iterable[Sequence]) -> RestrictedIdeal:
+    def restricted_closure(self, gens: Iterable[Sequence]) -> Subspace:
         """Least restricted ideal containing gens.
 
         The span is closed under each [., b_j] and the square map.  That
@@ -336,7 +313,7 @@ class RestrictedLieAlgebra(LieAlgebra):
         and the brackets lie in a span closed under [., L].
         """
         maps = [partial(self.bracket, v=self.basis_vector(j)) for j in range(self.n)]
-        return RestrictedIdeal(self._saturated(gens, maps + [self.pmap_eval]))
+        return self._saturated(gens, maps + [self.pmap_eval])
 
     def p_closure(self, s: Subspace) -> Subspace:
         """Closure of a bracket-closed subspace under the square map."""
@@ -386,10 +363,9 @@ class RestrictedLieAlgebra(LieAlgebra):
                 return False, chain
             chain.append(nxt)
 
-    def is_2abelian(self, ideal: RestrictedIdeal) -> bool:
+    def is_2abelian(self, ideal: Subspace) -> bool:
         """True iff the derived subalgebra of the ideal is 2-nilpotent."""
-        s = ideal.space
-        derived = self.bracket_span(s, s)
+        derived = self.bracket_span(ideal, ideal)
         ok, _ = self.is_2nilpotent_ideal(derived)
         return ok
 
@@ -444,17 +420,22 @@ class RestrictedLieAlgebra(LieAlgebra):
 
     # -- derived algebras ------------------------------------------------
 
-    def quotient(self, ideal: RestrictedIdeal) -> Tuple["RestrictedLieAlgebra", Quotient]:
-        quot = Quotient(self.full_space(), ideal.space)
-        d = quot.dim
-        names = [f"q{i}" for i in range(d)]
+    def quotient(self, ideal: Subspace) -> Tuple["RestrictedLieAlgebra", Quotient]:
+        """L/ideal on the basis ``Quotient(ideal).lifted``.
+
+        The lifted basis is unit vectors, so its brackets and squares are
+        rows of the bracket table and of pmap.
+        """
+        quot = Quotient(ideal)
+        cols = quot.lift_pivots
+        names = [f"q{i}" for i in range(quot.dim)]
         brackets = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                val = quot.project(self.bracket(quot.lifted[i], quot.lifted[j]))
-                if any(not self.field.is_zero(c) for c in val):
-                    brackets[(i, j)] = val
-        pmap = [quot.project(self.pmap_eval(l)) for l in quot.lifted]
+        for a, i in enumerate(cols):
+            for b in range(a + 1, len(cols)):
+                val = quot.project(self._table[i][cols[b]])
+                if not vec_is_zero(self.field, val):
+                    brackets[(a, b)] = val
+        pmap = [quot.project(self.pmap[i]) for i in cols]
         return RestrictedLieAlgebra(self.field, names, brackets, pmap), quot
 
     def base_change(self, new_field, embed) -> "RestrictedLieAlgebra":

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import LieAlgebra, RestrictedIdeal, RestrictedLieAlgebra
+from .algebra import LieAlgebra, RestrictedLieAlgebra
 from .envelope import Envelope
-from .fields import GF2k
+from .fields import GF2k, FieldError
 from .linalg import Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero
 
 CONDITION_NAMES = {
@@ -72,7 +72,6 @@ class Verdict:
     # rich fields for re-verification (not serialized)
     core_space: Optional[Subspace] = None   # in the coordinates of L⊗K
     witness_elem: Optional[dict] = None
-    witness_algebra: Optional[RestrictedLieAlgebra] = None
 
     def to_json(self) -> dict:
         out = {
@@ -192,8 +191,8 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     """
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
     closure = _bracket_closure(L)
-    if closure.space.dim:
-        ok, chain = L.is_2nilpotent_ideal(closure.space)
+    if closure.dim:
+        ok, chain = L.is_2nilpotent_ideal(closure)
         if not ok:
             w = _find_non_2nilpotent(L, chain[-1])
             return Verdict(
@@ -203,7 +202,6 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
                 reason="the closure of [[L',L'],L] is not 2-nilpotent",
                 witness_elem={1 << i: c for i, c in enumerate(w)
                               if not L.field.is_zero(c)} if w is not None else None,
-                witness_algebra=L,
             )
     env = Envelope(L) if L.n <= 11 else None
     if env is None:
@@ -212,7 +210,7 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     # (b) pairing-combination elements on 4-subsets of a central complement
     cls = L.nilpotency_class()
     if cls is not None and cls <= 2:
-        lifts = Quotient(L.full_space(), L.center()).lifted
+        lifts = Quotient(L.center()).lifted
         tests.append(("pairing-combination", _pairing_elements(env, lifts)))
     # (c) bracket patterns over basis 4-tuples
     tests.append(("bracket-pattern", _bracket_patterns(env, PATTERN_BUDGET)))
@@ -224,11 +222,11 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
                     outcome="not_solvable", witness_kind="sz_witness",
                     witness_str=env.element_str(w),
                     reason=f"{name} element is not nilpotent",
-                    witness_elem=w, witness_algebra=L)
+                    witness_elem=w)
     return None
 
 
-def _bracket_closure(L: RestrictedLieAlgebra) -> RestrictedIdeal:
+def _bracket_closure(L: RestrictedLieAlgebra) -> Subspace:
     """C, the restricted closure of [[L',L'],L]: test (a) and the start of the core."""
     d1 = L.derived_subalgebra()
     d2 = L.bracket_span(d1, d1)
@@ -255,7 +253,7 @@ def _find_non_2nilpotent(L: RestrictedLieAlgebra, stable: Subspace):
 # canonical 2-nilpotent core
 # ----------------------------------------------------------------------
 
-def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
+def nilpotent_core(L: RestrictedLieAlgebra) -> Subspace:
     """Fixpoint core: the closure C of [[L',L'],L], then repeatedly the
     2-nilpotent locus of M' intersected with the centre of M = L/core,
     pulled back through the quotient.
@@ -264,10 +262,10 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
     lies in C and so in the core, and its closure in M is 0.
     """
     core = _bracket_closure(L)
-    if not L.is_2nilpotent_ideal(core.space)[0]:
+    if not L.is_2nilpotent_ideal(core)[0]:
         raise CoreNotNilpotent("closure of [[L',L'],L] is not 2-nilpotent")
-    while core.space.dim < L.n:
-        if core.space.dim:
+    while core.dim < L.n:
+        if core.dim:
             M, quot = L.quotient(core)
             lift = quot.lift
         else:
@@ -275,8 +273,8 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> RestrictedIdeal:
         locus = _central_2nilpotent_locus(M, M.center().intersect(M.derived_subalgebra()))
         if not locus.dim:
             break
-        core = L.restricted_closure([*core.space.rows, *map(lift, locus.rows)])
-    if not L.is_2nilpotent_ideal(core.space)[0]:
+        core = L.restricted_closure([*core.rows, *map(lift, locus.rows)])
+    if not L.is_2nilpotent_ideal(core)[0]:
         raise CoreNotNilpotent("accumulated core failed the 2-nilpotency check")
     return core
 
@@ -378,7 +376,7 @@ def abelian_ideals(L: LieAlgebra):
     if codim != 0:
         return
     f = L.field
-    quot = Quotient(L.full_space(), L.center())
+    quot = Quotient(L.center())
     d = quot.dim
     s = isotropic_functionals(L, quot.lifted)
     if s.dim == 0:
@@ -550,7 +548,7 @@ def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
     f = L.field
     z = L.center()
     zelim = z.elim()
-    mod_z = Quotient(L.full_space(), z)
+    mod_z = Quotient(z)
     for y in _candidate_ys(L, zelim):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
@@ -645,15 +643,15 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
 TAG_ORDER = ["i", "ii", "iii", "iv", "v"]
 
 
-def _quotient(L: RestrictedLieAlgebra, core: RestrictedIdeal) -> RestrictedLieAlgebra:
-    return L.quotient(core)[0] if core.space.dim else L
+def _quotient(L: RestrictedLieAlgebra, core: Subspace) -> RestrictedLieAlgebra:
+    return L.quotient(core)[0] if core.dim else L
 
 
-def _alternative_core(L: RestrictedLieAlgebra, core: RestrictedIdeal) -> tuple:
+def _alternative_core(L: RestrictedLieAlgebra, core: Subspace) -> tuple:
     """(ideal, quotient) of the restricted closure of the centre's
     2-nilpotent locus, or () when it equals core or is not 2-nilpotent."""
     alt = L.restricted_closure(_central_2nilpotent_locus(L, L.center()).rows)
-    if alt.space != core.space and L.is_2nilpotent_ideal(alt.space)[0]:
+    if alt != core and L.is_2nilpotent_ideal(alt)[0]:
         return alt, _quotient(L, alt)
     return ()
 
@@ -670,14 +668,14 @@ def _match_over(Q: RestrictedLieAlgebra, ext) -> Optional[Certificate]:
 
 
 def _solvable_verdict(L: RestrictedLieAlgebra, degree: int, ext,
-                      core: RestrictedIdeal, cert: Certificate) -> Verdict:
+                      core: Subspace, cert: Certificate) -> Verdict:
     """The verdict of a match over ext; the core of L⊗K is the embedded core of L."""
     if ext:
         big, embed = ext
         Lm = L.base_change(big, embed)
-        space = Lm.span_of(tuple(map(embed, row)) for row in core.space.rows)
+        space = Lm.span_of(tuple(map(embed, row)) for row in core.rows)
     else:
-        Lm, space = L, core.space
+        Lm, space = L, core
     return Verdict(outcome="solvable", condition=cert.condition, extension_degree=degree,
                    core_basis=[Lm.element_str(r) for r in space.rows],
                    certificate=cert, core_space=space)
@@ -705,7 +703,7 @@ def classify(L: RestrictedLieAlgebra,
         if degree > 1:
             try:
                 ext = L.field.extend(degree)
-            except Exception as exc:           # degree too large for root search
+            except FieldError as exc:          # degree too large for root search
                 ladder_note = str(exc)
                 break
         used = core
@@ -772,10 +770,10 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
         if not (Lm.is_ideal(core) and Lm.is_pmap_closed(core)
                 and Lm.is_2nilpotent_ideal(core)[0]):
             return False
-        return _verify_certificate(_quotient(Lm, RestrictedIdeal(core)), verdict.certificate)
+        return _verify_certificate(_quotient(Lm, core), verdict.certificate)
     if verdict.outcome == "not_solvable":
         if verdict.witness_kind == "necessary_test":
-            closure = _bracket_closure(L).space
+            closure = _bracket_closure(L)
             if L.is_2nilpotent_ideal(closure)[0]:
                 return False
             return verdict.witness_elem is None or \

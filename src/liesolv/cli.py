@@ -63,7 +63,7 @@ def _budget_block(args) -> dict:
 
 def _load(args, want=None):
     try:
-        L = parse_spec(args.file, skip_axioms=getattr(args, "skip_axioms", False))
+        L = parse_spec(args.file)
     except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -63,10 +63,6 @@ from .linalg import Eliminator, Quotient, Subspace, saturate
 MAX_ENVELOPE_N = 12
 
 
-class AlgebraMismatch(Exception):
-    pass
-
-
 class PreconditionFailed(Exception):
     pass
 
@@ -89,10 +85,6 @@ class SeriesResult:
     outcome: str            # "reached_zero" | "stabilized" | "budget_exceeded"
     value: int              # derived length, or the stable dimension
     terms: Optional[List[Subspace]] = None
-
-    @property
-    def solvable(self) -> bool:
-        return self.outcome == "reached_zero"
 
 
 @dataclass
@@ -575,41 +567,29 @@ class Envelope:
 
     # -- derived series oracle --------------------------------------------
 
-    def lie_derived_series(self, sub: Optional[Subspace] = None,
-                           max_steps: int = 64,
+    def lie_derived_series(self, max_steps: int = 64,
                            keep_terms: bool = False) -> SeriesResult:
-        """D_0 = sub (default u(L)), D_{k+1} = span[D_k, D_k], until 0 or stable.
+        """D_0 = u(L), D_{k+1} = span[D_k, D_k], until 0 or stable.
 
-        When D_0 is all of u(L), the terms are computed as modules over
-        the algebra A generated by the central basis vectors of L (see
-        the module docstring): D_1 from the brackets [m, x_g] of monomials
-        with generators free of the central indices (``_d1_brackets``),
-        D_{k+1} from the brackets of pairs of module generators of D_k,
-        each left factor through its ad table, and ``_series_step``
-        closes each span under A.  Since D_{k+1} lies in D_k, a step
-        stops bracketing when its rank reaches dim D_k: the series has
-        stabilized.  A given ``sub`` need not be an A-module, so its
-        series runs over the field and brackets every pair of basis
-        elements, with no ceiling.
+        The terms are computed as modules over the algebra A generated by
+        the central basis vectors of L (see the module docstring): D_1
+        from the brackets [m, x_g] of monomials with generators free of
+        the central indices (``_d1_brackets``), D_{k+1} from the brackets
+        of pairs of module generators of D_k, each left factor through
+        its ad table, and ``_series_step`` closes each span under A.
+        Since D_{k+1} lies in D_k, a step stops bracketing when its rank
+        reaches dim D_k: the series has stabilized.
         """
-        if sub is None:
-            gens = None
-            dims = [self.dim]
-            central = self._central_gens()
-        else:
-            if sub.ambient != self.dim or sub.field != self.field:
-                raise AlgebraMismatch("subspace does not live in this envelope")
-            gens = [self._native(self.elem_from_row(r)) for r in sub.rows]
-            dims = [len(gens)]
-            central = []
+        dims = [self.dim]
+        central = self._central_gens()
         terms: Optional[List[Subspace]] = None
         if keep_terms:
-            terms = [Subspace.full(self.field, self.dim) if sub is None else sub]
-        prev = gens
+            terms = [Subspace.full(self.field, self.dim)]
+        prev = gens = None
         for _ in range(max_steps):
             elim, cur, gens = self._series_step(
                 self._d1_brackets(central) if gens is None else self._pair_brackets(gens),
-                central, dims[-1] if sub is None else None)
+                central, dims[-1])
             dims.append(len(cur))
             if keep_terms:
                 terms.append(elim.to_subspace())
@@ -787,7 +767,7 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
     r = L.n - z.dim
     if r > 3:
         raise PreconditionFailed("dim L/Z(L) exceeds 3")
-    quot = Quotient(L.full_space(), z)
+    quot = Quotient(z)
     xs = list(quot.lifted)
     new_basis = xs + list(z.basis())
     names = [f"x{i+1}" for i in range(r)] + [f"z{i+1}" for i in range(z.dim)]

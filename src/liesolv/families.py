@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2, RatFunc2
-from .linalg import Quotient
+from .linalg import Quotient, unit_vector
 
 
 class BadParameters(Exception):
@@ -26,12 +26,6 @@ class GenerationBudgetExceeded(Exception):
     pass
 
 
-def _unit(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
-
-
 def _zero(field, n):
     return (field.zero,) * n
 
@@ -40,7 +34,7 @@ def heisenberg(field=GF2) -> RestrictedLieAlgebra:
     """H3: [e1,e2] = e3, square map zero."""
     return RestrictedLieAlgebra(
         field, ["e1", "e2", "e3"],
-        {(0, 1): _unit(field, 3, 2)},
+        {(0, 1): unit_vector(field, 3, 2)},
         [_zero(field, 3)] * 3,
     )
 
@@ -64,19 +58,19 @@ def family_i(field=GF2, toral: int = 1, nilchain: int = 1, moved: int = 1,
     for i in range(moved):
         idx = toral + nilchain + i
         # ad(y) acts as the identity on the moved block: [m_i, y] = m_i
-        brackets[(idx, y)] = _unit(field, n, idx)
+        brackets[(idx, y)] = unit_vector(field, n, idx)
     pmap: List[tuple] = []
     for i in range(toral):
-        pmap.append(_unit(field, n, i))
+        pmap.append(unit_vector(field, n, i))
     for i in range(nilchain):
         idx = toral + i
         if i + 1 < nilchain:
-            pmap.append(_unit(field, n, idx + 1))
+            pmap.append(unit_vector(field, n, idx + 1))
         else:
             pmap.append(_zero(field, n))
     for _ in range(moved):
         pmap.append(_zero(field, n))
-    pmap.append(_unit(field, n, y) if toral_action else _zero(field, n))
+    pmap.append(unit_vector(field, n, y) if toral_action else _zero(field, n))
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
 
@@ -95,11 +89,11 @@ def free_class2(field=GF2, gens: int = 3,
     names += [f"z{i+1}{j+1}" for (i, j) in pairs]
     brackets = {}
     for idx, (i, j) in enumerate(pairs):
-        brackets[(i, j)] = _unit(field, n, gens + idx)
+        brackets[(i, j)] = unit_vector(field, n, gens + idx)
     pmap = [_zero(field, n)] * gens
     for idx in range(len(pairs)):
         if center_squares:
-            pmap.append(_unit(field, n, gens + idx))
+            pmap.append(unit_vector(field, n, gens + idx))
         else:
             pmap.append(_zero(field, n))
     return RestrictedLieAlgebra(field, names, brackets, pmap)
@@ -113,12 +107,12 @@ def family_iii(field=GF2, central_dim: int = 0,
     n = 3 + central_dim
     names = ["x1", "x2", "y"] + [f"z{i+1}" for i in range(central_dim)]
     brackets = {
-        (0, 2): _unit(field, n, 0),
-        (1, 2): _unit(field, n, 1),
+        (0, 2): unit_vector(field, n, 0),
+        (1, 2): unit_vector(field, n, 1),
     }
     if central_bracket:
-        brackets[(0, 1)] = _unit(field, n, 3)
-    pmap = [_zero(field, n), _zero(field, n), _unit(field, n, 2)]
+        brackets[(0, 1)] = unit_vector(field, n, 3)
+    pmap = [_zero(field, n), _zero(field, n), unit_vector(field, n, 2)]
     pmap += [_zero(field, n)] * central_dim
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
@@ -129,13 +123,13 @@ def family_iv(field=GF2, h_dim: int = 1) -> RestrictedLieAlgebra:
         raise BadParameters("H must be nonempty")
     n = 2 + 2 * h_dim
     names = ["x", "y"] + [f"h{i+1}" for i in range(h_dim)] + [f"z{i+1}" for i in range(h_dim)]
-    brackets = {(0, 1): _unit(field, n, 0)}
+    brackets = {(0, 1): unit_vector(field, n, 0)}
     for i in range(h_dim):
         h = 2 + i
         z = 2 + h_dim + i
-        brackets[(1, h)] = _unit(field, n, h)
-        brackets[(0, h)] = _unit(field, n, z)
-    pmap = [_zero(field, n), _unit(field, n, 1)] + [_zero(field, n)] * (2 * h_dim)
+        brackets[(1, h)] = unit_vector(field, n, h)
+        brackets[(0, h)] = unit_vector(field, n, z)
+    pmap = [_zero(field, n), unit_vector(field, n, 1)] + [_zero(field, n)] * (2 * h_dim)
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
 
@@ -145,17 +139,17 @@ def family_v(field=GF2, h_dim: int = 1) -> RestrictedLieAlgebra:
         raise BadParameters("H must be nonempty")
     n = 2 + 2 * h_dim
     names = ["x", "y"] + [f"h{i+1}" for i in range(h_dim)] + [f"z{i+1}" for i in range(h_dim)]
-    brackets = {(0, 1): _unit(field, n, 0)}
+    brackets = {(0, 1): unit_vector(field, n, 0)}
     for i in range(h_dim):
         h = 2 + i
         z = 2 + h_dim + i
-        brackets[(1, h)] = _unit(field, n, h)
-        brackets[(0, h)] = _unit(field, n, z)
-    pmap = [_zero(field, n), _unit(field, n, 1)]
+        brackets[(1, h)] = unit_vector(field, n, h)
+        brackets[(0, h)] = unit_vector(field, n, z)
+    pmap = [_zero(field, n), unit_vector(field, n, 1)]
     for i in range(h_dim):
-        pmap.append(_unit(field, n, 2 + h_dim + i))   # h_i^[2] = z_i
+        pmap.append(unit_vector(field, n, 2 + h_dim + i))   # h_i^[2] = z_i
     for i in range(h_dim):
-        pmap.append(_unit(field, n, 2 + h_dim + i))   # z_i^[2] = z_i
+        pmap.append(unit_vector(field, n, 2 + h_dim + i))   # z_i^[2] = z_i
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
 
@@ -165,12 +159,12 @@ def negative_class2(field=GF2) -> RestrictedLieAlgebra:
     n = 7
     names = ["x1", "x2", "x3", "x4", "z12", "z13", "z14"]
     brackets = {
-        (0, 1): _unit(field, n, 4),
-        (0, 2): _unit(field, n, 5),
-        (0, 3): _unit(field, n, 6),
-        (1, 2): _unit(field, n, 6),
+        (0, 1): unit_vector(field, n, 4),
+        (0, 2): unit_vector(field, n, 5),
+        (0, 3): unit_vector(field, n, 6),
+        (1, 2): unit_vector(field, n, 6),
     }
-    pmap = [_zero(field, n)] * 6 + [_unit(field, n, 6)]
+    pmap = [_zero(field, n)] * 6 + [unit_vector(field, n, 6)]
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
 
@@ -192,8 +186,8 @@ def witness_chain(k: int, field=GF2) -> RestrictedLieAlgebra:
     brackets = {}
     for i in range(k):
         a = 2 + i
-        brackets[(0, a)] = _unit(field, n, 2 + k + i)
-        brackets[(1, a)] = _unit(field, n, 2 + 2 * k + i)
+        brackets[(0, a)] = unit_vector(field, n, 2 + k + i)
+        brackets[(1, a)] = unit_vector(field, n, 2 + 2 * k + i)
     pmap = [_zero(field, n)] * n
     return RestrictedLieAlgebra(field, names, brackets, pmap)
 
@@ -300,8 +294,8 @@ def example_7_1_report() -> Example71Report:
     v_sq = all(big.is_zero(c) for c in Lx.pmap_eval(v_elem))
     w_sq = all(big.is_zero(c) for c in Lx.pmap_eval(w_elem))
     j_ideal = Lx.restricted_closure([v_elem, w_elem])
-    j_2nil, _ = Lx.is_2nilpotent_ideal(j_ideal.space)
-    j_ok = j_2nil and j_ideal.space.dim == 2
+    j_2nil, _ = Lx.is_2nilpotent_ideal(j_ideal)
+    j_ok = j_2nil and j_ideal.dim == 2
 
     Q, quot = Lx.quotient(j_ideal)
     gens = []
@@ -335,7 +329,7 @@ def example_7_1_report() -> Example71Report:
     # commutative ring and force it to vanish (the first element of
     # necessary test (b) on u(Q))
     envq = Envelope(Q)
-    lifts = Quotient(Q.full_space(), Q.center()).lifted
+    lifts = Quotient(Q.center()).lifted
     w_pat = next(_pairing_elements(envq, lifts), None)
     if w_pat is None:
         obstruction = ""

@@ -10,6 +10,10 @@ ambient dimension; GF(2) is the one-plane special case.  Packed rows
 are keyed by pivot and kept fully reduced, so reducing a vector touches
 only the pivots in its support.  RatFunc2 rows stay as plain scalar
 lists.
+
+A Quotient is the whole space modulo a subspace.  The subspace is in
+RREF, so the columns that are not its pivots give the quotient's basis
+and coordinates directly.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ from .fields import GF2k, FieldMismatch
 
 
 class DimensionMismatch(Exception):
-    pass
-
-
-class NotASubspace(Exception):
     pass
 
 
@@ -439,41 +439,33 @@ def kernel(field, images: Sequence[Sequence], dom: int, codom: int) -> Subspace:
 
 
 class Quotient:
-    """Coordinates on total/sub: a linear projection plus a lifted basis."""
+    """Coordinates on the whole space modulo sub, read off the RREF pivots of sub.
 
-    def __init__(self, total: Subspace, sub: Subspace):
-        total._check_compatible(sub)
-        if not total.contains(sub):
-            raise NotASubspace("quotient denominator is not contained in the numerator")
-        self.field = total.field
-        self.ambient = total.ambient
-        self.total = total
-        self.sub = sub
+    The columns that are not pivots of sub index a basis of the quotient:
+    their unit vectors are the lifted basis, and a vector's coordinates
+    are its residue modulo sub read at those columns.
+    """
+
+    def __init__(self, sub: Subspace):
+        self.field = sub.field
+        self.ambient = sub.ambient
         self._sub_elim = sub.elim()
-        full = sub.elim()
-        sub_pivots = set(sub.pivots)
-        for r in total.rows:
-            full.add_vector(r)
-        self.lift_pivots = [p for p in full.pivots if p not in sub_pivots]
-        by_pivot = dict(zip(full.pivots, full.basis_rows()))
-        self.lifted = [by_pivot[p] for p in self.lift_pivots]
-        self.dim = len(self.lifted)
+        pivots = set(sub.pivots)
+        self.lift_pivots = [j for j in range(sub.ambient) if j not in pivots]
+        self.lifted = [unit_vector(self.field, self.ambient, j) for j in self.lift_pivots]
+        self.dim = len(self.lift_pivots)
 
     def project(self, vec: Sequence) -> Tuple:
-        """Quotient coordinates of vec; vec must lie in the total space."""
-        f = self.field
-        r = list(self._sub_elim.residue(vec))
-        coords = tuple(r[p] for p in self.lift_pivots)
-        for c, row in zip(coords, self.lifted):
-            if not f.is_zero(c):
-                for j in range(self.ambient):
-                    r[j] = f.add(r[j], f.mul(c, row[j]))
-        if any(not f.is_zero(c) for c in r):
-            raise NotASubspace("vector outside the total space")
-        return coords
+        """Quotient coordinates of vec."""
+        r = self._sub_elim.residue(vec)
+        return tuple(r[j] for j in self.lift_pivots)
 
     def lift(self, coords: Sequence) -> Tuple:
-        return lin_comb(self.field, coords, self.lifted, self.ambient)
+        """The vector with coords at the lifted columns and zero elsewhere."""
+        out = [self.field.zero] * self.ambient
+        for j, c in zip(self.lift_pivots, coords):
+            out[j] = c
+        return tuple(out)
 
 
 def lin_comb(field, coeffs: Sequence, rows: Sequence[Sequence], ambient: int) -> Tuple:

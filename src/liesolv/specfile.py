@@ -133,7 +133,7 @@ def serialize(L) -> str:
     return json.dumps(algebra_to_json(L), indent=1, sort_keys=True) + "\n"
 
 
-def parse_spec(path: str, skip_axioms: bool = False):
+def parse_spec(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -141,8 +141,7 @@ def parse_spec(path: str, skip_axioms: bool = False):
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     L = algebra_from_json(doc)
-    if not skip_axioms:
-        report = L.check_axioms()
-        if not report.ok:
-            raise AxiomError(report)
+    report = L.check_axioms()
+    if not report.ok:
+        raise AxiomError(report)
     return L

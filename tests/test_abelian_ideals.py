@@ -36,7 +36,7 @@ def reference_abelian_ideals(L, by_center=False, cap=1 << 16):
     if codim != 0:
         return
     f = L.field
-    quot = Quotient(L.full_space(), L.center() if by_center else d1)
+    quot = Quotient(L.center() if by_center else d1)
     if not _points_within(f, quot.dim, cap):
         raise LadderExhausted("hyperplane enumeration too large")
     proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]

@@ -259,7 +259,7 @@ def test_acceptance_5c_example71_quotient_codim1():
 
     J = Lx.restricted_closure([central(sx, "z1", "z2"),
                                central(sy, "z1", "z3")])
-    assert J.space.dim == 2
+    assert J.dim == 2
     Q, quot = Lx.quotient(J)
     z1 = quot.project(Lx.basis_vector(idx["z1"]))
     piv = next(i for i, c in enumerate(z1) if not big.is_zero(c))

@@ -57,7 +57,7 @@ def _ref_pattern_tests(L, budget):
     tests = []
     cls = L.nilpotency_class()
     if cls is not None and cls <= 2:
-        lifts = Quotient(L.full_space(), L.center()).lifted
+        lifts = Quotient(L.center()).lifted
         tests.append(("pairing-combination element is not nilpotent", [
             _ref_pairing(ref, *(ref.from_algebra_vec(sub[i]) for i in order))
             for sub in itertools.combinations(lifts, 4)
@@ -104,7 +104,7 @@ def test_native_pattern_elements_match_dict_formulas():
         native = []
         cls = L.nilpotency_class()
         if cls is not None and cls <= 2:
-            lifts = Quotient(L.full_space(), L.center()).lifted
+            lifts = Quotient(L.center()).lifted
             native.append(list(_pairing_elements(env, lifts)))
         native.append(list(_bracket_patterns(env, budget)))
         assert len(native) == len(tests)
@@ -130,17 +130,17 @@ def test_native_pattern_elements_match_dict_formulas():
 
 def test_nilpotent_core_h3():
     core = nilpotent_core(heisenberg())
-    assert core.space == span(GF2, 3, [(0, 0, 1)])
+    assert core == span(GF2, 3, [(0, 0, 1)])
 
 
 def test_nilpotent_core_n7():
     core = nilpotent_core(negative_class2())
-    assert core.space == span(GF2, 7, [(0, 0, 0, 0, 1, 0, 0),
-                                       (0, 0, 0, 0, 0, 1, 0)])
+    assert core == span(GF2, 7, [(0, 0, 0, 0, 1, 0, 0),
+                                 (0, 0, 0, 0, 0, 1, 0)])
 
 
 def test_nilpotent_core_trivial_when_center_toral():
-    assert nilpotent_core(family_iii()).space.dim == 0
+    assert nilpotent_core(family_iii()).dim == 0
 
 
 def test_classify_h3():
@@ -301,7 +301,7 @@ def test_alternative_core_certifies_family_v_with_central_w(q, h_dim):
     # z1^[2] = z1 + w: the canonical core is 0 and matches nothing; the
     # closure of the centre's 2-nilpotent locus, span(w), gives (iv)
     L = _with_central_w(family_v(gf(q), h_dim=h_dim), {"z1"})
-    assert nilpotent_core(L).space.dim == 0
+    assert nilpotent_core(L).dim == 0
     v = classify(L)
     assert (v.outcome, v.condition, v.core_basis) == ("solvable", "iv", ["w"])
     assert v.oracle["outcome"] == "reached_zero"
@@ -323,14 +323,14 @@ def test_bracket_pattern_test_refutes_a_central_extension():
 def _try_core_and_match(Lm, degree, core):
     """Match Lm modulo core against the conditions: the per-degree step of
     the reference below, which runs on L⊗K itself."""
-    quotient_alg, _ = Lm.quotient(core) if core.space.dim else (Lm, None)
+    quotient_alg, _ = Lm.quotient(core) if core.dim else (Lm, None)
     for tag in TAG_ORDER:
         cert = match_condition(quotient_alg, tag)
         if cert is not None:
             return Verdict(
                 outcome="solvable", condition=tag, extension_degree=degree,
-                core_basis=[Lm.element_str(r) for r in core.space.rows],
-                certificate=cert, core_space=core.space)
+                core_basis=[Lm.element_str(r) for r in core.rows],
+                certificate=cert, core_space=core)
     return None
 
 
@@ -362,7 +362,7 @@ def _classify_subset_search(L):
         for size in range(len(rows), -1, -1):
             for subset in itertools.combinations(rows, size):
                 alt = Lm.restricted_closure(subset)
-                if alt.space == core.space or not Lm.is_2nilpotent_ideal(alt.space)[0]:
+                if alt == core or not Lm.is_2nilpotent_ideal(alt)[0]:
                     continue
                 try:
                     verdict = _try_core_and_match(Lm, degree, alt)
@@ -418,9 +418,9 @@ def _nilpotent_core_rounds(L):
     core_gens, rounds = [], 0
     while True:
         core = L.restricted_closure(core_gens)
-        if core.space.dim == L.n:
+        if core.dim == L.n:
             break
-        if core.space.dim:
+        if core.dim:
             M, quot = L.quotient(core)
             lift = quot.lift
         else:
@@ -430,17 +430,17 @@ def _nilpotent_core_rounds(L):
         cl = M.restricted_closure(M.bracket(v, M.basis_vector(j))
                                   for v in d2.basis() for j in range(M.n))
         rounds += 1
-        if cl.space.dim:
-            if not M.is_2nilpotent_ideal(cl.space)[0]:
+        if cl.dim:
+            if not M.is_2nilpotent_ideal(cl)[0]:
                 raise CoreNotNilpotent("closure of [[M',M'],M] is not 2-nilpotent")
-            core_gens.extend(lift(row) for row in cl.space.rows)
+            core_gens.extend(lift(row) for row in cl.rows)
             continue
         locus = _central_2nilpotent_locus(M, M.center().intersect(d1))
         if not locus.dim:
             break
         core_gens.extend(lift(row) for row in locus.rows)
     ideal = L.restricted_closure(core_gens)
-    assert L.is_2nilpotent_ideal(ideal.space)[0]
+    assert L.is_2nilpotent_ideal(ideal)[0]
     return ideal, rounds
 
 
@@ -476,7 +476,7 @@ def test_nilpotent_core_matches_the_per_round_closure():
                 nilpotent_core(L)
             refuted += 1
             continue
-        assert nilpotent_core(L).space == want.space, (L.names, L.pmap)
+        assert nilpotent_core(L) == want, (L.names, L.pmap)
         # a round on a nonzero core found the closure 0 there
         multi_round += rounds > 1
     assert count >= 600
@@ -492,7 +492,7 @@ def _locus_algebras():
             core = nilpotent_core(L)
         except CoreNotNilpotent:
             continue
-        if 0 < core.space.dim < L.n:
+        if 0 < core.dim < L.n:
             yield _quotient(L, core)
 
 
@@ -551,13 +551,13 @@ def test_base_change_commutes_with_core_and_quotient(degree):
         ext = L.field.extend(degree)
         Lm = L.base_change(*ext)
         core, core_m = nilpotent_core(L), nilpotent_core(Lm)
-        assert core_m.space.rows == _embedded(ext, core.space.rows), L.names
+        assert core_m.rows == _embedded(ext, core.rows), L.names
         Q, Qm = _quotient(L, core).base_change(*ext), _quotient(Lm, core_m)
         assert (Q.names, Q._table, Q.pmap) == (Qm.names, Qm._table, Qm.pmap), L.names
         alt, alt_m = _alternative_core(L, core), _alternative_core(Lm, core_m)
         assert bool(alt) == bool(alt_m), L.names
         if alt:
-            assert alt_m[0].space.rows == _embedded(ext, alt[0].space.rows)
+            assert alt_m[0].rows == _embedded(ext, alt[0].rows)
             Q = alt[1].base_change(*ext)
             assert (Q._table, Q.pmap) == (alt_m[1]._table, alt_m[1].pmap)
 
@@ -623,7 +623,6 @@ def test_verify_verdict_decides_a_witness_above_max_envelope_n():
         v = verdicts[A.n] = classify(A)
         assert v.outcome == "not_solvable" and v.witness_str == "E00 + E22"
         assert v.witness_kind == "necessary_test"
-        assert v.witness_algebra is A
         assert verify_verdict(A, v)
         # E01 squares to zero: nilpotent, so no witness
         assert not verify_verdict(A, replace(v, witness_elem={1 << 1: 1}))
@@ -672,8 +671,7 @@ def test_verify_verdict_refutes_a_core_that_is_not_a_restricted_ideal():
 def test_verify_verdict_rederives_an_sz_witness():
     # the unit of u(H3) is not nilpotent, but necessary_tests finds no sz
     # witness on H3
-    bare = Verdict("not_solvable", witness_kind="sz_witness", witness_elem={0: 1},
-                   witness_algebra=heisenberg())
+    bare = Verdict("not_solvable", witness_kind="sz_witness", witness_elem={0: 1})
     assert not verify_verdict(heisenberg(), bare)
     L = negative_class2()
     v = classify(L)

@@ -334,3 +334,35 @@ def test_cli_classify_family_v_certificate(tmp_path, capsys, q):
         "y = x + y",
         "H basis: ['h1 + z1', 'h2 + z2']",
     ]
+
+
+@pytest.fixture()
+def fam_v_file(tmp_path):
+    path = tmp_path / "fam-v.alg"
+    path.write_text(serialize(family_v()))
+    return str(path)
+
+
+def _json_result(capsys, argv):
+    assert main(["--json"] + argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_solvable_max_steps_budget(fam_v_file, capsys):
+    # one step of the series 16 -> 11 -> 3 -> 0 leaves it undecided
+    res = _json_result(capsys, ["solvable", "--max-steps", "1", fam_v_file])["result"]
+    assert res == {"dims": [16, 11], "outcome": "budget_exceeded", "value": 11}
+
+
+def test_cli_classify_no_oracle(n7_file, capsys):
+    res = _json_result(capsys, ["classify", "--no-oracle", n7_file])["result"]
+    assert (res["outcome"], res["witness_kind"], res["oracle"]) == \
+        ("not_solvable", "sz_witness", None)
+
+
+def test_cli_classify_ladder_budget(fam_v_file, capsys):
+    doc = _json_result(capsys, ["classify", "--ladder", "1", fam_v_file])
+    res = doc["result"]
+    assert doc["budgets"] == {"ladder": 1}
+    assert (res["outcome"], res["condition"], res["extension_degree"]) == ("solvable", "iii", 1)
+    assert res["oracle"]["outcome"] == "reached_zero"

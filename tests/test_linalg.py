@@ -4,7 +4,7 @@ import pytest
 
 from liesolv.fields import GF2, RATFUNC2, FieldMismatch, gf
 from liesolv.linalg import (
-    Eliminator, NotASubspace, Quotient, Subspace, kernel, pack_row, span,
+    Eliminator, Quotient, Subspace, kernel, pack_row, span,
     unit_vector, vec_add, vec_scale,
 )
 
@@ -169,9 +169,8 @@ def test_kernel_against_bruteforce():
 def test_quotient_round_trip():
     rng = random.Random(43)
     for field in [GF2, GF4]:
-        total = Subspace.full(field, 5)
         sub = span(field, 5, [rand_vec(field, 5, rng) for _ in range(2)])
-        q = Quotient(total, sub)
+        q = Quotient(sub)
         assert q.dim == 5 - sub.dim
         for _ in range(10):
             w = tuple(field.random(rng) for _ in range(q.dim))
@@ -182,13 +181,13 @@ def test_quotient_round_trip():
 
 
 def test_quotient_by_zero_and_self():
-    total = span(GF2, 4, [(1, 0, 0, 0), (0, 1, 1, 0)])
-    q0 = Quotient(total, Subspace.zero(GF2, 4))
-    assert q0.dim == total.dim
-    qs = Quotient(total, total)
-    assert qs.dim == 0
-    with pytest.raises(NotASubspace):
-        Quotient(total, Subspace.full(GF2, 4))
+    q0 = Quotient(Subspace.zero(GF2, 4))
+    assert q0.dim == 4 and q0.lifted == [unit_vector(GF2, 4, i) for i in range(4)]
+    assert Quotient(Subspace.full(GF2, 4)).dim == 0
+    # the lifted basis sits at the columns that are not pivots of sub
+    q = Quotient(span(GF2, 4, [(1, 0, 0, 0), (0, 1, 1, 0)]))
+    assert q.lift_pivots == [2, 3]
+    assert q.project((0, 1, 0, 1)) == (1, 1)
 
 
 def test_ratfunc_subspace_ops():

@@ -322,7 +322,7 @@ def test_central_on_lists_the_points_the_filter_kept():
     cases += [(f"noncentral-q{f.order}", _noncentral_eigenspace(f)) for f in FIELDS]
     for label, L in cases:
         f, z = L.field, L.center()
-        zelim, mod_z = z.elim(), Quotient(L.full_space(), z)
+        zelim, mod_z = z.elim(), Quotient(z)
         for y in _candidate_ys(L, zelim):
             k = _eigen_one_space(L, y)
             if k.dim < 2 or not _points_within(f, k.dim, 1 << 10):

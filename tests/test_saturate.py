@@ -163,7 +163,7 @@ def _closure_inputs():
 def test_restricted_closure_matches_round_based_closure():
     count = 0
     for L, gens in _closure_inputs():
-        got = L.restricted_closure(gens).space
+        got = L.restricted_closure(gens)
         assert got == round_restricted_closure(L, gens), (L.names, gens)
         count += 1
     assert count == 5 + 16 + 84
@@ -174,7 +174,7 @@ def test_p_closure_matches_round_based_closure():
     for L, gens in _closure_inputs():
         d1 = L.derived_subalgebra()
         # bracket-closed inputs: L', L'', Z(L), and the ideal the gens generate
-        for s in (d1, L.bracket_span(d1, d1), L.center(), L.restricted_closure(gens).space):
+        for s in (d1, L.bracket_span(d1, d1), L.center(), L.restricted_closure(gens)):
             assert L.p_closure(s) == round_p_closure(L, s), L.names
             cases += 1
     assert cases == 4 * (5 + 16 + 84)
