@@ -459,14 +459,13 @@ class Envelope:
         return self._saturate(elems, ())[0]
 
     def _central_gens(self) -> List[int]:
-        """The basis indices of L that occur in no nonzero structure constant.
+        """The basis indices z of L with [b_z, b_j] = 0 for every j, read off
+        the bracket adjacency ``_moves``.
 
         Each such x_z commutes with every generator, so it is central in u(L).
         """
-        moved = 0
-        for i, j, _ in self.algebra._nonzero:
-            moved |= 1 << i | 1 << j
-        return [z for z in range(self.n) if not moved >> z & 1]
+        moves = self.algebra._moves
+        return [z for z in range(self.n) if not moves[z]]
 
     def _d1_brackets(self, central: Sequence[int] = ()):
         """The brackets [m, x_g] of the monomials m with the generators x_g,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import liesolv.classify as classify_module
 from liesolv.algebra import RestrictedLieAlgebra
 from liesolv.classify import (
     PATTERN_BUDGET, TAG_ORDER, ClassifyOptions, CoreNotNilpotent, LadderExhausted, Verdict,
@@ -18,7 +19,9 @@ from liesolv.families import (
     negative_class2, random_instance,
 )
 from liesolv.fields import GF2, gf
-from liesolv.linalg import Quotient, span
+from liesolv.linalg import Quotient, span, vec_is_zero
+
+from test_bracket import perturbed, reference_jacobi
 
 GF4 = gf(4)
 
@@ -96,8 +99,17 @@ def _pattern_instances():
             (_with_toral_pair(negative_class2(GF4)), True)]
 
 
+def _pattern_is_zero(L, z, b, y, x):
+    """Whether [[z b y, z], [x, x b], y] is 0 by the brackets of L alone:
+    [x b, x] = x [b, x] and [z b y, z] = z ([b, z] y + b [y, z])."""
+    def commute(i, j):
+        return vec_is_zero(L.field, L.bracket(L.basis_vector(i), L.basis_vector(j)))
+    return commute(b, x) or (commute(b, z) and commute(y, z))
+
+
 def test_native_pattern_elements_match_dict_formulas():
     budget = PATTERN_BUDGET
+    skipped = 0
     for L, has_nonzero in _pattern_instances():
         env = Envelope(L)
         ref, tests = _ref_pattern_tests(L, budget)
@@ -108,13 +120,22 @@ def test_native_pattern_elements_match_dict_formulas():
             native.append(list(_pairing_elements(env, lifts)))
         native.append(list(_bracket_patterns(env, budget)))
         assert len(native) == len(tests)
-        nonzero = 0
-        for got, (_, want) in zip(native, tests):
+        # test (c) yields the reference stream less the permutations whose
+        # element is 0 by the brackets of L, and each of those is 0
+        perms = itertools.islice(itertools.permutations(range(L.n), 4), budget)
+        screen = [_pattern_is_zero(L, *tup) for tup in perms]
+        want_c = tests[-1][1]
+        assert len(screen) == len(want_c)
+        assert not any(w for w, zero in zip(want_c, screen) if zero)
+        skipped += sum(screen)
+        streams = [want for _, want in tests[:-1]]
+        streams.append([w for w, zero in zip(want_c, screen) if not zero])
+        for got, want in zip(native, streams):
             assert len(got) == len(want)
             for w_native, w_ref in zip(got, want):
                 assert env._to_dict(w_native) == w_ref
-                nonzero += bool(w_ref)
-        assert bool(nonzero) == has_nonzero, L
+        nonzero = any(w for _, want in tests for w in want)
+        assert nonzero == has_nonzero, L
         # necessary_tests reports the first non-nilpotent reference element
         first = next(((reason, w) for reason, elems in tests for w in elems
                       if not ref.is_nilpotent(w)[0]), None)
@@ -126,6 +147,54 @@ def test_native_pattern_elements_match_dict_formulas():
             assert verdict is not None and verdict.reason == reason
             assert verdict.witness_str == ref.element_str(w)
             assert verdict.witness_elem == w
+    assert skipped > 0
+
+
+def _unscreened_bracket_patterns(env, budget):
+    """Test (c) on every one of the first ``budget`` permutations."""
+    for z, b, y, x in itertools.islice(itertools.permutations(range(env.n), 4), budget):
+        zby = env._mul_gen(env._mul_gen(env._mono(1 << z), b), y)
+        ad = env._ad(env._lie_gen(env._mul_gen(env._mono(1 << x), b), x))
+        yield env._lie_gen(ad(env._lie_gen(zby, z)), y)
+
+
+def _random_rebase(L, rng):
+    f = L.field
+    while True:
+        m = [tuple(f.random(rng) for _ in range(L.n)) for _ in range(L.n)]
+        if span(f, L.n, m).dim == L.n:
+            return L.rebase(m)
+
+
+def test_screens_agree_with_unscreened_references_on_random_rebases(monkeypatch):
+    # a random basis still leaves some basis pairs commuting, so the
+    # screens skip part of the work here too; the last base is refuted
+    # by test (c) after every rebase
+    rng = random.Random(16)
+    reasons, violated = [], 0
+    for field in (GF2, GF4):
+        for base in (negative_class2(field), family_v(field, h_dim=2),
+                     family_iv(field, h_dim=2), free_class2(field, 3, center_squares=True),
+                     _with_toral_pair(negative_class2(field))):
+            for _ in range(3):
+                L = _random_rebase(base, rng)
+                got = necessary_tests(L)
+                with monkeypatch.context() as m:
+                    m.setattr(classify_module, "_bracket_patterns", _unscreened_bracket_patterns)
+                    want = necessary_tests(L)
+                assert (got is None) == (want is None), L
+                if want is not None:
+                    assert (got.reason, got.witness_str, got.witness_elem) == \
+                        (want.reason, want.witness_str, want.witness_elem)
+                    reasons.append(want.reason.split()[0])
+                assert L.check_axioms().ok
+                key = rng.choice(sorted(L._brackets()))
+                bad = perturbed(L, key, rng.randrange(L.n), field.random(rng))
+                violations = bad.check_axioms().violations
+                assert violations == reference_jacobi(bad).violations, L
+                violated += bool(violations)
+    assert sorted(set(reasons)) == ["bracket-pattern", "pairing-combination"]
+    assert len(reasons) == 12 and violated > 0
 
 
 def test_nilpotent_core_h3():
@@ -241,11 +310,7 @@ def test_classify_invariant_under_rebase():
     for L in [heisenberg(), negative_class2(), family_v(h_dim=1)]:
         base = classify(L)
         for _ in range(3):
-            while True:
-                m = [tuple(GF2.random(rng) for _ in range(L.n)) for _ in range(L.n)]
-                if span(GF2, L.n, m).dim == L.n:
-                    break
-            v = classify(L.rebase(m))
+            v = classify(_random_rebase(L, rng))
             assert v.outcome == base.outcome
             assert v.condition == base.condition
 
@@ -681,3 +746,28 @@ def test_verify_verdict_rederives_an_sz_witness():
     assert not verify_verdict(L, replace(v, witness_elem={0: 1}))
     assert not verify_verdict(L, replace(v, witness_elem=None))
     assert not verify_verdict(heisenberg(), v)
+
+
+def test_verify_verdict_rederives_an_oracle_refutation():
+    # forged refutations of H3, which classify decides solvable
+    L = heisenberg()
+    assert classify(L).outcome == "solvable"
+    forged = Verdict("not_solvable", witness_kind="oracle_stabilized",
+                     oracle={"outcome": "stabilized", "value": 2, "dims": [8, 2, 2]})
+    assert not verify_verdict(L, forged)
+    assert not verify_verdict(L, replace(forged, witness_kind=None))
+    assert not verify_verdict(L, replace(forged, witness_kind="made_up"))
+    # the series of u(N7) stabilizes at 60; the carried value and dims must match it
+    L = negative_class2(GF2)
+    oracle = _run_oracle(L, ClassifyOptions())
+    assert oracle == {"outcome": "stabilized", "value": 60, "dims": [128, 96, 60, 60]}
+    genuine = Verdict("not_solvable", witness_kind="oracle_stabilized", oracle=oracle)
+    assert verify_verdict(L, genuine)
+    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "value": 96}))
+    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "dims": [128, 96, 96]}))
+    assert not verify_verdict(L, replace(genuine, oracle=None))
+    # above MAX_ENVELOPE_N the series cannot be re-derived
+    M = _gl3().direct_sum(RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(4)], {},
+                                               [(0,) * 4] * 4))
+    assert M.n > MAX_ENVELOPE_N
+    assert not verify_verdict(M, genuine)

@@ -9,7 +9,7 @@ over the field alone; every comparison is of canonical RREF subspaces.
 from dataclasses import replace
 
 from liesolv.algebra import RestrictedLieAlgebra
-from liesolv.classify import classify, necessary_tests, verify_verdict
+from liesolv.classify import PATTERN_DIM_LIMIT, classify, necessary_tests, verify_verdict
 from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
     example_7_1, family_i, family_iv, family_v, free_class2, heisenberg,
@@ -178,9 +178,9 @@ def test_stable_step_stops_at_its_ceiling():
 
 def test_verify_verdict_checks_a_witness_in_dimension_max_envelope_n():
     # an sz witness must be the one necessary_tests re-derives, and its
-    # pattern tests build u(L) for n <= 11 only: the z14 witness of
-    # negative_class2 verifies on L, and carried into a direct sum with an
-    # abelian algebra of dimension MAX_ENVELOPE_N it is refuted
+    # pattern tests build u(L) for n <= PATTERN_DIM_LIMIT only: the z14
+    # witness of negative_class2 verifies on L, and carried into a direct
+    # sum with an abelian algebra of dimension MAX_ENVELOPE_N it is refuted
     L = negative_class2()
     v = classify(L)
     assert v.outcome == "not_solvable" and v.witness_elem == {1 << 6: 1}
@@ -188,7 +188,7 @@ def test_verify_verdict_checks_a_witness_in_dimension_max_envelope_n():
     pad = MAX_ENVELOPE_N - L.n
     M = L.direct_sum(RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(pad)], {},
                                           [(0,) * pad] * pad))
-    assert M.n == MAX_ENVELOPE_N
+    assert M.n == MAX_ENVELOPE_N > PATTERN_DIM_LIMIT
     assert necessary_tests(M) is None
     assert not verify_verdict(M, v)
     # b1 has zero square, so a witness made of it is refuted as well
