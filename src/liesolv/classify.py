@@ -2,11 +2,14 @@
 
 The pipeline refutes first (non-nilpotent elements of the ideal
 generated by [[a,b],[c,d],e] in u(L) kill solvability outright), then
-tries to certify solvability over a ladder of field extensions.  It
-computes a canonical 2-nilpotent core ideal once, over the base field,
-and at each degree matches the base-changed quotient against the five
-structural conditions; every step of the core commutes with base
-change, so the core of L⊗K is the embedded core of L.  When none
+tries to certify solvability.  It computes a canonical 2-nilpotent core
+ideal once, over the base field, and matches the quotient against the
+five structural conditions.  Conditions (i)-(iii) are rank conditions
+and one linear system with coefficients in the base field, so they
+match over an extension iff they match over the base field; the ladder
+of extensions GF(2^(kd)), d >= 2, runs (iv) and (v) only, on the
+base-changed quotient (every step of the core commutes with base
+change, so the core of L⊗K is the embedded core of L).  When nothing
 matches, it tries one alternative core, found on the first miss: the
 restricted closure of the 2-nilpotent locus of the whole centre (the
 canonical core takes that locus on the derived algebra only), if it
@@ -15,8 +18,9 @@ verdict carries re-checkable witnesses; a refutation carries a concrete
 non-nilpotent element.
 
 The parts of conditions (i)-(iii) that read brackets only
-(``abelian_ideals``, ``class2_center``, ``eigenvector_pair``) take any
-``LieAlgebra`` and serve the ordinary classifier as well.
+(``abelian_ideal``, ``class2_center``, ``eigenvector_pair``) take any
+``LieAlgebra``, decide over every field and serve the ordinary
+classifier as well.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from typing import List, Optional, Sequence, Tuple
 from .algebra import LieAlgebra, RestrictedLieAlgebra
 from .envelope import MAX_ENVELOPE_N, Envelope
 from .fields import GF2k, FieldError
-from .linalg import Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero
+from .linalg import (
+    Quotient, Subspace, kernel, lin_comb, span, vec_add, vec_is_zero, vec_scale,
+)
 
 CONDITION_NAMES = {
     "i": "abelian restricted ideal of codimension at most 1",
@@ -45,7 +51,13 @@ class CoreNotNilpotent(Exception):
 
 
 class LadderExhausted(Exception):
-    pass
+    """A condition needs a point enumeration that cannot run.
+
+    Raised by ``match_condition`` over a field that is not GF(2^k), which
+    ``classify`` never reaches, and by ``_match_iv_v`` when the eigenspace
+    of a toral element has more than 2^12 points (over GF(8^d), dim k >= 3
+    for d >= 2).  ``classify`` counts it as no match at that degree.
+    """
 
 
 @dataclass
@@ -120,21 +132,11 @@ def projective_vectors(field, dim: int):
             yield (field.zero,) * lead + (field.one,) + tail
 
 
-def _points_within(field, dim: int, cap: int) -> bool:
-    """Whether a dim-dimensional space over field has at most cap vectors.
+def subspace_points(field, s: Subspace):
+    """Nonzero elements of a subspace up to scalar, via projective coordinates.
 
-    Enumeration needs a finite field, so over any other field this
-    raises LadderExhausted: the condition that wanted it is undecided.
+    Needs a GF(2^k) field; every caller bounds the number of points first.
     """
-    if not isinstance(field, GF2k):
-        raise LadderExhausted("enumeration needs a GF(2^k) field")
-    return field.order ** dim <= cap
-
-
-def subspace_points(field, s: Subspace, cap: int = 1 << 16):
-    """Nonzero elements of a subspace up to scalar, via projective coordinates."""
-    if not _points_within(field, s.dim, cap):
-        raise LadderExhausted("subspace too large for exhaustive point enumeration")
     basis = s.basis()
     for coeffs in projective_vectors(field, s.dim):
         yield lin_comb(field, coeffs, basis, s.ambient)
@@ -362,48 +364,46 @@ def isotropic_functionals(L: LieAlgebra, basis: Sequence) -> Subspace:
     return s
 
 
-def abelian_ideals(L: LieAlgebra):
-    """The abelian ideals of codimension at most 1, as (kind, subspace).
+def abelian_ideal(L: LieAlgebra) -> Optional[Tuple[str, Subspace]]:
+    """An abelian ideal of codimension at most 1, as (kind, subspace), or None.
 
-    Reads brackets only and decides over every field, with no cap.  An
-    abelian L gives ("abelian", L) alone.  Otherwise every abelian
-    hyperplane ideal lies between L' and its centralizer: a centralizer
-    of codimension 1 is the one candidate ("centralizer"); when L' is
-    central, every hyperplane containing L' is an ideal, and the abelian
-    ones ("hyperplane") are read off V = L/Z:
+    Reads brackets only and decides over every field by rank conditions,
+    with no search.  An abelian L gives ("abelian", L).  Otherwise every
+    abelian hyperplane ideal lies between L' and its centralizer: a
+    centralizer of codimension 1 is the one candidate ("centralizer");
+    when L' is central, every hyperplane containing L' is an ideal, and
+    the abelian ones ("hyperplane") are read off V = L/Z:
 
     - each contains the centre Z, since a central z outside H would give
       L = H + Fz, which is abelian;
     - so they are the kernels of the points of P(S), where S (of
       dimension at most 2) comes from ``isotropic_functionals`` on a
-      basis of V.
+      basis of V; the first basis vector of S gives the one returned.
 
-    Over GF(2^k) all of the at most q+1 points are yielded, lazily; over
-    any other field one of them, so existence is still decided.
+    In a restricted L every such ideal A is p-closed, so condition (i)
+    needs no further test.  For x in A, ad x maps L into A and A into 0,
+    so ad x^[2] = (ad x)^2 = 0 and x^[2] is central; Z lies in A (as
+    above, when L is not abelian); and
+    (sum a_i x_i)^[2] = sum a_i^2 x_i^[2] + sum_{i<j} a_i a_j [x_i, x_j]
+    lies in Z, since A is abelian.
     """
     if L.is_abelian():
-        yield "abelian", L.full_space()
-        return
+        return "abelian", L.full_space()
     d1 = L.derived_subalgebra()
     cent = L.centralizer(d1)
     codim = L.n - cent.dim
     if codim == 1 and cent.contains(d1) and _abelian(L, cent.basis()):
-        yield "centralizer", cent
+        return "centralizer", cent
     if codim != 0:
-        return
+        return None
     f = L.field
     quot = Quotient(L.center())
-    d = quot.dim
     s = isotropic_functionals(L, quot.lifted)
     if s.dim == 0:
-        return
-    if isinstance(f, GF2k):
-        phis = (lin_comb(f, c, s.basis(), d) for c in projective_vectors(f, s.dim))
-    else:
-        phis = s.basis()[:1]
-    proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]
-    for phi in phis:
-        yield "hyperplane", kernel(f, [(_dot(f, phi, pj),) for pj in proj_basis], L.n, 1)
+        return None
+    phi = s.rows[0]
+    images = [(_dot(f, phi, quot.project(L.basis_vector(j))),) for j in range(L.n)]
+    return "hyperplane", kernel(f, images, L.n, 1)
 
 
 _CONDITION_I_RELATION = {
@@ -414,11 +414,11 @@ _CONDITION_I_RELATION = {
 
 
 def _match_i(L: RestrictedLieAlgebra) -> Optional[Certificate]:
-    for kind, a in abelian_ideals(L):
-        if kind == "abelian" or L.is_pmap_closed(a):
-            return Certificate("i", [_CONDITION_I_RELATION[kind].format(a.dim)],
-                               {"ideal": a})
-    return None
+    found = abelian_ideal(L)
+    if found is None:
+        return None
+    kind, a = found
+    return Certificate("i", [_CONDITION_I_RELATION[kind].format(a.dim)], {"ideal": a})
 
 
 def _dot(f, u, v):
@@ -442,9 +442,7 @@ def _match_ii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
     if z is None:
         return None
     return Certificate(
-        "ii",
-        ["nilpotent of class 2", f"center has codimension 3 (dim {z.dim})"],
-        {"center": z})
+        "ii", ["nilpotent of class 2", f"center has codimension 3 (dim {z.dim})"], {})
 
 
 def _eigen_one_space(L: RestrictedLieAlgebra, y) -> Subspace:
@@ -458,64 +456,92 @@ def _eigen_one_space(L: RestrictedLieAlgebra, y) -> Subspace:
     return kernel(f, images, L.n, L.n)
 
 
-def _candidate_ys(L: LieAlgebra, zelim):
-    """Points y of L, the first of each class mod the centre.
+def _candidate_ys(L: LieAlgebra):
+    """Points of L to try as y: all of them, with first nonzero coordinate
+    1, when there are at most 2^14, else the sums of at most three basis
+    vectors, as over any field that is not GF(2^k)."""
+    f = L.field
+    if isinstance(f, GF2k) and f.order ** L.n <= 1 << 14:
+        return subspace_points(f, L.full_space())
+    return (tuple(f.one if i in combo else f.zero for i in range(L.n))
+            for size in (1, 2, 3) for combo in itertools.combinations(range(L.n), size))
 
-    All points when there are at most 2^14, else sums of at most three
-    basis vectors.  The centre is the kernel of ad, and the searches that
-    read y depend on it only through ad y, so a later y of a seen class
-    (keyed by its residue modulo ``zelim``, an eliminator of Z) would
-    repeat an earlier search.
+
+def _toral_ys(L: LieAlgebra, z: Subspace):
+    """The toral elements y of conditions (iii)-(v), lazily; z is the centre Z.
+
+    Those conditions need L = k ⊕ Fy ⊕ Z with [v, y] = v on k and
+    [k, k] in Z.  Then W = L' + Z = k + Z is a hyperplane and ad y is the
+    identity on W/Z.  Conversely, for such a y, w -> [w, y] lifts W/Z
+    onto the eigenspace k of ad y for 1, which complements Z in W.  L
+    acts on W/Z, killing Z; once every ad b_j is a scalar lam_j it kills
+    L' too (scalars commute), so W/Z is abelian and the toral y are the
+    affine space y0 + W where lam(y) = 1.  None is yielded when
+    dim W/Z < 2: then W is an abelian ideal of codimension 1, (i).
+
+    One walk of ``_candidate_ys`` yields the first y of each class mod Z
+    (the searches read y only through ad y): first the candidates with
+    lam(y) = 1, in their order, then y / lam(y) for the others with
+    lam(y) != 0, which a walk of points with first coordinate 1 misses.
     """
     f = L.field
-    if _points_within(f, L.n, 1 << 14):
-        ys = subspace_points(f, L.full_space())
-    else:
-        ys = itertools.chain(
-            (L.basis_vector(i) for i in range(L.n)),
-            (tuple(f.one if i in combo else f.zero for i in range(L.n))
-             for size in (2, 3) for combo in itertools.combinations(range(L.n), size)))
-    seen = set()
-    for y in ys:
-        key = zelim.residue(y)
+    mod_z = Quotient(z)
+    w = span(f, mod_z.dim, map(mod_z.project, L.derived_subalgebra().rows))
+    if w.dim != mod_z.dim - 1 or w.dim < 2:
+        return
+    lifts = [mod_z.lift(r) for r in w.rows]
+    p = w.pivots[0]
+    lam = []
+    for j in range(L.n):
+        images = [mod_z.project(L.bracket(v, L.basis_vector(j))) for v in lifts]
+        c = f.div(images[0][p], w.rows[0][p])
+        if any(img != vec_scale(f, c, r) for img, r in zip(images, w.rows)):
+            return
+        lam.append(c)
+    seen, rescaled = set(), {}
+    for y in _candidate_ys(L):
+        c = _dot(f, lam, y)
+        if f.is_zero(c):
+            continue
+        if c != f.one:
+            y = vec_scale(f, f.inv(c), y)
+            rescaled.setdefault(mod_z.project(y), y)
+            continue
+        key = mod_z.project(y)
         if key not in seen:
             seen.add(key)
             yield y
+    for key, y in rescaled.items():
+        if key not in seen:
+            yield y
 
 
-def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple, Subspace]]:
-    """(x1, x2, y, Z) with [x1,y] = x1, [x2,y] = x2, [x1,x2] in the centre
-    Z, and x1, x2, y and Z spanning L directly; None if none is found.
+def eigenvector_pair(L: LieAlgebra) -> Optional[Tuple[tuple, tuple, tuple]]:
+    """(x1, x2, y) with [x1,y] = x1, [x2,y] = x2, [x1,x2] in the centre
+    Z, and x1, x2, y and Z spanning L directly; None if there is none.
 
-    Reads brackets only.  Needs Z of codimension 3; y runs over all
-    points of L when there are at most 2^14, else over sums of at most
-    three basis vectors, and over a field that is not GF(2^k) this
-    raises LadderExhausted.  No pair is enumerated: the eigenspace k of
-    ad y for 1 meets Z + Fy only in 0 (such a v has v = [v, y] = 0), so
-    dim k <= 2, and when dim k = 2 it complements Z + Fy.  Every pair
-    is then a basis of k, with [x1, x2] a nonzero multiple of [b1, b2]
-    for the basis b1, b2 of k.  So a pair exists iff dim k = 2 and
-    [b1, b2] is central, and (b1, b1 + b2) is the one returned, the
-    first pair of the point enumeration this replaces.
+    Reads brackets only and decides over every field.  Needs Z of
+    codimension 3 and a toral y (``_toral_ys``); the first one is taken.
+    No pair is enumerated: the eigenspace k of ad y for 1 complements
+    Z + Fy and brackets into Z, and every pair is a basis of k, so
+    (b1, b1 + b2) for the basis b1, b2 of k is returned, the first pair
+    of the point enumeration this replaced.
     """
     z = L.center()
     if L.n - z.dim != 3:
         return None
-    zelim = z.elim()
-    for y in _candidate_ys(L, zelim):
-        k = _eigen_one_space(L, y)
-        if k.dim == 2:
-            b1, b2 = k.basis()
-            if zelim.contains_vector(L.bracket(b1, b2)):
-                return b1, vec_add(L.field, b1, b2), y, z
-    return None
+    y = next(_toral_ys(L, z), None)
+    if y is None:
+        return None
+    b1, b2 = _eigen_one_space(L, y).basis()
+    return b1, vec_add(L.field, b1, b2), y
 
 
 def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
     found = eigenvector_pair(L)
     if found is None:
         return None
-    x1, x2, y, z = found
+    x1, x2, y = found
     return Certificate(
         "iii",
         ["[x1,y] = x1 and [x2,y] = x2 hold exactly",
@@ -524,7 +550,7 @@ def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
          f"x1 = {L.element_str(x1)}",
          f"x2 = {L.element_str(x2)}",
          f"y = {L.element_str(y)}"],
-        {"x1": x1, "x2": x2, "y": y, "center": z})
+        {"x1": x1, "x2": x2, "y": y})
 
 
 def _abelian_complements(L: LieAlgebra, k: Subspace, s: Subspace, x):
@@ -562,47 +588,23 @@ def _abelian_complements(L: LieAlgebra, k: Subspace, s: Subspace, x):
 
 def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
     f = L.field
-    z = L.center()
-    zelim = z.elim()
-    mod_z = Quotient(z)
-    for y in _candidate_ys(L, zelim):
+    for y in _toral_ys(L, L.center()):
         k = _eigen_one_space(L, y)
-        if k.dim < 2:
-            continue
-        if k.dim + 1 + z.dim != L.n:
-            continue
-        total = span(f, L.n, list(k.basis()) + [y] + list(z.basis()))
-        if total.dim != L.n:
-            continue
-        if not _points_within(f, k.dim, 1 << 12):
+        if f.order ** k.dim > 1 << 12:
             raise LadderExhausted("eigenspace too large for point enumeration")
         s = isotropic_functionals(L, k.basis())
         if s.dim == 0:
             continue
-        # [x, k] must be central for any valid split
-        for x in subspace_points(f, _central_on(L, k, mod_z)):
+        # [k, k] lies in the centre, so every x of k brackets H into it
+        for x in subspace_points(f, k):
             for hs in _abelian_complements(L, k, s, x):
-                cert = _finish_iv_v(L, tag, x, y, hs, z)
+                cert = _finish_iv_v(L, tag, x, y, hs)
                 if cert is not None:
                     return cert
     return None
 
 
-def _central_on(L: LieAlgebra, k: Subspace, mod_z: Quotient) -> Subspace:
-    """{x in k : [x, k] lies in the centre}, with mod_z the projection L -> L/Z.
-
-    It is the kernel of x -> ([x, b_j] mod Z)_j over the basis b_j of k.
-    Its points come in the order of the points of k that pass this test:
-    a point's lead and its first difference from another lie on pivots
-    of the kernel, which are pivots of k too.
-    """
-    f, basis = L.field, k.basis()
-    images = [tuple(c for b in basis for c in mod_z.project(L.bracket(a, b))) for a in basis]
-    ker = kernel(f, images, k.dim, k.dim * mod_z.dim)
-    return span(f, L.n, [lin_comb(f, row, basis, L.n) for row in ker.rows])
-
-
-def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
+def _finish_iv_v(L, tag, x, y, hs) -> Optional[Certificate]:
     f = L.field
     if tag == "iv":
         if all(vec_is_zero(f, L.pmap_eval(h)) for h in hs):
@@ -612,7 +614,7 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
                  "H is strongly abelian; [x,H] is central",
                  f"x = {L.element_str(x)}", f"y = {L.element_str(y)}",
                  f"H basis: {[L.element_str(h) for h in hs]}"],
-                {"x": x, "y": y, "H": hs, "center": z})
+                {"x": x, "y": y, "H": hs})
         return None
     # tag v: find beta with sigma([x,h]) = beta * sigma(h) for every h, then
     # rescale x by sqrt(1/beta) so that [x,h]^[2] = h^[2]
@@ -649,7 +651,7 @@ def _finish_iv_v(L, tag, x, y, hs, z) -> Optional[Certificate]:
          f"x = {L.element_str(x2)} (rescaled by {f.to_str(alpha)})",
          f"y = {L.element_str(y)}",
          f"H basis: {[L.element_str(h) for h in hs]}"],
-        {"x": x2, "y": y, "H": hs, "center": z})
+        {"x": x2, "y": y, "H": hs})
 
 
 # ----------------------------------------------------------------------
@@ -674,9 +676,17 @@ def _alternative_core(L: RestrictedLieAlgebra, core: Subspace) -> tuple:
 
 def _match_over(Q: RestrictedLieAlgebra, ext) -> Optional[Certificate]:
     """The first condition that Q⊗K matches, with ext = (K, embedding),
-    or None for Q over its own field."""
-    Qm = Q.base_change(*ext) if ext else Q
-    for tag in TAG_ORDER:
+    or None for Q over its own field.
+
+    Over an extension only (iv) and (v) are tried, because (i)-(iii)
+    match Q⊗K iff they match Q: (i) is a set of rank conditions on
+    bracket matrices (``abelian_ideal``, whose ideal is p-closed), (ii)
+    reads the nilpotency class and dim Z, and (iii) is dim Z and the
+    solvability of the linear system of ``_toral_ys``.  Each has its
+    coefficients in the base field, so none changes under base change.
+    """
+    Qm, tags = (Q.base_change(*ext), ("iv", "v")) if ext else (Q, TAG_ORDER)
+    for tag in tags:
         cert = match_condition(Qm, tag)
         if cert is not None:
             return cert

@@ -236,7 +236,7 @@ class Example71Report:
     table the pairing obstruction is nonzero, which rules any abelian
     codimension-1 ideal out (see "Notes on the acceptance suite" in the
     README).  ``part3_abelian_codim1_found`` is decided over the whole
-    quotient by ``classify.abelian_ideals``, not by testing one
+    quotient by ``classify.abelian_ideal``, not by testing one
     candidate, and is False.
     """
     part1_element: str
@@ -267,7 +267,7 @@ class Example71Report:
 
 
 def example_7_1_report() -> Example71Report:
-    from .classify import _pairing_elements, abelian_ideals
+    from .classify import _pairing_elements, abelian_ideal
     from .envelope import Envelope
 
     L = example_7_1()
@@ -319,10 +319,9 @@ def example_7_1_report() -> Example71Report:
                 f"[{labels[i]}, {labels[j]}] = {Q.element_str(br)}"
                 f" ({'zero' if ok else 'NONZERO'})")
     # decided, not searched: Q has L' = Z of dimension 1 and its one
-    # bracket form has rank 4 on Q/Z, so abelian_ideals proves that no
+    # bracket form has rank 4 on Q/Z, so abelian_ideal proves that no
     # abelian hyperplane exists (the Pfaffian argument of the README)
-    found = any(kind == "abelian" or Q.is_pmap_closed(a)
-                for kind, a in abelian_ideals(Q))
+    found = abelian_ideal(Q) is not None
     # the rigorous obstruction: the pairing pattern evaluated in u(Q) is an
     # element of the ideal generated by [[a,b],[c,d],e]; a codimension-1
     # abelian ideal would make u(Q) embed into 2x2 matrices over a

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra
-from .classify import LadderExhausted, abelian_ideals, class2_center, eigenvector_pair
+from .classify import abelian_ideal, class2_center, eigenvector_pair
 from .fields import GF2k, FieldMismatch
-from .linalg import Subspace
 
 
 ORD_CONDITION_NAMES = {
@@ -182,45 +181,29 @@ class OrdinaryVerdict:
         }
 
 
-def abelian_codim1_ideal(L: LieAlgebra) -> Optional[Subspace]:
-    """An abelian ideal of codimension <= 1, or None.
-
-    Exact over every field, F2(X,Y) included: ``classify.abelian_ideals``
-    decides the hyperplane case by a rank test on L/Z, with no
-    enumeration.
-    """
-    return next((a for _, a in abelian_ideals(L)), None)
-
-
 def corollary_classify(L: LieAlgebra,
                        witness_budget: int = 20000) -> OrdinaryVerdict:
     """Structural certificate first, then a refuting witness hunt.
 
     Conditions (ii)-(iv) use the bracket-only parts of the restricted
-    matchers in ``classify``.  Conditions (ii) and (iii) are decided
-    over every field.  The search of (iv) enumerates the points y of L;
-    over a field that is not GF(2^k) it raises LadderExhausted, which
-    counts as not matched, and an inconclusive verdict names it in its
-    reason.
+    matchers in ``classify`` and are decided over every field, F2(X,Y)
+    included: (ii) by rank conditions (``abelian_ideal``), (iii) by the
+    nilpotency class and dim Z, and (iv) by the linear system for a
+    toral y (``eigenvector_pair``).
     """
     if L.is_abelian():
         return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
-    a = abelian_codim1_ideal(L)
-    if a is not None and L.n - a.dim == 1:
+    found = abelian_ideal(L)
+    if found is not None:
         return OrdinaryVerdict("solvable", "ii",
-                               [f"abelian ideal of dimension {a.dim} found"])
+                               [f"abelian ideal of dimension {found[1].dim} found"])
     if class2_center(L) is not None:
         return OrdinaryVerdict("solvable", "iii",
                                ["nilpotent of class 2",
                                 "center has codimension 3"])
-    skipped = []
-    try:
-        m = eigenvector_pair(L)
-    except LadderExhausted as exc:
-        skipped.append(f"condition (iv) was not decided: {exc}")
-        m = None
+    m = eigenvector_pair(L)
     if m is not None:
-        x1, x2, y, _ = m
+        x1, x2, y = m
         return OrdinaryVerdict("solvable", "iv",
                                ["[x1,y] = x1 and [x2,y] = x2 hold exactly",
                                 "[x1,x2] is central",
@@ -234,8 +217,8 @@ def corollary_classify(L: LieAlgebra,
                                witness_args=w.args,
                                witness_str=w.element_str)
     return OrdinaryVerdict("inconclusive",
-                           reason="; ".join(["no structural condition matched and the "
-                                             "witness search was exhausted"] + skipped))
+                           reason="no structural condition matched and the "
+                                  "witness search was exhausted")
 
 
 # ----------------------------------------------------------------------
@@ -369,14 +352,14 @@ def descent_abelian_codim1(L: LieAlgebra, ext_degree: int = 2) -> DescentReport:
     """Decide abelian-codim-<=1 over the base field and an extension and
     check that the extension having one forces the base to have one.
 
-    Both sides are decided exactly (see ``abelian_codim1_ideal``), so a
-    report always rests on both checks.
+    Both sides are decided exactly (see ``classify.abelian_ideal``), so
+    a report always rests on both checks.
     """
     if not isinstance(L.field, GF2k):
         raise FieldMismatch("descent test runs over GF(2^k)")
-    base = abelian_codim1_ideal(L) is not None
+    base = abelian_ideal(L) is not None
     big, embed = L.field.extend(ext_degree)
-    ext = abelian_codim1_ideal(L.base_change(big, embed)) is not None
+    ext = abelian_ideal(L.base_change(big, embed)) is not None
     return DescentReport(base, ext, (not ext) or base)
 
 

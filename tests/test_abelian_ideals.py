@@ -1,26 +1,49 @@
-"""The exact abelian-hyperplane decision against the enumeration it replaced,
+"""The exact abelian-ideal decision against the enumeration it replaced,
 and L' and Z read from the table against bracket evaluation."""
 
 import functools
 
 import pytest
 
-from liesolv.algebra import LieAlgebra
+from liesolv.algebra import LieAlgebra, RestrictedLieAlgebra
 from liesolv.classify import (
-    LadderExhausted, _abelian, _dot, _points_within, abelian_ideals,
+    LadderExhausted, _abelian, _dot, abelian_ideal, isotropic_functionals,
     projective_vectors,
 )
 from liesolv.families import example_7_1, example_7_1_extended, random_instance
 from liesolv.fields import GF2, RATFUNC2, gf
-from liesolv.linalg import Quotient, kernel
+from liesolv.linalg import Quotient, kernel, lin_comb
 from liesolv.ordinary import random_ordinary_instance
 
 GF4 = gf(4)
 SEEDS = 32
 
 
+def every_abelian_ideal(L):
+    """Every abelian ideal of codimension at most 1, as (kind, subspace), by
+    the lemma of abelian_ideal: the hyperplanes are the kernels of all the
+    points of P(S), in their order, of which abelian_ideal returns the first."""
+    if L.is_abelian():
+        yield "abelian", L.full_space()
+        return
+    d1 = L.derived_subalgebra()
+    cent = L.centralizer(d1)
+    codim = L.n - cent.dim
+    if codim == 1 and cent.contains(d1) and _abelian(L, cent.basis()):
+        yield "centralizer", cent
+    if codim != 0:
+        return
+    f = L.field
+    quot = Quotient(L.center())
+    s = isotropic_functionals(L, quot.lifted)
+    proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]
+    for c in projective_vectors(f, s.dim):
+        phi = lin_comb(f, c, s.basis(), quot.dim)
+        yield "hyperplane", kernel(f, [(_dot(f, phi, pj),) for pj in proj_basis], L.n, 1)
+
+
 def reference_abelian_ideals(L, by_center=False, cap=1 << 16):
-    """The hyperplane enumeration that abelian_ideals used to run.
+    """The hyperplane enumeration that abelian_ideal replaced.
 
     It walks every hyperplane of L/L' (or of L/Z with by_center) and
     raises LadderExhausted above cap points.
@@ -37,7 +60,7 @@ def reference_abelian_ideals(L, by_center=False, cap=1 << 16):
         return
     f = L.field
     quot = Quotient(L.center() if by_center else d1)
-    if not _points_within(f, quot.dim, cap):
+    if f.order ** quot.dim > cap:
         raise LadderExhausted("hyperplane enumeration too large")
     proj_basis = [quot.project(L.basis_vector(j)) for j in range(L.n)]
     for normal in projective_vectors(f, quot.dim):
@@ -70,30 +93,62 @@ def is_abelian_hyperplane_ideal(L, a):
             and _abelian(L, a.basis()))
 
 
+def reference_ideals(L):
+    """(ideals, enumerated): the reference enumeration, or the lemma's list,
+    each checked to be an abelian hyperplane ideal, where both enumerations
+    are too large.
+
+    The L/L' enumeration runs up to 2^8 points here (up to 2^16 it takes
+    about a minute on these draws and agrees too).  Above that the L/Z
+    enumeration is the reference; the lemma "every abelian hyperplane
+    contains Z" makes it complete.
+    """
+    try:
+        return set(reference_abelian_ideals(L, cap=1 << 8)), "L/L'"
+    except LadderExhausted:
+        pass
+    try:
+        return set(reference_abelian_ideals(L, by_center=True)), "L/Z"
+    except LadderExhausted:
+        every = set(every_abelian_ideal(L))
+        assert all(is_abelian_hyperplane_ideal(L, a) for _, a in every), L
+        return every, None
+
+
 def test_abelian_ideals_match_enumeration():
-    # The L/L' enumeration runs up to 2^8 points here (up to 2^16 it takes
-    # about a minute on these draws and agrees too).  Above that the L/Z
-    # enumeration is the reference; the lemma "every abelian hyperplane
-    # contains Z" makes it complete.  Where both are too large, every
-    # yielded subspace is checked to be an abelian hyperplane ideal.
+    # abelian_ideal returns an ideal iff the reference finds any, and it
+    # is the first of every_abelian_ideal, whose set is the reference's
     algs = random_algebras()
-    hyper = by_center = unenumerated = 0
+    hyper = found = 0
+    by = {"L/L'": 0, "L/Z": 0, None: 0}
     for L in algs:
-        new = set(abelian_ideals(L))
+        new = abelian_ideal(L)
+        every = list(every_abelian_ideal(L))
         hyper += reaches_hyperplane_branch(L)
-        try:
-            old = set(reference_abelian_ideals(L, cap=1 << 8))
-        except LadderExhausted:
-            by_center += 1
-            try:
-                old = set(reference_abelian_ideals(L, by_center=True))
-            except LadderExhausted:
-                unenumerated += 1
-                assert all(is_abelian_hyperplane_ideal(L, a) for _, a in new), L
-                continue
-        assert new == old, L
+        old, how = reference_ideals(L)
+        by[how] += 1
+        assert set(every) == old, L
+        assert new == (every[0] if every else None), L
+        assert (new is None) == (not old), L
+        found += new is not None
     assert len(algs) == 2304
-    assert (hyper, by_center, unenumerated) == (452, 274, 4)
+    assert (hyper, by["L/Z"], by[None]) == (452, 270, 4)
+    assert found == 2262
+
+
+def test_abelian_ideals_of_a_restricted_algebra_are_p_closed():
+    # in a restricted L, an abelian ideal A of codimension <= 1 is
+    # p-closed: ad x maps L into A and A into 0 for x in A, so x^[2] is
+    # central, Z lies in A, and the cross terms of a square are brackets
+    # inside A, which vanish; so condition (i) needs no p-closure test
+    checked = 0
+    for L in random_algebras():
+        if not isinstance(L, RestrictedLieAlgebra):
+            continue
+        for kind, a in reference_ideals(L)[0]:
+            assert L.is_pmap_closed(a), (L.names, L.pmap, kind)
+            checked += 1
+    assert checked == 2798
 
 
 def central_forms(field, n_x, forms):
@@ -129,14 +184,15 @@ def test_abelian_ideals_hand_built(name):
         L = central_forms(field, n_x, forms)
         assert L.check_axioms().ok
         count = field.order + 1 if expected == "q+1" else expected
-        found = list(abelian_ideals(L))
-        assert [kind for kind, _ in found] == ["hyperplane"] * count
-        assert set(found) == set(reference_abelian_ideals(L)), field
-    # over F2(X,Y) one hyperplane is yielded when any exists, and it is one
+        every = list(every_abelian_ideal(L))
+        assert [kind for kind, _ in every] == ["hyperplane"] * count
+        assert set(every) == set(reference_abelian_ideals(L)), field
+        assert abelian_ideal(L) == (every[0] if every else None)
+    # over F2(X,Y) an abelian hyperplane ideal is returned iff one exists
     L = central_forms(RATFUNC2, n_x, forms)
-    found = list(abelian_ideals(L))
-    assert len(found) == (0 if expected == 0 else 1)
-    assert all(is_abelian_hyperplane_ideal(L, a) for _, a in found)
+    found = abelian_ideal(L)
+    assert (found is None) == (expected == 0)
+    assert found is None or is_abelian_hyperplane_ideal(L, found[1])
 
 
 def test_derived_and_center_match_bracket_evaluation():

@@ -20,8 +20,10 @@ from liesolv.families import (
 )
 from liesolv.fields import GF2, gf
 from liesolv.linalg import Quotient, span, vec_is_zero
+from liesolv.ordinary import corollary_classify
 
 from test_bracket import perturbed, reference_jacobi
+from test_match_iv_v import scaled_toral
 
 GF4 = gf(4)
 
@@ -627,22 +629,49 @@ def test_base_change_commutes_with_core_and_quotient(degree):
             assert (Q._table, Q.pmap) == (alt_m[1]._table, alt_m[1].pmap)
 
 
+def _first_match(Q, tags):
+    for tag in tags:
+        cert = match_condition(Q, tag)
+        if cert is not None:
+            return cert
+    return None
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_verdict_over_an_extension_matches_the_core_of_the_extension(degree):
-    # classify decides these at degree 1; the match over L⊗K of its
-    # quotient gives the verdict that the core of L⊗K itself gives, and
-    # verify_verdict rebuilds L⊗K and accepts it
+    # conditions (i)-(iii) match the quotient over K iff they match it
+    # over the base field, so _match_over tries only (iv) and (v) over K
+    cases = itertools.chain(_base_change_cases(), (
+        random_instance(n, f, seed)[0] for f in (GF2, GF4) for n in range(3, 7)
+        for seed in range(15)))
+    matches = {True: 0, False: 0}
+    for L in cases:
+        if necessary_tests(L) is not None:
+            continue
+        Q = _quotient(L, nilpotent_core(L))
+        Qm = Q.base_change(*L.field.extend(degree))
+        for tag in ("i", "ii", "iii"):
+            base = match_condition(Q, tag) is not None
+            assert (match_condition(Qm, tag) is not None) == base, (L.names, L.pmap, tag)
+            matches[base] += 1
+    assert matches[True] >= 150 and matches[False] >= 150, matches
+    # the first match of every condition over L⊗K of the quotient gives
+    # the verdict that the core of L⊗K itself gives, and verify_verdict
+    # rebuilds L⊗K and accepts it; _match_over gives its (iv)/(v) part
     matched = 0
     for f in (GF2, GF4):
         for L in _family_instances(f):
             core = nilpotent_core(L)
             ext = L.field.extend(degree)
             Lm = L.base_change(*ext)
+            Qm = _quotient(L, core).base_change(*ext)
             try:
                 want = _try_core_and_match(Lm, degree, nilpotent_core(Lm))
-                cert = _match_over(_quotient(L, core), ext)
+                cert = _first_match(Qm, TAG_ORDER)
+                above = _match_over(_quotient(L, core), ext)
             except LadderExhausted:
                 continue
+            assert above == _first_match(Qm, ("iv", "v")), L.names
             assert (cert is None) == (want is None), L.names
             if cert is None:
                 continue
@@ -652,6 +681,55 @@ def test_verdict_over_an_extension_matches_the_core_of_the_extension(degree):
             assert verify_verdict(L, got)
             matched += 1
     assert matched >= 10
+
+
+def test_a_toral_element_with_any_first_coordinate_is_found():
+    # over GF(4) the toral element of scaled_toral is Y / c; for c = ω, ω²
+    # (the ints 2, 3) no point with first coordinate 1 is one, so a walk
+    # of such points alone left these inconclusive
+    for c in (1, 2, 3):
+        L = scaled_toral(GF4, c)
+        assert L.check_axioms().ok
+        v = classify(L)
+        assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iii", 1), c
+        assert v.oracle["outcome"] == "reached_zero"
+        assert verify_verdict(L, v)
+        y = v.certificate.data["y"]
+        assert y == tuple(GF4.div(a, c) for a in L.basis_vector(0))
+        w = corollary_classify(scaled_toral(GF4, c, restricted=False))
+        assert (w.outcome, w.condition) == ("solvable", "iv"), c
+
+
+def _ladder_probe(f):
+    """span{y, e1, e2, e3, z1, z2}: [e_i, y] = e_i, [e1, e2] = z1; y^[2] = y,
+    e1^[2] = e2^[2] = z1, e3^[2] = 0, z1^[2] = z2, z2^[2] = z1.
+
+    Z = span{z1, z2} is a non-split torus over GF(2), so the core is 0.  An
+    abelian complement H of the line of e1 in span{e1, e2, e3} is ker φ for
+    φ in P(span(e1*, e2*)); over GF(2) each holds an element squaring to
+    z1, and over GF(4) H = span(ω e1 + e2, e3) is strongly abelian."""
+    def vec(*idx):
+        return tuple(f.one if j in idx else f.zero for j in range(6))
+
+    return RestrictedLieAlgebra(
+        f, ["y", "e1", "e2", "e3", "z1", "z2"],
+        {(0, 1): vec(1), (0, 2): vec(2), (0, 3): vec(3), (1, 2): vec(4)},
+        [vec(0), vec(4), vec(4), vec(), vec(5), vec(4)])
+
+
+def test_the_ladder_decides_condition_iv_above_degree_1():
+    # the one known input decided above degree 1, so the test of the
+    # ladder that runs (iv) and (v) only
+    L = _ladder_probe(GF2)
+    assert L.check_axioms().ok
+    assert nilpotent_core(L).dim == 0
+    v = classify(L)
+    assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 2)
+    assert v.oracle == {"outcome": "reached_zero", "value": 4, "dims": [64, 53, 33, 24, 0]}
+    assert verify_verdict(L, v)
+    v = classify(_ladder_probe(GF4))
+    assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 1)
+    assert verify_verdict(_ladder_probe(GF4), v)
 
 
 def _gl3():

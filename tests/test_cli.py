@@ -226,16 +226,15 @@ def test_cli_corpus_skips_ordinary_specs(tmp_path, capsys):
     assert doc["budgets"] == {}
 
 
-@pytest.mark.parametrize("brackets,outcome,condition,skipped", [
-    ({(0, 1): (0, 0, 1)}, "solvable", "ii", None),                 # Heisenberg
+@pytest.mark.parametrize("brackets,outcome,condition", [
+    ({(0, 1): (0, 0, 1)}, "solvable", "ii"),                 # Heisenberg
     ({(0, 2): (1, 0, 0, 0), (1, 2): (0, 1, 0, 0), (0, 1): (0, 0, 0, 1)},
-     "inconclusive", None, "(iv)"),
+     "solvable", "iv"),
 ], ids=["heisenberg", "eigenvector-pair"])
 def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets,
-                                                   outcome, condition, skipped):
-    # condition (ii) is decided over F2(X,Y) by the rank test on L/Z; the
-    # point enumeration of (iv) cannot run there, so it counts as not
-    # decided instead of crashing, and the reason says so
+                                                   outcome, condition):
+    # over F2(X,Y) condition (ii) is decided by the rank test on L/Z, and
+    # (iv) by the linear system for a toral y, which b2 solves here
     f = RatFunc2()
     n = max(len(v) for v in brackets.values())
     L = LieAlgebra(f, [f"b{i}" for i in range(n)],
@@ -246,8 +245,6 @@ def test_cli_ordinary_classify_over_function_field(tmp_path, capsys, brackets,
                  "--witness-budget", "200"]) == 0
     res = json.loads(capsys.readouterr().out)["result"]
     assert (res["outcome"], res["condition"]) == (outcome, condition)
-    if skipped:
-        assert f"condition {skipped} was not decided" in res["reason"]
 
 
 def test_cli_corpus(tmp_path, capsys):

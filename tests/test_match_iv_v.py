@@ -1,17 +1,17 @@
-"""Conditions (iv)/(v) and (iii) from the eigenspace's bracket forms,
-against the enumeration of every complement they replaced."""
+"""Conditions (iv)/(v) and (iii) from the toral elements and the eigenspace's
+bracket forms, against the enumeration of every y and complement they
+replaced."""
 
 import itertools
 
 import pytest
 
 from liesolv.classify import (
-    LadderExhausted, _abelian, _abelian_complements, _candidate_ys, _central_on,
-    _eigen_one_space,
-    _finish_iv_v, _match_iv_v, _points_within, _verify_certificate, eigenvector_pair,
+    LadderExhausted, _abelian, _abelian_complements, _eigen_one_space, _finish_iv_v,
+    _match_iv_v, _toral_ys, _verify_certificate, eigenvector_pair,
     isotropic_functionals, projective_vectors, subspace_points,
 )
-from liesolv.algebra import LieAlgebra
+from liesolv.algebra import LieAlgebra, RestrictedLieAlgebra
 from liesolv.families import family_iii, family_iv, family_v, random_instance
 from liesolv.fields import GF2, gf
 from liesolv.linalg import Quotient, lin_comb, span
@@ -28,9 +28,15 @@ class OverBudget(Exception):
     pass
 
 
+def points_within(f, dim, cap):
+    return f.order ** dim <= cap
+
+
 def reference_candidate_ys(L):
+    """The y that (iii)-(v) tried before the toral solve: points of L with
+    first nonzero coordinate 1, or sums of at most three basis vectors."""
     f = L.field
-    if _points_within(f, L.n, 1 << 14):
+    if points_within(f, L.n, 1 << 14):
         yield from subspace_points(f, L.full_space())
         return
     for i in range(L.n):
@@ -41,6 +47,16 @@ def reference_candidate_ys(L):
             for i in combo:
                 v[i] = f.one
             yield tuple(v)
+
+
+def first_of_each_class(L, ys):
+    """The y of ys whose class modulo the centre was not seen before."""
+    zelim, seen = L.center().elim(), set()
+    for y in ys:
+        key = zelim.residue(y)
+        if key not in seen:
+            seen.add(key)
+            yield y
 
 
 def reference_complements_of_line(L, k, x):
@@ -70,7 +86,7 @@ def reference_match_iv_v(L, tag, budget=BUDGET):
         total = span(f, L.n, list(k.basis()) + [y] + list(z.basis()))
         if total.dim != L.n:
             continue
-        if not _points_within(f, k.dim, 1 << 12):
+        if not points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for point enumeration")
         for x in subspace_points(f, k):
             if not all(zelim.contains_vector(L.bracket(x, kb)) for kb in k.basis()):
@@ -81,7 +97,7 @@ def reference_match_iv_v(L, tag, budget=BUDGET):
                     raise OverBudget
                 if not _abelian(L, hs):
                     continue
-                cert = _finish_iv_v(L, tag, x, y, hs, z)
+                cert = _finish_iv_v(L, tag, x, y, hs)
                 if cert is not None:
                     return cert
     return None
@@ -99,7 +115,7 @@ def reference_eigenvector_pair(L, budget=BUDGET):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
             continue
-        if not _points_within(f, k.dim, 1 << 12):
+        if not points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for pair enumeration")
         pts = list(subspace_points(f, k))
         for x1, x2 in itertools.combinations(pts, 2):
@@ -112,7 +128,7 @@ def reference_eigenvector_pair(L, budget=BUDGET):
                 continue
             total = span(f, L.n, [x1, x2, y] + list(z.basis()))
             if total.dim == L.n:
-                return x1, x2, y, z
+                return x1, x2, y
     return None
 
 
@@ -136,6 +152,21 @@ def z_first(L, field):
     return L.rebase(basis)
 
 
+def scaled_toral(field, c, restricted=True):
+    """Basis (Y, x1, x2, z) with [x_i, Y] = c x_i and [x1, x2] = z; as a
+    restricted algebra Y^[2] = c Y, z^[2] = z and x_i^[2] = 0.  The toral
+    element is Y / c, whose first coordinate is 1 only when c = 1."""
+    def vec(i, a=field.one):
+        return tuple(a if j == i else field.zero for j in range(4))
+
+    names = ["Y", "x1", "x2", "z"]
+    brackets = {(0, 1): vec(1, c), (0, 2): vec(2, c), (1, 2): vec(3)}
+    if not restricted:
+        return LieAlgebra(field, names, brackets)
+    zero = (field.zero,) * 4
+    return RestrictedLieAlgebra(field, names, brackets, [vec(0, c), zero, zero, vec(3)])
+
+
 def matcher_cases():
     for field in FIELDS:
         for h_dim in (1, 2, 3):
@@ -151,7 +182,10 @@ def matcher_cases():
 
 
 def test_match_iv_v_matches_enumeration():
+    # the result equals the reference wherever the reference finds a
+    # certificate; where it finds none, a new find must verify
     compared = skipped = matched = cases = 0
+    new_finds = set()
     for label, L in matcher_cases():
         for tag in ("iv", "v"):
             cases += 1
@@ -166,24 +200,32 @@ def test_match_iv_v_matches_enumeration():
                 assert cert is None or _verify_certificate(L, cert), (label, tag)
                 continue
             compared += 1
+            if old is None and new is not None:
+                assert _verify_certificate(L, _match_iv_v(L, tag)), (label, tag)
+                new_finds.add((label, tag))
+                continue
             assert new == old, (label, tag)
     assert cases == 2 * (258 + 6)
-    assert (compared, skipped, matched) == (521, 7, 35)
+    # the one new find: y = 5·u2 is toral, and the walk of points with
+    # first coordinate 1 tried only its multiple u2
+    assert (compared, skipped, matched) == (521, 7, 36)
+    assert new_finds == {("z-first-family_v-h2-q8", "v")}
 
 
 def reference_pair_loop(L):
-    """eigenvector_pair as it was before the dim k <= 2 lemma: every pair
-    of points of each eigenspace, in enumeration order."""
+    """eigenvector_pair as it was before the dim k <= 2 lemma and the
+    toral solve: every pair of points of each eigenspace, in enumeration
+    order, for the first candidate y of each class mod the centre."""
     f = L.field
     z = L.center()
     if L.n - z.dim != 3:
         return None
     zelim = z.elim()
-    for y in _candidate_ys(L, zelim):
+    for y in first_of_each_class(L, reference_candidate_ys(L)):
         k = _eigen_one_space(L, y)
         if k.dim < 2:
             continue
-        if not _points_within(f, k.dim, 1 << 12):
+        if not points_within(f, k.dim, 1 << 12):
             raise LadderExhausted("eigenspace too large for pair enumeration")
         pts = list(subspace_points(f, k))
         for x1, x2 in itertools.combinations(pts, 2):
@@ -193,16 +235,27 @@ def reference_pair_loop(L):
                 continue
             total = span(f, L.n, [x1, x2, y] + list(z.basis()))
             if total.dim == L.n:
-                return x1, x2, y, z
+                return x1, x2, y
     return None
 
 
 def is_eigenvector_pair(L, found):
-    x1, x2, y, z = found
-    f = L.field
+    x1, x2, y = found
+    f, z = L.field, L.center()
     return (L.bracket(x1, y) == x1 and L.bracket(x2, y) == x2
-            and z == L.center() and z.contains_vector(L.bracket(x1, x2))
+            and z.contains_vector(L.bracket(x1, x2))
             and span(f, L.n, [x1, x2, y] + list(z.basis())).dim == L.n)
+
+
+def agrees_or_verifies(L, new, old):
+    """new equals old where old is a pair; where old is None, new is None or
+    a pair: the reference walk misses a toral y with a first coordinate
+    other than 1.  Returns whether new is such a find."""
+    if old is None and new is not None:
+        assert is_eigenvector_pair(L, new), L
+        return True
+    assert new == old, L
+    return False
 
 
 def test_eigenvector_pair_lemma_matches_pair_loop():
@@ -212,14 +265,17 @@ def test_eigenvector_pair_lemma_matches_pair_loop():
     for field in FIELDS:
         L = family_iii(field, central_dim=1, central_bracket=True)
         cases += [L, z_first(L, field)] if field is not GF2 else [L]
-    found = 0
+    cases += [scaled_toral(FIELDS[1], c, restricted) for c in (1, 2, 3)
+              for restricted in (True, False)]
+    found = new_finds = 0
     for L in cases:
         new = outcome(eigenvector_pair, L)
-        assert new == outcome(reference_pair_loop, L), L
+        new_finds += agrees_or_verifies(L, new, outcome(reference_pair_loop, L))
         if new is not None:
             found += 1
             assert is_eigenvector_pair(L, new)
-    assert (len(cases), found) == (2304 + 264 + 5, 19)
+    # the new finds are scaled_toral over GF(4) with c = 2 and 3, both kinds
+    assert (len(cases), found, new_finds) == (2304 + 264 + 5 + 6, 25, 4)
     # over GF(2^8) and up an eigenspace of dimension 2 has more than
     # 2^12 points, so the pair loop gave up where the lemma decides
     for m in (8, 9, 12):
@@ -234,7 +290,7 @@ def test_eigenvector_pair_dedup_matches_every_candidate():
     for field in FIELDS[1:]:
         L = family_iii(field, central_dim=1, central_bracket=True)
         cases += [("family_iii", L), ("z-first-family_iii", z_first(L, field))]
-    compared = found = 0
+    compared = found = new_finds = 0
     for label, L in cases:
         new = outcome(eigenvector_pair, L)
         try:
@@ -243,8 +299,8 @@ def test_eigenvector_pair_dedup_matches_every_candidate():
             continue
         compared += 1
         found += new is not None
-        assert new == old, label
-    assert (compared, found) == (268, 14)
+        new_finds += agrees_or_verifies(L, new, old)
+    assert (compared, found, new_finds) == (268, 14, 0)
 
 
 # -- hand-built eigenspaces ------------------------------------------------
@@ -314,22 +370,38 @@ def _noncentral_eigenspace(field):
     return L
 
 
-def test_central_on_lists_the_points_the_filter_kept():
-    # the points of {x in k : [x, k] central} come in the order in which
-    # filtering every point of k found them
-    checked = proper = 0
+def is_toral(L, y):
+    """Whether y passes every filter of the y walk that _toral_ys replaced,
+    with the eigenspace k of ad y for 1 bracketing into the centre Z: dim
+    k >= 2 and L = k ⊕ Fy ⊕ Z directly."""
+    f, z = L.field, L.center()
+    k, zelim = _eigen_one_space(L, y), z.elim()
+    return (k.dim >= 2 and k.dim + 1 + z.dim == L.n
+            and span(f, L.n, list(k.basis()) + [y] + list(z.basis())).dim == L.n
+            and all(zelim.contains_vector(L.bracket(a, b))
+                    for a, b in itertools.combinations(k.basis(), 2)))
+
+
+def test_toral_ys_are_the_candidates_that_pass_every_filter():
+    # _toral_ys yields first, in their order, the candidates of the walk
+    # it replaced (the first of each class mod Z) that pass every filter
+    # that walk applied and the one [x, k] in Z on every x of k, then
+    # rescaled toral elements of new classes; so the search of (iii)-(v)
+    # keeps the reference's certificates and adds only new finds
+    checked = rescaled = 0
     cases = list(matcher_cases())
     cases += [(f"noncentral-q{f.order}", _noncentral_eigenspace(f)) for f in FIELDS]
+    for field in FIELDS:
+        L = family_iii(field, central_dim=1, central_bracket=True)
+        cases += [("family_iii", L)] + ([("z-first-family_iii", z_first(L, field))]
+                                        if field is not GF2 else [])
     for label, L in cases:
-        f, z = L.field, L.center()
-        zelim, mod_z = z.elim(), Quotient(z)
-        for y in _candidate_ys(L, zelim):
-            k = _eigen_one_space(L, y)
-            if k.dim < 2 or not _points_within(f, k.dim, 1 << 10):
-                continue
-            want = [x for x in subspace_points(f, k)
-                    if all(zelim.contains_vector(L.bracket(x, b)) for b in k.basis())]
-            assert list(subspace_points(f, _central_on(L, k, mod_z))) == want, label
-            checked += 1
-            proper += len(want) < (f.order ** k.dim - 1) // (f.order - 1)
-    assert (checked, proper) == (711, 24)
+        ys = list(_toral_ys(L, L.center()))
+        want = [y for y in first_of_each_class(L, reference_candidate_ys(L))
+                if is_toral(L, y)]
+        assert ys[:len(want)] == want, label
+        assert all(is_toral(L, y) for y in ys[len(want):]), label
+        assert list(first_of_each_class(L, ys)) == ys, label
+        checked += bool(ys)
+        rescaled += len(ys) - len(want)
+    assert (len(cases), checked, rescaled) == (264 + 3 + 5, 29, 247)

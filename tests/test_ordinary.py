@@ -3,11 +3,12 @@ import random
 import pytest
 
 from liesolv.algebra import LieAlgebra
+from liesolv.classify import abelian_ideal
 from liesolv.families import example_7_1, family_v, heisenberg
 from liesolv.fields import GF2, RATFUNC2, gf
 from liesolv.linalg import span
 from liesolv.ordinary import (
-    TwoEnvelopeResult, UEnvelope, abelian_codim1_ideal, corollary_classify,
+    TwoEnvelopeResult, UEnvelope, corollary_classify,
     descent_abelian_codim1, random_ordinary_instance, two_envelope, witness_search,
 )
 
@@ -207,7 +208,7 @@ def test_corollary_classify_abelian():
 def test_corollary_classify_ordinary_h3():
     v = corollary_classify(ordinary_h3())
     assert v.outcome == "solvable" and v.condition == "ii"
-    assert abelian_codim1_ideal(ordinary_h3()) == span(GF2, 3, [(0, 1, 0), (0, 0, 1)])
+    assert abelian_ideal(ordinary_h3()) == ("hyperplane", span(GF2, 3, [(0, 1, 0), (0, 0, 1)]))
 
 
 def test_corollary_classify_iv_family():
@@ -219,7 +220,7 @@ def test_corollary_classify_iv_family():
 def test_corollary_iv_matcher_reached():
     # kill condition (ii): no abelian hyperplane; class not 2 either
     L = corollary_iv_family()
-    a = abelian_codim1_ideal(L)
+    a = abelian_ideal(L)
     # the centralizer of L' = <x1,x2,z> is not abelian, so (ii) can still match
     # via enumeration; accept either answer but require a solvable verdict
     v = corollary_classify(L)
