@@ -9,7 +9,8 @@ and one linear system with coefficients in the base field, so they
 match over an extension iff they match over the base field; the ladder
 of extensions GF(2^(kd)), d >= 2, runs (iv) and (v) only, on the
 base-changed quotient (every step of the core commutes with base
-change, so the core of L⊗K is the embedded core of L).  When nothing
+change, so the core of L⊗K is the embedded core of L), and (iv)/(v)
+walk the abelian hyperplanes of each eigenspace once.  When nothing
 matches, it tries one alternative core, found on the first miss: the
 restricted closure of the 2-nilpotent locus of the whole centre (the
 canonical core takes that locus on the derived algebra only), if it
@@ -51,12 +52,14 @@ class CoreNotNilpotent(Exception):
 
 
 class LadderExhausted(Exception):
-    """A condition needs a point enumeration that cannot run.
+    """A condition needs a walk that cannot run.
 
     Raised by ``match_condition`` over a field that is not GF(2^k), which
-    ``classify`` never reaches, and by ``_match_iv_v`` when the eigenspace
-    of a toral element has more than 2^12 points (over GF(8^d), dim k >= 3
-    for d >= 2).  ``classify`` counts it as no match at that degree.
+    ``classify`` never reaches, and by ``_match_iv_v`` when an eigenspace
+    k of a toral element has more than 2^12 abelian hyperplanes to walk,
+    q^(dim S - 1) > 2^12 for S from ``isotropic_functionals``: k abelian
+    of dimension d with q^(d-1) > 2^12, or dim S = 2 and q > 2^12.
+    ``classify`` counts it as no match at that degree.
     """
 
 
@@ -553,54 +556,41 @@ def _match_iii(L: RestrictedLieAlgebra) -> Optional[Certificate]:
         {"x1": x1, "x2": x2, "y": y})
 
 
-def _abelian_complements(L: LieAlgebra, k: Subspace, s: Subspace, x):
-    """Bases of the abelian hyperplanes of k complementary to the line of x.
-
-    s holds the functionals on k (coordinates on ``k.basis()``) whose
-    kernels are abelian, from ``isotropic_functionals``.  A complement is
-    spanned by b_idx + lam_idx x for the basis vectors b_idx other than
-    the first one on which x has a nonzero coordinate, and it is ker(phi)
-    with phi(x) != 0 and lam_idx = phi(b_idx) / phi(x).  All complements
-    are abelian when s is all of k*; otherwise they come from the at most
-    q+1 points of P(s).  Either way they are visited in the lexicographic
-    order of (lam_idx): GF(2^k) elements are the ints 0..q-1, so this is
-    itertools.product over ``f.elements()``.
+def _abelian_hyperplanes(L: LieAlgebra, k: Subspace):
+    """(x, basis of H) for each abelian hyperplane H = ker(phi) of k, phi
+    in P(``isotropic_functionals(L, k.basis())``).  x is the first point of
+    ``subspace_points(k)`` off H, H has the basis b_i + lam_i x, i >= 1,
+    lam_i = phi(b_i) / phi(x), and the order of (rank of x, lam) is that
+    in which a walk over every x, then every complement of x, meets each H.
     """
-    f = L.field
-    basis, d = k.basis(), k.dim
-    x_coords = tuple(x[p] for p in k.pivots)
-    lead = next(i for i, c in enumerate(x_coords) if not f.is_zero(c))
-    others = [i for i in range(d) if i != lead]
-    if s.dim == d:
-        lam_rows = itertools.product(list(f.elements()), repeat=d - 1)
-    else:
-        lam_rows = []
-        for c in projective_vectors(f, s.dim):
-            phi = lin_comb(f, c, s.basis(), d)
-            phi_x = _dot(f, phi, x_coords)
-            if not f.is_zero(phi_x):
-                lam_rows.append(tuple(f.div(phi[idx], phi_x) for idx in others))
-        lam_rows.sort()
-    for lams in lam_rows:
-        yield [lin_comb(f, (f.one, lam), (basis[idx], x), L.n)
-               for idx, lam in zip(others, lams)]
+    f, basis, d = L.field, k.basis(), k.dim
+    s = isotropic_functionals(L, basis)
+    if s.dim and f.order ** (s.dim - 1) > 1 << 12:
+        raise LadderExhausted("more than 2^12 abelian hyperplanes to walk")
+    walk = []
+    for c in projective_vectors(f, s.dim):
+        phi = lin_comb(f, c, s.basis(), d)
+        j = 0 if not f.is_zero(phi[0]) else max(i for i in range(d) if not f.is_zero(phi[i]))
+        # the points b_0, then b_0 + b_j for j = d-1, ..., 1, come in this order
+        walk.append((j > 0, -j, tuple(f.div(phi[i], phi[j]) for i in range(1, d))))
+    for _, neg_j, lams in sorted(walk):
+        x = vec_add(f, basis[0], basis[-neg_j]) if neg_j else basis[0]
+        yield x, [lin_comb(f, (f.one, lam), (b, x), L.n) for b, lam in zip(basis[1:], lams)]
 
 
 def _match_iv_v(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
-    f = L.field
+    """(iv) or (v) on one walk of the abelian hyperplanes H of each k.
+
+    A match depends on H only, so any x of k off H serves: [x + h', h] =
+    [x, h] on abelian H, beta and alpha absorb c x, and (iv) and (v) are
+    semilinear on H, so one basis decides.  [k, k] is central, so x
+    brackets H into the centre.
+    """
     for y in _toral_ys(L, L.center()):
-        k = _eigen_one_space(L, y)
-        if f.order ** k.dim > 1 << 12:
-            raise LadderExhausted("eigenspace too large for point enumeration")
-        s = isotropic_functionals(L, k.basis())
-        if s.dim == 0:
-            continue
-        # [k, k] lies in the centre, so every x of k brackets H into it
-        for x in subspace_points(f, k):
-            for hs in _abelian_complements(L, k, s, x):
-                cert = _finish_iv_v(L, tag, x, y, hs)
-                if cert is not None:
-                    return cert
+        for x, hs in _abelian_hyperplanes(L, _eigen_one_space(L, y)):
+            cert = _finish_iv_v(L, tag, x, y, hs)
+            if cert is not None:
+                return cert
     return None
 
 

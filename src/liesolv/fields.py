@@ -259,16 +259,17 @@ class GF2k:
         """Degree-m extension together with the embedding GF(2^k) -> GF(2^(km)).
 
         The embedding sends the residue generator to a root of this
-        field's modulus in the larger field (found by exhaustive search,
-        so km must stay moderate).
+        field's modulus in the larger field (found by exhaustive search).
+        km is capped at TABLE_MAX_K: larger fields multiply without log
+        tables, and ``GF2k(20).mul_rows()`` alone takes about a minute.
         """
         if m < 1:
             raise FieldError("extension multiplier must be >= 1")
+        if self.k * m > TABLE_MAX_K:
+            raise FieldError("extension degree too large for root search")
         big = GF2k(self.k * m, modulus)
         if self.k == 1:
             return big, lambda a: a
-        if big.k > 20:
-            raise FieldError("extension degree too large for root search")
         root = None
         for cand in range(big.order):
             # evaluate our modulus at cand via Horner

@@ -730,6 +730,14 @@ def test_the_ladder_decides_condition_iv_above_degree_1():
     v = classify(_ladder_probe(GF4))
     assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 1)
     assert verify_verdict(_ladder_probe(GF4), v)
+    # GF(8) and GF(32) hold no root of t^2 + t + 1, GF(64) and GF(2^10) do;
+    # one walk over the q+1 abelian hyperplanes decides there
+    for q in (8, 32):
+        L = _ladder_probe(gf(q))
+        v = classify(L)
+        assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 2), q
+        assert v.oracle["outcome"] == "reached_zero"
+        assert verify_verdict(L, v)
 
 
 def _gl3():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from liesolv.fields import (
     GF2, GF2k, RatFunc2, RATFUNC2, TABLE_MAX_K, gf,
-    DivisionByZero, NoSquareRoot, ReducibleModulus,
+    DivisionByZero, FieldError, NoSquareRoot, ReducibleModulus,
     bp_gcd, bp_mul, bp_parse, bp_str, BP_ONE,
     field_from_json, field_to_json, find_irreducible, is_irreducible,
     poly_mod, poly_mul,
@@ -256,6 +256,19 @@ def test_gf4_to_gf16_embedding_is_homomorphism():
     assert emb(1) == 1
     # injective on all four elements
     assert len({emb(a) for a in GF4.elements()}) == 4
+
+
+def test_extend_stops_at_the_log_tables():
+    # GF(2^20) would multiply without log tables; GF(2^16) is the last field with them
+    assert TABLE_MAX_K == 16
+    with pytest.raises(FieldError):
+        gf(32).extend(4)
+    with pytest.raises(FieldError):
+        GF2.extend(TABLE_MAX_K + 1)
+    big, emb = gf(16).extend(4)
+    assert big.k == 16 and emb(1) == 1
+    a, b = 7, 11
+    assert emb(gf(16).mul(a, b)) == big.mul(emb(a), emb(b))
 
 
 def test_ratfunc_sqrt_adjunction():

@@ -2,19 +2,20 @@
 bracket forms, against the enumeration of every y and complement they
 replaced."""
 
+import collections
 import itertools
 
 import pytest
 
 from liesolv.classify import (
-    LadderExhausted, _abelian, _abelian_complements, _eigen_one_space, _finish_iv_v,
+    LadderExhausted, _abelian, _abelian_hyperplanes, _eigen_one_space, _finish_iv_v,
     _match_iv_v, _toral_ys, _verify_certificate, eigenvector_pair,
     isotropic_functionals, projective_vectors, subspace_points,
 )
 from liesolv.algebra import LieAlgebra, RestrictedLieAlgebra
 from liesolv.families import family_iii, family_iv, family_v, random_instance
 from liesolv.fields import GF2, gf
-from liesolv.linalg import Quotient, lin_comb, span
+from liesolv.linalg import Quotient, lin_comb, span, vec_add, vec_scale
 
 from test_abelian_ideals import central_forms, random_algebras
 
@@ -181,35 +182,83 @@ def matcher_cases():
         yield f"z-first-family_v-h2-q{field.order}", z_first(family_v(field, 2), field)
 
 
-def test_match_iv_v_matches_enumeration():
-    # the result equals the reference wherever the reference finds a
-    # certificate; where it finds none, a new find must verify
-    compared = skipped = matched = cases = 0
-    new_finds = set()
-    for label, L in matcher_cases():
+def compare_with_reference(cases):
+    """Counts of _match_iv_v against reference_match_iv_v, and its new finds.
+
+    The result equals the reference wherever the reference finds a
+    certificate.  Where it finds none, a new find must verify; where the
+    reference goes over BUDGET or its point cap, every find must verify.
+    """
+    counts, new_finds = collections.Counter(), set()
+    for label, L in cases:
         for tag in ("iv", "v"):
-            cases += 1
+            counts["cases"] += 1
             new = outcome(_match_iv_v, L, tag)
-            if isinstance(new, list):
-                matched += 1
+            counts["matched"] += isinstance(new, list)
             try:
                 old = outcome(reference_match_iv_v, L, tag)
             except OverBudget:
-                skipped += 1
+                old = "OverBudget"
+            if old in ("OverBudget", "LadderExhausted"):
+                counts["skipped"] += 1
                 cert = _match_iv_v(L, tag)
                 assert cert is None or _verify_certificate(L, cert), (label, tag)
                 continue
-            compared += 1
+            counts["compared"] += 1
             if old is None and new is not None:
                 assert _verify_certificate(L, _match_iv_v(L, tag)), (label, tag)
                 new_finds.add((label, tag))
                 continue
             assert new == old, (label, tag)
-    assert cases == 2 * (258 + 6)
+    return counts, new_finds
+
+
+def test_match_iv_v_matches_enumeration():
+    counts, new_finds = compare_with_reference(matcher_cases())
+    assert counts["cases"] == 2 * (258 + 6)
+    assert (counts["compared"], counts["skipped"], counts["matched"]) == (521, 7, 36)
     # the one new find: y = 5·u2 is toral, and the walk of points with
     # first coordinate 1 tried only its multiple u2
-    assert (compared, skipped, matched) == (521, 7, 36)
     assert new_finds == {("z-first-family_v-h2-q8", "v")}
+
+
+def test_match_iv_v_matches_enumeration_at_degree_2():
+    # the GF(2) and GF(4) cases over GF(4) and GF(16), where the walk
+    # over every point x and every complement costs q^dim k
+    cases = [(f"{label}-deg2", L.base_change(*L.field.extend(2)))
+             for label, L in matcher_cases() if L.field.order <= 4]
+    counts, new_finds = compare_with_reference(cases)
+    assert counts["cases"] == 2 * (86 + 89)
+    assert (counts["compared"], counts["skipped"], counts["matched"]) == (341, 9, 22)
+    # as at degree 1, a toral y that the reference's walk of points with
+    # first coordinate 1 misses: z_first makes it t^-1 times a basis vector
+    assert new_finds == {(f"z-first-{name}-q4-deg2", tag) for name, tag in (
+        ("family_iv", "iv"), ("family_v", "iv"), ("family_v", "v"), ("family_v-h2", "v"))}
+
+
+def test_a_match_depends_on_the_hyperplane_only():
+    # for every abelian hyperplane H that the walk meets, x may be replaced
+    # by c x + h' (c != 0, h' in H) and the basis of H by another one:
+    # _finish_iv_v completes a certificate for all of them or for none
+    checked = found = 0
+    for label, L in matcher_cases():
+        f = L.field
+        t = max(f.elements())
+        for y in _toral_ys(L, L.center()):
+            for x, hs in _abelian_hyperplanes(L, _eigen_one_space(L, y)):
+                h_sum = lin_comb(f, [f.one] * len(hs), hs, L.n)
+                other = [vec_add(f, vec_scale(f, t, h), hs[-1]) for h in hs[:-1]] + hs[-1:]
+                for tag in ("iv", "v"):
+                    want = _finish_iv_v(L, tag, x, y, hs) is not None
+                    for c, h_prime, basis in itertools.product(
+                            (f.one, t), (L.zero_vec(), hs[0], h_sum), (hs, other)):
+                        x_new = vec_add(f, vec_scale(f, c, x), h_prime)
+                        cert = _finish_iv_v(L, tag, x_new, y, basis)
+                        assert (cert is not None) == want, (label, tag)
+                        assert cert is None or _verify_certificate(L, cert), (label, tag)
+                        checked += 1
+                        found += cert is not None
+    assert (checked, found) == (70872, 23484)
 
 
 def reference_pair_loop(L):
@@ -348,13 +397,20 @@ def test_isotropic_functionals_hand_built(name):
         s = isotropic_functionals(L, k.basis())
         assert s.dim == (d if expected == "all" else expected), field
         assert projective_points(field, s) == isotropic_by_enumeration(L, k.basis())
-        # the complements of every line, in the order of the enumeration
-        complements = 0
+        # the walk over P(S) meets each abelian hyperplane once, with the
+        # x and the basis under which the walk over every point x and
+        # every complement of x, in enumeration order, first meets it
+        old, seen = [], set()
         for x in subspace_points(field, k):
-            old = [hs for hs in reference_complements_of_line(L, k, x) if _abelian(L, hs)]
-            assert list(_abelian_complements(L, k, s, x)) == old, (field, x)
-            complements += len(old)
-        assert complements > 0 or expected == 0
+            for hs in reference_complements_of_line(L, k, x):
+                key = span(field, L.n, hs).rows
+                if _abelian(L, hs) and key not in seen:
+                    seen.add(key)
+                    old.append((x, hs))
+        walk = list(_abelian_hyperplanes(L, k))
+        assert walk == old, field
+        assert len(walk) == len(projective_points(field, s))
+        assert walk or expected == 0
 
 
 def _noncentral_eigenspace(field):
