@@ -6,9 +6,11 @@ are indexed by the masks themselves.  The public element form is a
 sparse dict {mask: scalar}.
 
 Inside, an element has a native form.  Over GF(2^k) it is a stacked
-int, the bit-sliced layout of M4RIE: one int of k*2^n bits whose plane
-j, the bits [j*2^n, (j+1)*2^n), holds bit j of every coefficient; over
-GF(2) it is the bitmask of the monomials present.  Over any other field
+int, the bit-sliced layout of M4RIE (``linalg.Stacked``): one int of
+k*2^n bits whose plane j, the bits [j*2^n, (j+1)*2^n), holds bit j of
+every coefficient; over GF(2) it is the bitmask of the monomials
+present.  The eliminator's rows have the same layout, so spans of
+elements take and give them as they are.  Over any other field
 (F2(X,Y)) it is a ``_Sparse`` dict whose ``^`` is addition.  Both forms
 run on one straightening, one right generator at a time:
 
@@ -56,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
-from .linalg import Eliminator, Quotient, Subspace, saturate
+from .linalg import Eliminator, Quotient, Stacked, Subspace, saturate, stack_items
 
 # u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
 # pairs of them, so larger algebras are refused before anything is built.
@@ -174,14 +176,7 @@ class Envelope:
             self._zero = _Sparse(self.field)
             return
         self._zero = 0
-        k, D = self.field.k, self.dim
-        self.k = k
-        self._plane = (1 << D) - 1
-        self._offsets = [j * D for j in range(k)]      # plane j starts at bit j*D
-        self._offsets_desc = self._offsets[::-1]
-        self._top_shift = k * D
-        # t^k = sum of t^j over the bits j < k of the modulus
-        self._fold = [j * D for j in range(k) if self.field.modulus >> j & 1]
+        self._stack = Stacked(self.field.modulus, self.dim)
 
     # -- element constructors -----------------------------------------
 
@@ -231,22 +226,14 @@ class Envelope:
 
     def to_mask(self, a: dict) -> int:
         """The stacked int of a dict element (GF(2^k) only)."""
-        D = self.dim
-        out = 0
-        for m, c in a.items():
-            while c:
-                if c & 1:
-                    out |= 1 << m
-                c >>= 1
-                m += D
-        return out
+        return stack_items(a.items(), self.dim)
 
     def from_mask(self, x: int) -> dict:
         """The dict element of a stacked int."""
         out: dict = {}
-        plane = self._plane
-        for j, s in enumerate(self._offsets):
-            for m in _bits(x >> s & plane):
+        st = self._stack
+        for j, s in enumerate(st.offsets):
+            for m in _bits(x >> s & st.plane):
                 out[m] = out.get(m, 0) | 1 << j
         return out
 
@@ -277,13 +264,7 @@ class Envelope:
         if not self.stacked:
             f = self.field
             return _Sparse(f, {m: f.mul(c, v) for m, v in x.items()})
-        out = 0
-        for j in reversed(range(self.k)):      # Horner over the bits of c
-            if out:
-                out = self._mul_t(out)
-            if c >> j & 1:
-                out ^= x
-        return out
+        return self._stack.scale(c, x)
 
     def _apply(self, table: list, fill, x):
         """Sum of c_m*table[m] over the monomials m of x, c_m their coefficients.
@@ -300,11 +281,12 @@ class Envelope:
                     e = fill(m)
                 acc ^= self._scale(c, e)
             return acc
-        plane, top = self._plane, self._offsets_desc[0]
+        st = self._stack
+        plane, mul_t, top = st.plane, st.mul_t, st.offsets[-1]
         acc = 0
-        for s in self._offsets_desc:
+        for s in reversed(st.offsets):
             if acc:
-                acc = self._mul_t(acc)
+                acc = mul_t(acc)
             p = x >> s
             if s != top:
                 p &= plane
@@ -323,32 +305,15 @@ class Envelope:
             return False
         if not self.stacked:
             return elim.add_vector(self.elem_to_vec(e))
-        plane = self._plane
-        return elim.add_planes([e >> s & plane for s in self._offsets])
+        return elim.add_planes(e)
 
     def _basis(self, elim: Eliminator) -> list:
         """The RREF basis of ``elim`` in pivot order, as native elements."""
         if not self.stacked:
             return [_Sparse(self.field, self.elem_from_row(r)) for r in elim.basis_rows()]
-        out = []
-        for planes in elim.basis_planes():
-            x = 0
-            for p, s in zip(planes, self._offsets):
-                x |= p << s
-            out.append(x)
-        return out
+        return elim.basis_planes()
 
     # -- the generator-table kernel -------------------------------------------
-
-    def _mul_t(self, x: int) -> int:
-        """t*x: every plane moves up one, and plane k folds back by the modulus."""
-        x <<= self.dim
-        top = x >> self._top_shift
-        if top:
-            x ^= top << self._top_shift
-            for s in self._fold:
-                x ^= top << s
-        return x
 
     def _right_entry(self, g: int, m: int):
         """m*x_g, from the right generator table."""

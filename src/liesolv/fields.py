@@ -143,8 +143,6 @@ class GF2k:
         self.order = 1 << k
         self.zero = 0
         self.one = 1
-        # mult-by-scalar plane matrices for packed row operations, built lazily
-        self._mul_rows: list[list[int]] | None = None
 
     def __eq__(self, other):
         return isinstance(other, GF2k) and (self.k, self.modulus) == (other.k, other.modulus)
@@ -248,20 +246,14 @@ class GF2k:
             raise FieldError(f"scalar {s!r} out of range for GF(2^{self.k})")
         return v
 
-    def mul_rows(self) -> list[list[int]]:
-        """mul_rows()[c][i] = c * t^i, used by packed row elimination."""
-        if self._mul_rows is None:
-            t_pows = [self.pow(2, i) if self.k > 1 else 1 for i in range(self.k)]
-            self._mul_rows = [[self.mul(c, tp) for tp in t_pows] for c in range(self.order)]
-        return self._mul_rows
-
     def extend(self, m: int, modulus: int | None = None) -> Tuple["GF2k", Callable[[int], int]]:
         """Degree-m extension together with the embedding GF(2^k) -> GF(2^(km)).
 
         The embedding sends the residue generator to a root of this
         field's modulus in the larger field (found by exhaustive search).
-        km is capped at TABLE_MAX_K: larger fields multiply without log
-        tables, and ``GF2k(20).mul_rows()`` alone takes about a minute.
+        km is capped at TABLE_MAX_K: the root search tries the elements
+        of the larger field one by one, and above the cap each try
+        multiplies polynomials without log tables.
         """
         if m < 1:
             raise FieldError("extension multiplier must be >= 1")

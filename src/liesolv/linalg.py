@@ -4,9 +4,13 @@ Vectors are tuples of scalars; a Subspace is a canonical reduced
 row-echelon basis, so two subspaces are equal iff their stored rows are
 identical.
 
-Rows over GF(2^k) are packed into k bit planes (Python ints), which
-turns every row operation into at most k^2 XORs regardless of the
-ambient dimension; GF(2) is the one-plane special case.  Packed rows
+Over GF(2^k) a row is one stacked int, the layout ``Stacked`` describes
+and ``envelope.Envelope`` uses for elements of u(L): k*W bits for a row
+of length W, plane j (the bits [j*W, (j+1)*W)) holding bit j of every
+coordinate.  Adding rows is one XOR, and a scalar multiple is one
+Horner pass in t, so a row operation costs O(k) big-int operations
+regardless of the ambient dimension.  Over GF(2) the row is the bitmask
+of its nonzero coordinates and elimination is bare XOR.  Packed rows
 are keyed by pivot and kept fully reduced, so reducing a vector touches
 only the pivots in its support.  RatFunc2 rows stay as plain scalar
 lists.
@@ -19,6 +23,7 @@ and coordinates directly.
 from __future__ import annotations
 
 import bisect
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
@@ -29,138 +34,200 @@ class DimensionMismatch(Exception):
 
 
 # ----------------------------------------------------------------------
-# packed rows over GF(2^k)
+# stacked rows over GF(2^k)
 # ----------------------------------------------------------------------
 
-def pack_row(field: GF2k, vec: Sequence[int]) -> List[int]:
-    planes = [0] * field.k
-    for j, c in enumerate(vec):
-        i = 0
+def stack_items(items: Iterable[Tuple[int, int]], width: int) -> int:
+    """The stacked int of width ``width`` with coordinate c at column m
+    for each (m, c) of ``items``."""
+    out = 0
+    for m, c in items:
         while c:
             if c & 1:
-                planes[i] |= 1 << j
+                out |= 1 << m
             c >>= 1
-            i += 1
-    return planes
-
-
-def unpack_row(field: GF2k, planes: Sequence[int], ambient: int) -> Tuple[int, ...]:
-    out = [0] * ambient
-    for i, plane in enumerate(planes):
-        while plane:
-            low = plane & -plane
-            out[low.bit_length() - 1] |= 1 << i
-            plane ^= low
-    return tuple(out)
-
-
-def _support(planes) -> int:
-    s = 0
-    for p in planes:
-        s |= p
-    return s
-
-
-def _coord(planes, j: int) -> int:
-    c = 0
-    for i, p in enumerate(planes):
-        c |= ((p >> j) & 1) << i
-    return c
-
-
-def _addmul(target, source, mul_row) -> None:
-    # target += c * source where mul_row = [c * t^i for i in range(k)]
-    for i, ci in enumerate(mul_row):
-        if ci:
-            si = source[i]
-            if si:
-                j = 0
-                while ci:
-                    if ci & 1:
-                        target[j] ^= si
-                    ci >>= 1
-                    j += 1
-
-
-def _scale(planes, mul_row, k: int):
-    out = [0] * k
-    for i, ci in enumerate(mul_row):
-        if ci:
-            si = planes[i]
-            if si:
-                j = 0
-                while ci:
-                    if ci & 1:
-                        out[j] ^= si
-                    ci >>= 1
-                    j += 1
+            m += width
     return out
 
 
-class _PackedElim:
-    """Incremental RREF accumulator over GF(2^k) with packed rows.
+def pack_row(vec: Sequence[int]) -> int:
+    """The stacked int of a GF(2^k) vector."""
+    return stack_items(enumerate(vec), len(vec))
+
+
+def unpack_row(field: GF2k, x: int, ambient: int) -> Tuple[int, ...]:
+    """The GF(2^k) vector of length ``ambient`` whose stacked int is x."""
+    out = [0] * ambient
+    plane = (1 << ambient) - 1
+    for i in range(field.k):
+        p = x >> i * ambient & plane
+        while p:
+            low = p & -p
+            out[low.bit_length() - 1] |= 1 << i
+            p ^= low
+    return tuple(out)
+
+
+class Stacked:
+    """Arithmetic on the stacked ints of width ``width`` over GF(2^k) =
+    GF(2)[t]/(modulus), k the degree of ``modulus``.
+
+    Plane j, the bits [j*width, (j+1)*width), holds bit j of every
+    coordinate: the bit-sliced layout of M4RIE.  Multiplying by t moves
+    every plane up one and folds plane k back by the modulus.
+    """
+
+    __slots__ = ("k", "width", "plane", "offsets", "top", "fold", "column")
+
+    def __init__(self, modulus: int, width: int):
+        k = self.k = modulus.bit_length() - 1
+        self.width = width
+        self.plane = (1 << width) - 1
+        self.offsets = tuple(j * width for j in range(k))  # plane j starts at bit j*width
+        self.top = k * width
+        # t^k = sum of t^j over the bits j < k of the modulus
+        self.fold = tuple(j * width for j in range(k) if modulus >> j & 1)
+        self.column = sum(1 << s for s in self.offsets)  # bit 0 of every plane
+
+    def mul_t(self, x: int) -> int:
+        """t*x."""
+        x <<= self.width
+        top = x >> self.top
+        if top:
+            x ^= top << self.top
+            for s in self.fold:
+                x ^= top << s
+        return x
+
+    def scale(self, c: int, x: int) -> int:
+        """c*x for a scalar c, by Horner's rule over the bits of c."""
+        if c == 1:
+            return x
+        out = 0
+        for j in reversed(range(self.k)):
+            if out:
+                out = self.mul_t(out)
+            if c >> j & 1:
+                out ^= x
+        return out
+
+    def support(self, x: int) -> int:
+        """The bitmask of the columns where x is nonzero."""
+        s, plane, width = 0, self.plane, self.width
+        while x:
+            s |= x & plane
+            x >>= width
+        return s
+
+    def coord(self, x: int, j: int) -> int:
+        """The coordinate of x at column j."""
+        x >>= j
+        c = 0
+        for i, s in enumerate(self.offsets):
+            c |= (x >> s & 1) << i
+        return c
+
+
+# Eliminators are built by the thousand and most are small, so the
+# layouts they need are shared rather than rebuilt: a new Stacked per
+# eliminator makes building one over GF(4) about 4x slower.
+_stacked = lru_cache(maxsize=256)(Stacked)
+
+
+class _GF2Elim:
+    """Incremental RREF accumulator over GF(2): a row is a bitmask.
 
     Rows are keyed by their pivot column and ``pivmask`` has one bit per
     pivot.  The rows are kept fully reduced: row ``p`` is 1 at column
     ``p`` and 0 at every other pivot.  So subtracting a multiple of row
     ``p`` leaves a vector's coordinates at the other pivots unchanged,
-    and ``reduce`` can read all the coordinates it needs first, at the
-    pivots in ``support & pivmask`` only, and apply the row operations
-    after.
+    and ``reduce`` needs to visit only the pivots in the vector's
+    support, each once.
     """
 
     def __init__(self, field: GF2k, ambient: int):
-        self.field = field
-        self.ambient = ambient
-        self.k = field.k
-        self.rows: Dict[int, List[int]] = {}
+        self.rows: Dict[int, int] = {}
         self.pivmask = 0
-        self._mul_rows = field.mul_rows()
 
-    def reduce(self, planes: List[int]) -> List[int]:
+    def load(self, rows: Sequence[Sequence], pivots: Sequence[int]) -> None:
+        """Take the RREF ``rows`` with pivots ``pivots`` as they are."""
+        self.rows = {p: pack_row(r) for p, r in zip(pivots, rows)}
+        self.pivmask = sum(1 << p for p in pivots)
+
+    def reduce(self, x: int) -> int:
         rows = self.rows
-        hit = _support(planes) & self.pivmask
-        coords = []
+        hit = x & self.pivmask
         while hit:
             low = hit & -hit
-            p = low.bit_length() - 1
-            coords.append((p, _coord(planes, p)))
+            x ^= rows[low.bit_length() - 1]
             hit ^= low
-        mul_rows = self._mul_rows
-        for p, c in coords:
-            _addmul(planes, rows[p], mul_rows[c])
-        return planes
+        return x
 
-    def add(self, planes: List[int]) -> bool:
-        planes = self.reduce(list(planes))
-        sup = _support(planes)
-        if not sup:
+    def add(self, x: int) -> bool:
+        x = self.reduce(x)
+        if not x:
             return False
-        j = (sup & -sup).bit_length() - 1
-        lead = _coord(planes, j)
-        if lead != 1:
-            planes = _scale(planes, self._mul_rows[self.field.inv(lead)], self.k)
-        mul_rows = self._mul_rows
-        for row in self.rows.values():
-            c = _coord(row, j)
-            if c:
-                _addmul(row, planes, mul_rows[c])
-        self.rows[j] = planes
-        self.pivmask |= 1 << j
+        low = x & -x
+        rows = self.rows
+        for p, row in rows.items():
+            if row & low:
+                rows[p] = row ^ x
+        rows[low.bit_length() - 1] = x
+        self.pivmask |= low
         return True
 
     @property
     def pivots(self) -> List[int]:
         return sorted(self.rows)
 
-    def basis(self) -> List[List[int]]:
+    def basis(self) -> List[int]:
         """The rows in pivot order."""
         rows = self.rows
         return [rows[p] for p in sorted(rows)]
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+
+class _PackedElim(_GF2Elim):
+    """The accumulator of ``_GF2Elim`` over GF(2^k), k > 1, on stacked rows.
+
+    A new row is subtracted from every stored row that is nonzero at its
+    pivot: one AND with the pivot's column in every plane finds them, and
+    only those have their coordinate read.
+    """
+
+    def __init__(self, field: GF2k, ambient: int):
+        self.rows, self.pivmask = {}, 0
+        self.field = field
+        self.stack = _stacked(field.modulus, ambient)
+
+    def reduce(self, x: int) -> int:
+        st, rows = self.stack, self.rows
+        hit = st.support(x) & self.pivmask
+        while hit:
+            low = hit & -hit
+            p = low.bit_length() - 1
+            x ^= st.scale(st.coord(x, p), rows[p])
+            hit ^= low
+        return x
+
+    def add(self, x: int) -> bool:
+        x = self.reduce(x)
+        if not x:
+            return False
+        st = self.stack
+        low = st.support(x)
+        low &= -low
+        j = low.bit_length() - 1
+        lead = st.coord(x, j)
+        if lead != 1:
+            x = st.scale(self.field.inv(lead), x)
+        col = st.column << j
+        rows = self.rows
+        for p, row in rows.items():
+            if row & col:
+                rows[p] = row ^ st.scale(st.coord(row, j), x)
+        rows[j] = x
+        self.pivmask |= low
+        return True
 
 
 class _GenericElim:
@@ -171,6 +238,11 @@ class _GenericElim:
         self.ambient = ambient
         self.rows: List[List] = []
         self.pivots: List[int] = []
+
+    def load(self, rows: Sequence[Sequence], pivots: Sequence[int]) -> None:
+        """Take the RREF ``rows`` with pivots ``pivots`` as they are."""
+        self.rows = [list(r) for r in rows]
+        self.pivots = list(pivots)
 
     def _axpy(self, target, source, c) -> None:
         f = self.field
@@ -206,59 +278,59 @@ class _GenericElim:
         self.rows.insert(pos, row)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 class Eliminator:
     """Field-dispatching incremental row reducer.
 
-    GF(2^k) inputs run on packed bit planes; other fields fall back to
-    scalar lists.  ``force_generic`` exists so tests can cross-check the
-    two paths on the same input.
+    GF(2^k) inputs run on stacked-int rows (bitmasks over GF(2)); other
+    fields fall back to scalar lists.  ``force_generic`` exists so tests
+    can cross-check the two paths on the same input.
     """
 
     def __init__(self, field, ambient: int, force_generic: bool = False):
         self.field = field
         self.ambient = ambient
         self.packed = isinstance(field, GF2k) and not force_generic
-        self._impl = (_PackedElim if self.packed else _GenericElim)(field, ambient)
+        if not self.packed:
+            impl = _GenericElim
+        else:
+            # bare XOR over GF(2): through _PackedElim, where every scalar
+            # is 1, sz-ideal and series-gf2 run 10-14% slower
+            impl = _GF2Elim if field.k == 1 else _PackedElim
+        self._impl = impl(field, ambient)
 
-    def add_vector(self, vec: Sequence) -> bool:
+    def _row(self, vec: Sequence):
+        """vec as a row of the accumulator: a stacked int, or a scalar list."""
         if len(vec) != self.ambient:
             raise DimensionMismatch(f"vector length {len(vec)} != ambient {self.ambient}")
-        if self.packed:
-            return self._impl.add(pack_row(self.field, vec))
-        return self._impl.add(list(vec))
+        return pack_row(vec) if self.packed else list(vec)
 
-    def add_planes(self, planes) -> bool:
+    def add_vector(self, vec: Sequence) -> bool:
+        return self._impl.add(self._row(vec))
+
+    def add_planes(self, x: int) -> bool:
+        """Add the row whose stacked int is x (GF(2^k) only)."""
         if not self.packed:
             raise FieldMismatch("packed rows need a GF(2^k) eliminator")
-        return self._impl.add(list(planes))
-
-    def _check_gf2(self) -> None:
-        if not (self.packed and self.field.k == 1):
-            raise FieldMismatch("bitmask rows need a packed GF(2) eliminator")
+        return self._impl.add(x)
 
     def add_mask(self, mask: int) -> bool:
         """GF(2) convenience: the row is one bitmask."""
-        self._check_gf2()
-        return self._impl.add([mask])
+        if not (self.packed and self.field.k == 1):
+            raise FieldMismatch("bitmask rows need a packed GF(2) eliminator")
+        return self._impl.add(mask)
 
     def residue(self, vec: Sequence):
-        if self.packed:
-            planes = self._impl.reduce(pack_row(self.field, vec))
-            return unpack_row(self.field, planes, self.ambient)
-        return tuple(self._impl.reduce(list(vec)))
+        x = self._impl.reduce(self._row(vec))
+        return unpack_row(self.field, x, self.ambient) if self.packed else tuple(x)
 
     def contains_vector(self, vec: Sequence) -> bool:
-        f = self.field
-        return all(f.is_zero(c) for c in self.residue(vec))
+        x = self._impl.reduce(self._row(vec))
+        return not x if self.packed else all(map(self.field.is_zero, x))
 
     @property
     def rank(self) -> int:
-        return self._impl.rank
+        return len(self._impl.rows)
 
     @property
     def pivots(self) -> List[int]:
@@ -269,11 +341,11 @@ class Eliminator:
             return [unpack_row(self.field, r, self.ambient) for r in self._impl.basis()]
         return [tuple(r) for r in self._impl.rows]
 
-    def basis_planes(self) -> List[List[int]]:
-        """The RREF rows as bit planes, in pivot order (GF(2^k) only)."""
+    def basis_planes(self) -> List[int]:
+        """The RREF rows as stacked ints, in pivot order (GF(2^k) only)."""
         if not self.packed:
             raise FieldMismatch("packed rows need a GF(2^k) eliminator")
-        return [list(r) for r in self._impl.basis()]
+        return self._impl.basis()
 
     def to_subspace(self) -> "Subspace":
         return Subspace._from_rref(self.field, self.ambient,
@@ -341,9 +413,9 @@ class Subspace:
             raise DimensionMismatch("subspaces in different ambient spaces")
 
     def elim(self) -> Eliminator:
+        """An eliminator holding this subspace; its rows are already RREF."""
         e = Eliminator(self.field, self.ambient)
-        for r in self.rows:
-            e.add_vector(r)
+        e._impl.load(self.rows, self.pivots)
         return e
 
     def contains_vector(self, vec: Sequence) -> bool:

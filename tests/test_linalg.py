@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
-from liesolv.fields import GF2, RATFUNC2, FieldMismatch, gf
+from liesolv.fields import GF2, GF2k, RATFUNC2, TABLE_MAX_K, FieldMismatch, gf
 from liesolv.linalg import (
-    Eliminator, Quotient, Subspace, kernel, pack_row, span,
+    DimensionMismatch, Eliminator, Quotient, Subspace, kernel, pack_row, span,
     unit_vector, vec_add, vec_scale,
 )
 
@@ -60,27 +61,65 @@ def _low_rank_vecs(field, ambient, rank, count, rng):
     return vecs
 
 
+def _assert_paths_agree(field, ambient, vecs, probes):
+    fast = Eliminator(field, ambient)
+    slow = Eliminator(field, ambient, force_generic=True)
+    for v in vecs:
+        assert fast.add_vector(v) == slow.add_vector(v)
+    assert fast.rank == slow.rank
+    assert fast.pivots == slow.pivots
+    assert fast.basis_rows() == slow.basis_rows()
+    assert fast.basis_planes() == [pack_row(r) for r in slow.basis_rows()]
+    assert fast.to_subspace().elim().basis_planes() == fast.basis_planes()
+    for p in probes:
+        assert fast.residue(p) == slow.residue(p)
+        assert fast.contains_vector(p) == slow.contains_vector(p)
+    return fast
+
+
 def test_packed_and_generic_paths_agree():
     rng = random.Random(29)
-    for field in [GF2, GF4, gf(8)]:
+    for field in [GF2, GF4, gf(8), gf(16), GF2k(TABLE_MAX_K + 1)]:
         for ambient, rank, count, trials in [(7, 5, 9, 20), (64, 12, 20, 4),
                                              (256, 10, 16, 2)]:
             for _ in range(trials):
                 vecs = _low_rank_vecs(field, ambient, rank, count, rng)
-                fast = Eliminator(field, ambient)
-                slow = Eliminator(field, ambient, force_generic=True)
-                for v in vecs:
-                    assert fast.add_vector(v) == slow.add_vector(v)
-                assert fast.rank == slow.rank <= rank
-                assert fast.pivots == slow.pivots
-                assert fast.basis_rows() == slow.basis_rows()
                 probes = [rand_vec(field, ambient, rng) for _ in range(3)]
                 probes.append((field.zero,) * ambient)
                 probes += [vec_add(field, vecs[0], vecs[1]), vec_add(field, vecs[0], probes[0])]
-                for p in probes:
-                    assert fast.residue(p) == slow.residue(p)
-                    assert fast.contains_vector(p) == slow.contains_vector(p)
+                fast = _assert_paths_agree(field, ambient, vecs, probes)
+                assert fast.rank <= rank
                 assert fast.contains_vector(probes[-2])
+
+
+def test_packed_paths_agree_off_unit_leads():
+    # Over GF(16): the second row has lead 3, and clearing its pivot from
+    # the first row subtracts 5 times it; reducing the probe subtracts 6
+    # and 9 times the two rows.
+    f = gf(16)
+    vecs = [(0, 1, 5, 7, 0), (0, 0, 3, 2, 1)]
+    probes = [(0, 6, 9, 1, 4), vec_add(f, vec_scale(f, 6, vecs[0]), vec_scale(f, 9, vecs[1]))]
+    fast = _assert_paths_agree(f, 5, vecs, probes)
+    assert not fast.contains_vector(probes[0]) and fast.contains_vector(probes[1])
+    c = f.div(5, 3)
+    assert fast.basis_rows() == [(0, 1, 0, f.add(7, f.mul(c, 2)), c),
+                                 (0, 0, 1, f.div(2, 3), f.inv(3))]
+
+
+def test_packed_eliminator_above_the_log_tables_is_fast():
+    # Fields above TABLE_MAX_K multiply without log tables, so the packed
+    # lane must not build per-field tables: these 8 vectors took seconds
+    # while it built a table of q*k products.
+    field = GF2k(TABLE_MAX_K + 1)
+    rng = random.Random(41)
+    vecs = [rand_vec(field, 6, rng) for _ in range(8)]
+    start = time.perf_counter()
+    fast = Eliminator(field, 6)
+    for v in vecs:
+        fast.add_vector(v)
+    assert time.perf_counter() - start < 0.5
+    _assert_paths_agree(field, 6, vecs, [rand_vec(field, 6, rng)])
+    assert fast.rank == 6
 
 
 def test_eliminator_basis_accessors():
@@ -88,21 +127,34 @@ def test_eliminator_basis_accessors():
     e2 = Eliminator(GF2, 9)
     for v in _low_rank_vecs(GF2, 9, 4, 7, rng):
         e2.add_vector(v)
-    assert e2.basis_planes() == [pack_row(GF2, r) for r in e2.basis_rows()]
+    assert e2.basis_planes() == [pack_row(r) for r in e2.basis_rows()]
     e4 = Eliminator(GF4, 9)
     for v in _low_rank_vecs(GF4, 9, 4, 7, rng):
         e4.add_vector(v)
-    assert e4.basis_planes() == [pack_row(GF4, r) for r in e4.basis_rows()]
+    assert e4.basis_planes() == [pack_row(r) for r in e4.basis_rows()]
     for generic in (Eliminator(RATFUNC2, 3), Eliminator(GF2, 3, force_generic=True)):
         with pytest.raises(FieldMismatch):
             generic.basis_planes()
+
+
+def test_eliminator_refuses_vectors_of_another_length():
+    # a stacked row's planes sit at multiples of the ambient dimension, so
+    # a vector of another length would be read with its planes misplaced
+    for field in (GF2, GF4, RATFUNC2):
+        e = Eliminator(field, 3)
+        e.add_vector((field.one, field.zero, field.zero))
+        for vec in ((field.one,) * 2, (field.one,) * 4):
+            for call in (e.add_vector, e.residue, e.contains_vector):
+                with pytest.raises(DimensionMismatch):
+                    call(vec)
+        assert e.rank == 1
 
 
 def test_add_mask_needs_packed_gf2():
     e = Eliminator(GF2, 4)
     assert e.add_mask(0b0110)
     assert not e.add_mask(0b0110)
-    assert e.basis_planes() == [[0b0110]]
+    assert e.basis_planes() == [0b0110]
     for elim in (Eliminator(GF4, 4), Eliminator(gf(8), 4), Eliminator(RATFUNC2, 4),
                  Eliminator(GF2, 4, force_generic=True)):
         with pytest.raises(FieldMismatch):
