@@ -18,6 +18,15 @@ differs from the canonical core and is 2-nilpotent.  Every positive
 verdict carries re-checkable witnesses; a refutation carries a concrete
 non-nilpotent element.
 
+The derived series oracle that cross-checks a verdict, and refutes when
+nothing matched, runs on u(L/I), not on u(L): I is the canonical core, or
+0 when the closure of [[L',L'],L] is not 2-nilpotent.  For a 2-nilpotent
+restricted ideal I, I·u(L) is a nilpotent ideal with quotient u(L/I)
+(Riley-Shalev, J. Algebra 162, 1993), and a ring that is Lie solvable
+modulo a nilpotent ideal is Lie solvable, so both series reach zero or
+both stabilize, and u(L/I) is 2^dim I times smaller.  The core is checked
+again before the oracle uses it.
+
 The parts of conditions (i)-(iii) that read brackets only
 (``abelian_ideal``, ``class2_center``, ``eigenvector_pair``) take any
 ``LieAlgebra``, decide over every field and serve the ordinary
@@ -48,7 +57,12 @@ CONDITION_NAMES = {
 
 
 class CoreNotNilpotent(Exception):
-    """The canonical core candidate is not 2-nilpotent (a refutation signal)."""
+    """A core is not a 2-nilpotent restricted ideal.
+
+    ``nilpotent_core`` raises it when the closure of [[L',L'],L] is not
+    2-nilpotent (a refutation signal); the oracle raises it when its ideal
+    fails the re-check, an internal fault (exit 3 in the CLI).
+    """
 
 
 class LadderExhausted(Exception):
@@ -105,7 +119,10 @@ class Verdict:
         return out
 
 
-# The series oracle runs when dim L <= ORACLE_DIM_LIMIT; test (c) of
+# The series oracle runs on u(L/I) when dim L/I <= ORACLE_DIM_LIMIT, I the
+# core (0 when test (a) refutes): u(L) is Lie solvable iff u(L/I) is
+# (see the module docstring), so witness_chain(3), n = 11 with a core of
+# dimension 6, gets an oracle on its 5-dimensional quotient.  Test (c) of
 # ``necessary_tests`` evaluates the first PATTERN_BUDGET 4-permutations.
 # Tests (b) and (c) run when dim L <= PATTERN_DIM_LIMIT, one below
 # MAX_ENVELOPE_N.  On randomly rebased solvable inputs, whose pattern
@@ -703,7 +720,9 @@ def classify(L: RestrictedLieAlgebra,
     options = options or ClassifyOptions()
     refute = necessary_tests(L)
     if refute is not None:
-        refute.oracle = _run_oracle(L, options)
+        # test (a) refuted: the closure of [[L',L'],L] is no core, so I = 0
+        core = Subspace.zero(L.field, L.n) if refute.witness_kind == "necessary_test" else None
+        refute.oracle = _run_oracle(L, options, core)
         return refute
     if not isinstance(L.field, GF2k):
         return Verdict(outcome="inconclusive",
@@ -739,9 +758,9 @@ def classify(L: RestrictedLieAlgebra,
                     pass
         if cert is not None:
             verdict = _solvable_verdict(L, degree, ext, used, cert)
-            verdict.oracle = _run_oracle(L, options)
+            verdict.oracle = _run_oracle(L, options, core, quotient)
             return verdict
-    oracle = _run_oracle(L, options)
+    oracle = _run_oracle(L, options, core, quotient)
     if oracle is not None:
         if oracle["outcome"] == "stabilized":
             return Verdict(outcome="not_solvable", witness_kind="oracle_stabilized",
@@ -758,14 +777,39 @@ def classify(L: RestrictedLieAlgebra,
                    "without a certificate, oracle unavailable")
 
 
-def _run_oracle(L: RestrictedLieAlgebra,
-                options: ClassifyOptions) -> Optional[dict]:
-    if not options.oracle_crosscheck:
+def _run_oracle(L: RestrictedLieAlgebra, options: ClassifyOptions,
+                core: Optional[Subspace] = None,
+                quotient: Optional[RestrictedLieAlgebra] = None) -> Optional[dict]:
+    """The cross-check of a verdict: the derived series of u(L/I).
+
+    I is ``core``, or ``nilpotent_core(L)`` when it is None, and
+    ``quotient`` is L/I when the caller has it.  The series runs when
+    dim L/I <= ORACLE_DIM_LIMIT, over GF(2^k) only.
+    """
+    if not options.oracle_crosscheck or not isinstance(L.field, GF2k):
         return None
-    if not isinstance(L.field, GF2k) or L.n > ORACLE_DIM_LIMIT:
+    if core is None:
+        core = nilpotent_core(L)
+    if L.n - core.dim > ORACLE_DIM_LIMIT:
         return None
-    res = Envelope(L).lie_derived_series()
-    return {"outcome": res.outcome, "value": res.value, "dims": res.dims}
+    return _oracle_series(L, core, quotient)
+
+
+def _oracle_series(L: RestrictedLieAlgebra, core: Subspace,
+                   quotient: Optional[RestrictedLieAlgebra] = None) -> dict:
+    """The oracle dict of the derived series of u(L/core).
+
+    Only for a 2-nilpotent restricted ideal does that series have the
+    outcome of the series of u(L) (see the module docstring), so core is
+    checked again first, and CoreNotNilpotent is raised when it fails.
+    """
+    if not (L.is_ideal(core) and L.is_pmap_closed(core) and L.is_2nilpotent_ideal(core)[0]):
+        raise CoreNotNilpotent("the oracle's ideal is not a 2-nilpotent restricted ideal")
+    if quotient is None:
+        quotient = _quotient(L, core)
+    res = Envelope(quotient).lie_derived_series()
+    return {"outcome": res.outcome, "value": res.value, "dims": res.dims,
+            "quotient_dim": quotient.n}
 
 
 def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
@@ -775,10 +819,13 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
     must be a 2-nilpotent restricted ideal of it.  A ``necessary_test``
     refutation is re-derived from the closure C of [[L',L'],L], and an
     ``sz_witness`` must be the one ``necessary_tests(L)`` finds and not
-    nilpotent in u(L).  An ``oracle_stabilized`` refutation is re-derived
-    by the derived series of u(L), which must stabilize with the carried
-    value and dims; above MAX_ENVELOPE_N it cannot be and is rejected.  A
-    refutation of any other witness kind, or of none, is rejected.
+    nilpotent in u(L).  An ``oracle_stabilized`` refutation, which
+    ``classify`` gives only after test (a) passed, is re-derived as
+    ``classify`` derives it: by the derived series of u(L/I) with
+    I = ``nilpotent_core(L)``, which must stabilize with the carried
+    ``quotient_dim``, value and dims; for dim L/I above MAX_ENVELOPE_N it
+    cannot be and is rejected.  A refutation of any other witness kind,
+    or of none, is rejected.
     """
     if verdict.outcome == "solvable":
         degree = verdict.extension_degree
@@ -804,12 +851,17 @@ def verify_verdict(L: RestrictedLieAlgebra, verdict: Verdict) -> bool:
                 return False
             return not Envelope(L).is_nilpotent(verdict.witness_elem)[0]
         if verdict.witness_kind == "oracle_stabilized":
-            oracle = verdict.oracle
-            if oracle is None or L.n > MAX_ENVELOPE_N:
+            if verdict.oracle is None or not isinstance(L.field, GF2k):
                 return False
-            res = Envelope(L).lie_derived_series()
-            return res.outcome == "stabilized" and oracle == {
-                "outcome": res.outcome, "value": res.value, "dims": res.dims}
+            try:
+                core = nilpotent_core(L)
+            except CoreNotNilpotent:        # test (a) refutes: no oracle refutation
+                return False
+            if verdict.oracle.get("quotient_dim") != L.n - core.dim \
+                    or L.n - core.dim > MAX_ENVELOPE_N:
+                return False
+            oracle = _oracle_series(L, core)
+            return oracle["outcome"] == "stabilized" and verdict.oracle == oracle
         return False
     return True
 

@@ -6,7 +6,8 @@ stdout; --json switches to a single structured document.  Exit codes:
 0 completed (verdicts including not-solvable count as success),
 1 usage error or an algebra too large for u(L) (see
 ``envelope.MAX_ENVELOPE_N``), 2 parse or axiom error, 3 internal
-invariant violation (classifier/oracle disagreement in a corpus sweep).
+invariant violation (classifier/oracle disagreement in a corpus sweep,
+or a core that fails its re-check before the oracle runs modulo it).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 
 from . import __version__
 from .algebra import RestrictedLieAlgebra
-from .classify import ClassifyOptions, classify
+from .classify import ClassifyOptions, CoreNotNilpotent, classify
 from .envelope import Envelope, EnvelopeTooLarge
 from .families import FAMILY_BUILDERS, BadParameters, example_7_1_report, random_instance
 from .fields import FieldError, RatFunc2, gf
@@ -143,8 +144,8 @@ def cmd_classify(args) -> int:
     if verdict.reason:
         text.append(f"reason: {verdict.reason}")
     if verdict.oracle:
-        text.append(f"oracle: {verdict.oracle['outcome']} "
-                    f"({verdict.oracle['value']}), dims "
+        text.append(f"oracle on u(L/I), dim L/I = {verdict.oracle['quotient_dim']}: "
+                    f"{verdict.oracle['outcome']} ({verdict.oracle['value']}), dims "
                     + " -> ".join(str(d) for d in verdict.oracle["dims"]))
     _report(args, "classify", payload, text, _digest(args.file))
     return 0
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except CoreNotNilpotent as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

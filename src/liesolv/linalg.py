@@ -436,15 +436,15 @@ class Subspace:
             elim.add_vector(tuple(r) + tuple(r))
         for r in other.rows:
             elim.add_vector(tuple(r) + (zero,) * n)
-        sum_rows, int_rows = [], []
+        # both come out in RREF: the left block of the rows with pivot < n
+        # spans the sum, the right block of the others the intersection
+        total, inter = [], []
         for piv, row in zip(elim.pivots, elim.basis_rows()):
             if piv < n:
-                sum_rows.append(row[:n])
+                total.append((row[:n], piv))
             else:
-                int_rows.append(row[n:])
-        total = Subspace(f, n, sum_rows)
-        inter = Subspace(f, n, int_rows)
-        return total, inter
+                inter.append((row[n:], piv - n))
+        return _from_pairs(f, n, total), _from_pairs(f, n, inter)
 
     def sum(self, other: "Subspace") -> "Subspace":
         return self.sum_intersect(other)[0]
@@ -454,6 +454,11 @@ class Subspace:
 
     def basis(self) -> List[Tuple]:
         return list(self.rows)
+
+
+def _from_pairs(field, ambient: int, pairs: Sequence[Tuple[Tuple, int]]) -> Subspace:
+    """The subspace of RREF rows given as (row, pivot) pairs, taken as they are."""
+    return Subspace._from_rref(field, ambient, [r for r, _ in pairs], [p for _, p in pairs])
 
 
 def span(field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -493,7 +498,8 @@ def kernel(field, images: Sequence[Sequence], dom: int, codom: int) -> Subspace:
     """Kernel of the linear map sending basis vector i to images[i].
 
     Row-reduces [images | I]; rows whose pivot falls in the augmented
-    block are exactly the dependencies, i.e. a kernel basis.
+    block are exactly the dependencies, i.e. a kernel basis, and their
+    augmented blocks are already in RREF.
     """
     if len(images) != dom:
         raise DimensionMismatch("one image per domain basis vector required")
@@ -505,9 +511,8 @@ def kernel(field, images: Sequence[Sequence], dom: int, codom: int) -> Subspace:
         tag = [zero] * dom
         tag[i] = one
         elim.add_vector(tuple(img) + tuple(tag))
-    rows = [row[codom:] for piv, row in zip(elim.pivots, elim.basis_rows())
-            if piv >= codom]
-    return Subspace(field, dom, rows)
+    return _from_pairs(field, dom, [(row[codom:], piv - codom) for piv, row
+                                    in zip(elim.pivots, elim.basis_rows()) if piv >= codom])
 
 
 class Quotient:

@@ -16,10 +16,10 @@ from liesolv.classify import (
 from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
     family_i, family_iii, family_iv, family_v, free_class2, heisenberg,
-    negative_class2, random_instance,
+    negative_class2, random_instance, witness_chain,
 )
 from liesolv.fields import GF2, gf
-from liesolv.linalg import Quotient, span, vec_is_zero
+from liesolv.linalg import Quotient, Subspace, span, vec_is_zero
 from liesolv.ordinary import corollary_classify
 
 from test_bracket import perturbed, reference_jacobi
@@ -409,7 +409,8 @@ def _classify_subset_search(L):
     options = ClassifyOptions()
     refute = necessary_tests(L)
     if refute is not None:
-        refute.oracle = _run_oracle(L, options)
+        core = Subspace.zero(L.field, L.n) if refute.witness_kind == "necessary_test" else None
+        refute.oracle = _run_oracle(L, options, core)
         return refute, False
     for degree in range(1, options.extension_ladder_max + 1):
         if degree == 1:
@@ -725,7 +726,8 @@ def test_the_ladder_decides_condition_iv_above_degree_1():
     assert nilpotent_core(L).dim == 0
     v = classify(L)
     assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 2)
-    assert v.oracle == {"outcome": "reached_zero", "value": 4, "dims": [64, 53, 33, 24, 0]}
+    assert v.oracle == {"outcome": "reached_zero", "value": 4, "dims": [64, 53, 33, 24, 0],
+                        "quotient_dim": 6}
     assert verify_verdict(L, v)
     v = classify(_ladder_probe(GF4))
     assert (v.outcome, v.condition, v.extension_degree) == ("solvable", "iv", 1)
@@ -843,17 +845,131 @@ def test_verify_verdict_rederives_an_oracle_refutation():
     assert not verify_verdict(L, forged)
     assert not verify_verdict(L, replace(forged, witness_kind=None))
     assert not verify_verdict(L, replace(forged, witness_kind="made_up"))
-    # the series of u(N7) stabilizes at 60; the carried value and dims must match it
+    # the series of u(N7/I), I the core of dimension 2, stabilizes at 15;
+    # the carried quotient_dim, value and dims must match it
     L = negative_class2(GF2)
     oracle = _run_oracle(L, ClassifyOptions())
-    assert oracle == {"outcome": "stabilized", "value": 60, "dims": [128, 96, 60, 60]}
+    assert oracle == {"outcome": "stabilized", "value": 15, "dims": [32, 15, 15],
+                      "quotient_dim": 5}
     genuine = Verdict("not_solvable", witness_kind="oracle_stabilized", oracle=oracle)
     assert verify_verdict(L, genuine)
-    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "value": 96}))
-    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "dims": [128, 96, 96]}))
+    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "value": 32}))
+    assert not verify_verdict(L, replace(genuine, oracle={**oracle, "dims": [32, 15, 16]}))
     assert not verify_verdict(L, replace(genuine, oracle=None))
-    # above MAX_ENVELOPE_N the series cannot be re-derived
+    # a forged quotient_dim, or none
+    for qd in (7, 4, None):
+        assert not verify_verdict(L, replace(genuine, oracle={**oracle, "quotient_dim": qd}))
+    no_key = {k: v for k, v in oracle.items() if k != "quotient_dim"}
+    assert not verify_verdict(L, replace(genuine, oracle=no_key))
+    # the dict of the full u(N7) series, as the oracle gave it before it ran
+    # modulo the core, with or without a quotient_dim
+    full = _full_oracle(L)
+    assert full == {"outcome": "stabilized", "value": 60, "dims": [128, 96, 60, 60]}
+    for forged in (full, {**full, "quotient_dim": 7}, {**full, "quotient_dim": 5}):
+        assert not verify_verdict(L, replace(genuine, oracle=forged))
+    # test (a) refutes gl_3 plus a 4-dim abelian algebra: no oracle refutation
     M = _gl3().direct_sum(RestrictedLieAlgebra(GF2, [f"a{i}" for i in range(4)], {},
                                                [(0,) * 4] * 4))
     assert M.n > MAX_ENVELOPE_N
     assert not verify_verdict(M, genuine)
+    # the refusal above MAX_ENVELOPE_N applies to dim L/I: N7 ⊕ H3 ⊕ H3 has
+    # n = 13 and a core of dimension 4, so its refutation is re-derived on
+    # u(L/I) of dimension 2^9; N7 plus an 8-dim torus leaves dim L/I = 13
+    L = negative_class2().direct_sum(heisenberg()).direct_sum(heisenberg())
+    v = classify(L)
+    assert L.n > MAX_ENVELOPE_N and v.witness_kind == "oracle_stabilized"
+    assert v.oracle == {"outcome": "stabilized", "value": 240, "dims": [512, 240, 240],
+                        "quotient_dim": 9}
+    assert verify_verdict(L, v)
+    torus = RestrictedLieAlgebra(GF2, [f"t{i}" for i in range(8)], {},
+                                 [tuple(int(i == j) for j in range(8)) for i in range(8)])
+    M = negative_class2().direct_sum(torus)
+    assert M.n - nilpotent_core(M).dim == 13 > MAX_ENVELOPE_N
+    assert classify(M).oracle is None
+    forged = {"outcome": "stabilized", "value": 1, "dims": [8192, 1, 1], "quotient_dim": 13}
+    assert not verify_verdict(M, replace(genuine, oracle=forged))
+
+
+def _full_oracle(L):
+    """The oracle dict of the derived series of u(L) itself: the reference
+    for the oracle on u(L/I)."""
+    res = Envelope(L).lie_derived_series()
+    return {"outcome": res.outcome, "value": res.value, "dims": res.dims}
+
+
+def _test_a_passes(L):
+    return L.is_2nilpotent_ideal(classify_module._bracket_closure(L))[0]
+
+
+def _oracle_differential_instances():
+    """(label, algebra) for the oracle on u(L/I) against u(L): the corpus
+    families over GF(2), GF(4) and GF(8), the central extensions, random
+    draws with n <= 7, witness_chain(3), and three refutations: gl_3,
+    which test (a) refutes, N7 plus a toral pair, which test (c) refutes,
+    and N7 ⊕ H3, of dimension 10, whose oracle runs on dimension 7."""
+    for f in (GF2, GF4, gf(8)):
+        for L in _family_instances(f) + [family_iii(f, central_dim=2, central_bracket=True),
+                                         family_iv(f, h_dim=1), family_v(f, h_dim=1)]:
+            yield f"family {L.names} over GF({f.order})", L
+        for n in range(3, 8):
+            for seed in range(6):
+                yield f"random_instance({n}, GF({f.order}), {seed})", random_instance(n, f, seed)[0]
+    for i, L in enumerate(_central_extensions(0)):
+        yield f"central extension {i}", L
+    yield "witness_chain(3)", witness_chain(3)
+    yield "gl_3", _gl3()
+    yield "N7 plus a toral pair", _with_toral_pair(negative_class2(GF4))
+    yield "N7 ⊕ H3", negative_class2().direct_sum(heisenberg())
+
+
+def test_oracle_modulo_the_core_matches_the_full_series():
+    # u(L) is Lie solvable iff u(L/I) is, I the core (0 when test (a)
+    # refutes): the oracle of classify must reach the outcome of the full
+    # series of u(L), on an algebra of dimension n - dim I
+    count = shrunk = refuted_by_a = stabilized = 0
+    for label, L in _oracle_differential_instances():
+        v = classify(L)
+        want = _full_oracle(L)
+        if _test_a_passes(L):
+            core_dim = nilpotent_core(L).dim
+        else:
+            core_dim, refuted_by_a = 0, refuted_by_a + 1
+        assert v.oracle is not None, label
+        assert v.oracle["outcome"] == want["outcome"], (label, v.oracle, want)
+        assert v.oracle["quotient_dim"] == L.n - core_dim, label
+        assert v.oracle["dims"][0] == 2 ** (L.n - core_dim), label
+        if core_dim == 0:
+            assert v.oracle == {**want, "quotient_dim": L.n}, label
+        # recomputing the core inside _run_oracle gives the same dict
+        if v.witness_kind != "necessary_test":
+            assert _run_oracle(L, ClassifyOptions()) == v.oracle, label
+        assert v.outcome == "inconclusive" or verify_verdict(L, v), label
+        count += 1
+        shrunk += core_dim > 0
+        stabilized += want["outcome"] == "stabilized"
+    assert count >= 160 and shrunk >= 40
+    assert stabilized >= 6 and refuted_by_a >= 1
+    # N7 stabilizes on u(L/I) of dimension 2^5 over every field, and
+    # witness_chain(3), n = 11 above ORACLE_DIM_LIMIT, reaches zero on its
+    # 5-dimensional quotient
+    for f in (GF2, GF4, gf(8)):
+        assert classify(negative_class2(f)).oracle == {
+            "outcome": "stabilized", "value": 15, "dims": [32, 15, 15], "quotient_dim": 5}
+    assert classify(witness_chain(3)).oracle == {
+        "outcome": "reached_zero", "value": 1, "dims": [32, 0], "quotient_dim": 5}
+
+
+def test_the_oracle_refuses_a_core_that_fails_its_recheck():
+    # a core that is not 2-nilpotent must not reach the oracle: family_iii
+    # has a toral centre, so L itself fails is_2nilpotent_ideal
+    L = family_iii()
+    with pytest.raises(CoreNotNilpotent):
+        _run_oracle(L, ClassifyOptions(), L.full_space())
+    # span{e1} of H3 has zero squares but is no ideal
+    with pytest.raises(CoreNotNilpotent):
+        _run_oracle(heisenberg(), ClassifyOptions(), span(GF2, 3, [(1, 0, 0)]))
+    # a^[2] = b: span{a} is an ideal but not square-closed
+    A = RestrictedLieAlgebra(GF2, ["a", "b"], {}, [(0, 1), (0, 0)])
+    with pytest.raises(CoreNotNilpotent):
+        _run_oracle(A, ClassifyOptions(), span(GF2, 2, [(1, 0)]))
+    assert _run_oracle(A, ClassifyOptions(), A.full_space())["quotient_dim"] == 0

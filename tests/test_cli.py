@@ -104,6 +104,20 @@ def test_cli_classify_n7(n7_file, capsys):
     out = capsys.readouterr().out
     assert "not_solvable" in out
     assert "witness" in out
+    # the oracle runs on u(L/I), I the core of dimension 2
+    assert "oracle on u(L/I), dim L/I = 5: stabilized (15), dims 32 -> 15 -> 15" in out
+
+
+def test_cli_classify_exits_3_when_the_core_fails_its_recheck(n7_file, h3_file,
+                                                              monkeypatch, capsys):
+    # a core that is all of N7 is not 2-nilpotent: the oracle must refuse
+    # it, not run on u(L/L); H3 is 2-nilpotent, so all of it may serve
+    import liesolv.classify as classify_module
+    monkeypatch.setattr(classify_module, "nilpotent_core", lambda L: L.full_space())
+    assert main(["classify", n7_file]) == 3
+    assert "internal invariant violated" in capsys.readouterr().err
+    assert main(["classify", h3_file]) == 0
+    assert "oracle on u(L/I), dim L/I = 0: reached_zero" in capsys.readouterr().out
 
 
 def test_cli_sz_index(n7_file, capsys):

@@ -218,6 +218,42 @@ def test_kernel_against_bruteforce():
             assert field.order ** ker.dim == count
 
 
+def _ref_blocks(field, rows, split, ambient):
+    """The old second elimination: (Subspace of the left blocks of the rows
+    with pivot < split, Subspace of the right blocks of the others)."""
+    elim = Eliminator(field, len(rows[0]))
+    for r in rows:
+        elim.add_vector(r)
+    pairs = list(zip(elim.pivots, elim.basis_rows()))
+    return (Subspace(field, split, [row[:split] for piv, row in pairs if piv < split]),
+            Subspace(field, ambient, [row[split:] for piv, row in pairs if piv >= split]))
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, gf(8), RATFUNC2],
+                         ids=["gf2", "gf4", "gf8", "ratfunc2"])
+def test_kernel_and_sum_intersect_take_their_blocks_as_rref(field):
+    # the blocks are read off the RREF as they are, with shifted pivots;
+    # they must equal what a second elimination of the same rows gives
+    rng = random.Random(47)
+    small = field is RATFUNC2
+    rounds, n = (4, 3) if small else (25, 6)
+    for _ in range(rounds):
+        dom, codom = n, rng.randrange(1, n)
+        images = _low_rank_vecs(field, codom, rng.randrange(codom + 1), dom, rng)
+        got = kernel(field, images, dom, codom)
+        tagged = [tuple(img) + unit_vector(field, dom, i) for i, img in enumerate(images)]
+        want = _ref_blocks(field, tagged, codom, dom)[1]
+        assert got == want and got.pivots == want.pivots
+        shared = _low_rank_vecs(field, n, 1, 1, rng)
+        a = span(field, n, shared + [rand_vec(field, n, rng) for _ in range(rng.randrange(3))])
+        b = span(field, n, shared + [rand_vec(field, n, rng) for _ in range(rng.randrange(3))])
+        zero = (field.zero,) * n
+        doubled = [tuple(r) + tuple(r) for r in a.rows] + [tuple(r) + zero for r in b.rows]
+        for got, want in zip(a.sum_intersect(b), _ref_blocks(field, doubled, n, n)):
+            assert got == want and got.pivots == want.pivots
+            assert span(field, n, got.rows) == got
+
+
 def test_quotient_round_trip():
     rng = random.Random(43)
     for field in [GF2, GF4]:
