@@ -1,22 +1,24 @@
 """The solvability classifier: core reduction, condition matchers, verdicts.
 
-The pipeline refutes first (non-nilpotent elements of the ideal
-generated by [[a,b],[c,d],e] in u(L) kill solvability outright), then
-tries to certify solvability.  It computes a canonical 2-nilpotent core
-ideal once, over the base field, and matches the quotient against the
-five structural conditions.  Conditions (i)-(iii) are rank conditions
-and one linear system with coefficients in the base field, so they
-match over an extension iff they match over the base field; the ladder
-of extensions GF(2^(kd)), d >= 2, runs (iv) and (v) only, on the
-base-changed quotient (every step of the core commutes with base
-change, so the core of L⊗K is the embedded core of L), and (iv)/(v)
-walk the abelian hyperplanes of each eigenspace once.  When nothing
-matches, it tries one alternative core, found on the first miss: the
-restricted closure of the 2-nilpotent locus of the whole centre (the
+The pipeline matches first and refutes after.  It computes a canonical
+2-nilpotent core ideal once, over the base field; its first step, test
+(a), refutes when the closure of [[L',L'],L] is not 2-nilpotent.  It
+matches the quotient against the five structural conditions.  Conditions
+(i)-(iii) are rank conditions and one linear system with coefficients in
+the base field, so they match over an extension iff they match over the
+base field; the ladder of extensions GF(2^(kd)), d >= 2, runs (iv) and
+(v) only, on the base-changed quotient (every step of the core commutes
+with base change, so the core of L⊗K is the embedded core of L), and
+(iv)/(v) walk the abelian hyperplanes of each eigenspace once.  When
+nothing matches, it tries one alternative core, found on the first miss:
+the restricted closure of the 2-nilpotent locus of the whole centre (the
 canonical core takes that locus on the derived algebra only), if it
-differs from the canonical core and is 2-nilpotent.  Every positive
-verdict carries re-checkable witnesses; a refutation carries a concrete
-non-nilpotent element.
+differs from the canonical core and is 2-nilpotent.  Only then do tests
+(b)/(c) look for a non-nilpotent element of the ideal generated by
+[[a,b],[c,d],e] in u(L): after a match, u(L) is Lie solvable by the
+paper's theorem, so every such element is nilpotent and they cannot
+refute.  Every positive verdict carries re-checkable witnesses; a
+refutation carries a concrete non-nilpotent element.
 
 The derived series oracle that cross-checks a verdict, and refutes when
 nothing matched, runs on u(L/I), not on u(L): I is the canonical core, or
@@ -57,12 +59,14 @@ CONDITION_NAMES = {
 
 
 class CoreNotNilpotent(Exception):
-    """A core is not a 2-nilpotent restricted ideal.
+    """A core is not a 2-nilpotent restricted ideal: ``nilpotent_core``'s
+    accumulated core or the oracle's ideal failed its check, an internal
+    fault (exit 3 in the CLI).  ``ClosureNotNilpotent`` is test (a) instead."""
 
-    ``nilpotent_core`` raises it when the closure of [[L',L'],L] is not
-    2-nilpotent (a refutation signal); the oracle raises it when its ideal
-    fails the re-check, an internal fault (exit 3 in the CLI).
-    """
+
+class ClosureNotNilpotent(CoreNotNilpotent):
+    """Test (a) refutes: ``nilpotent_core``'s first step, the closure of
+    [[L',L'],L], is not 2-nilpotent."""
 
 
 class LadderExhausted(Exception):
@@ -125,10 +129,11 @@ class Verdict:
 # dimension 6, gets an oracle on its 5-dimensional quotient.  Test (c) of
 # ``necessary_tests`` evaluates the first PATTERN_BUDGET 4-permutations.
 # Tests (b) and (c) run when dim L <= PATTERN_DIM_LIMIT, one below
-# MAX_ENVELOPE_N.  On randomly rebased solvable inputs, whose pattern
-# elements are nonzero and all nilpotent, they took 11 s at n = 10
-# (family_iv, h_dim=4), 41 s at n = 11 (witness_chain(3)) and 147-165 s
-# at n = 12 (family_iv/v, h_dim=5) on a 2-vCPU Xeon with Python 3.11.
+# MAX_ENVELOPE_N, when no condition matched.  The limit was set when they
+# ran first: on randomly rebased solvable inputs, which now match before
+# the tests, they took 11 s at n = 10 (family_iv, h_dim=4), 41 s at n = 11
+# (witness_chain(3)) and 147-165 s at n = 12 (family_iv/v, h_dim=5) on a
+# 2-vCPU Xeon with Python 3.11.
 ORACLE_DIM_LIMIT = 9
 PATTERN_BUDGET = 2000
 PATTERN_DIM_LIMIT = 11
@@ -301,7 +306,7 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> Subspace:
     """
     core = _bracket_closure(L)
     if not L.is_2nilpotent_ideal(core)[0]:
-        raise CoreNotNilpotent("closure of [[L',L'],L] is not 2-nilpotent")
+        raise ClosureNotNilpotent("closure of [[L',L'],L] is not 2-nilpotent")
     while core.dim < L.n:
         if core.dim:
             M, quot = L.quotient(core)
@@ -718,18 +723,18 @@ def classify(L: RestrictedLieAlgebra,
              options: Optional[ClassifyOptions] = None) -> Verdict:
     """Full decision pipeline; every verdict carries re-checkable evidence."""
     options = options or ClassifyOptions()
-    refute = necessary_tests(L)
-    if refute is not None:
-        # test (a) refuted: the closure of [[L',L'],L] is no core, so I = 0
-        core = Subspace.zero(L.field, L.n) if refute.witness_kind == "necessary_test" else None
-        refute.oracle = _run_oracle(L, options, core)
-        return refute
     if not isinstance(L.field, GF2k):
-        return Verdict(outcome="inconclusive",
-                       reason="structural matching needs a GF(2^k) base field; "
-                              "only the refutation tests run over this field")
-    # test (a) passed, so the core is 2-nilpotent
-    core = nilpotent_core(L)
+        return necessary_tests(L) or Verdict(
+            outcome="inconclusive",
+            reason="structural matching needs a GF(2^k) base field; "
+                   "only the refutation tests run over this field")
+    try:
+        core = nilpotent_core(L)
+    except ClosureNotNilpotent:
+        # test (a) refutes: the closure of [[L',L'],L] is no core, so I = 0
+        refute = necessary_tests(L)
+        refute.oracle = _run_oracle(L, options, Subspace.zero(L.field, L.n))
+        return refute
     quotient = _quotient(L, core)
     alt = None              # looked for on the first miss
     ladder_note = None
@@ -760,7 +765,11 @@ def classify(L: RestrictedLieAlgebra,
             verdict = _solvable_verdict(L, degree, ext, used, cert)
             verdict.oracle = _run_oracle(L, options, core, quotient)
             return verdict
+    refute = necessary_tests(L)
     oracle = _run_oracle(L, options, core, quotient)
+    if refute is not None:
+        refute.oracle = oracle
+        return refute
     if oracle is not None:
         if oracle["outcome"] == "stabilized":
             return Verdict(outcome="not_solvable", witness_kind="oracle_stabilized",
@@ -777,20 +786,13 @@ def classify(L: RestrictedLieAlgebra,
                    "without a certificate, oracle unavailable")
 
 
-def _run_oracle(L: RestrictedLieAlgebra, options: ClassifyOptions,
-                core: Optional[Subspace] = None,
+def _run_oracle(L: RestrictedLieAlgebra, options: ClassifyOptions, core: Subspace,
                 quotient: Optional[RestrictedLieAlgebra] = None) -> Optional[dict]:
-    """The cross-check of a verdict: the derived series of u(L/I).
-
-    I is ``core``, or ``nilpotent_core(L)`` when it is None, and
-    ``quotient`` is L/I when the caller has it.  The series runs when
-    dim L/I <= ORACLE_DIM_LIMIT, over GF(2^k) only.
+    """The cross-check of a verdict over GF(2^k): the derived series of
+    u(L/I), I = ``core``, with ``quotient`` = L/I when the caller has it.
+    The series runs when dim L/I <= ORACLE_DIM_LIMIT.
     """
-    if not options.oracle_crosscheck or not isinstance(L.field, GF2k):
-        return None
-    if core is None:
-        core = nilpotent_core(L)
-    if L.n - core.dim > ORACLE_DIM_LIMIT:
+    if not options.oracle_crosscheck or L.n - core.dim > ORACLE_DIM_LIMIT:
         return None
     return _oracle_series(L, core, quotient)
 

@@ -652,9 +652,13 @@ def field_to_json(f) -> dict:
 
 
 def field_from_json(d: dict):
+    if not isinstance(d, dict):
+        raise FieldError("a field must be a JSON object")
     kind = d.get("kind")
     if kind == "gf2k":
-        bits = d["modulus"]
+        bits = d.get("modulus")
+        if not (isinstance(d.get("k"), int) and isinstance(bits, list)):
+            raise FieldError("a gf2k field needs an integer k and a modulus bit list")
         if len(bits) != d["k"] + 1:
             raise ReducibleModulus("modulus bit vector must have length k+1")
         modulus = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .algebra import LieAlgebra, RestrictedLieAlgebra
-from .fields import field_from_json, field_to_json
+from .fields import FieldError, field_from_json, field_to_json
 
 FORMAT_VERSION = 1
 
@@ -41,6 +41,8 @@ class AxiomError(Exception):
 
 
 def _coord_map_to_vec(field, d: dict, dim: int, where: str):
+    if not isinstance(d, dict):
+        raise SpecError(f"{where}: coordinates must be a JSON object")
     vec = [field.zero] * dim
     for key, sval in d.items():
         try:
@@ -72,13 +74,17 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
             raise SpecError(f"missing key {key!r}")
     if doc["format"] != FORMAT_VERSION:
         raise SpecError(f"unsupported format version {doc['format']!r}")
-    field = field_from_json(doc["field"])
+    try:
+        field = field_from_json(doc["field"])
+    except FieldError as exc:
+        raise SpecError(f"field: {exc}")
     dim = doc["dim"]
     names = doc["names"]
     if not isinstance(dim, int) or dim < 0:
         raise SpecError("dim must be a non-negative integer")
-    if not isinstance(names, list) or len(names) != dim:
-        raise SpecError("names must list exactly dim labels")
+    if not isinstance(names, list) or len(names) != dim \
+            or not all(isinstance(name, str) for name in names):
+        raise SpecError("names must list exactly dim string labels")
     restricted = doc["restricted"]
     if restricted not in (True, False):
         raise SpecError("restricted must be true or false")
@@ -86,10 +92,12 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
         raise SpecError("restricted algebras require a pmap block")
     if not restricted and "pmap" in doc:
         raise SpecError("ordinary algebras must not carry a pmap block")
+    if not isinstance(doc["brackets"], list):
+        raise SpecError("brackets must be a list")
     brackets = {}
     for k, entry in enumerate(doc["brackets"]):
         where = f"brackets[{k}]"
-        if set(entry) != {"i", "j", "value"}:
+        if not isinstance(entry, dict) or set(entry) != {"i", "j", "value"}:
             raise SpecError(f"{where}: entries need exactly i, j, value")
         i, j = entry["i"], entry["j"]
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):

@@ -23,7 +23,7 @@ from liesolv.linalg import Quotient, Subspace, span, vec_is_zero
 from liesolv.ordinary import corollary_classify
 
 from test_bracket import perturbed, reference_jacobi
-from test_match_iv_v import scaled_toral
+from test_match_iv_v import matcher_cases, scaled_toral
 
 GF4 = gf(4)
 
@@ -409,7 +409,8 @@ def _classify_subset_search(L):
     options = ClassifyOptions()
     refute = necessary_tests(L)
     if refute is not None:
-        core = Subspace.zero(L.field, L.n) if refute.witness_kind == "necessary_test" else None
+        core = Subspace.zero(L.field, L.n) if refute.witness_kind == "necessary_test" \
+            else nilpotent_core(L)
         refute.oracle = _run_oracle(L, options, core)
         return refute, False
     for degree in range(1, options.extension_ladder_max + 1):
@@ -424,7 +425,7 @@ def _classify_subset_search(L):
         except LadderExhausted:
             verdict = None
         if verdict is not None:
-            verdict.oracle = _run_oracle(L, options)
+            verdict.oracle = _run_oracle(L, options, nilpotent_core(L))
             return verdict, False
         rows = list(_central_2nilpotent_locus(Lm, Lm.center()).rows)
         for size in range(len(rows), -1, -1):
@@ -437,9 +438,9 @@ def _classify_subset_search(L):
                 except LadderExhausted:
                     verdict = None
                 if verdict is not None:
-                    verdict.oracle = _run_oracle(L, options)
+                    verdict.oracle = _run_oracle(L, options, nilpotent_core(L))
                     return verdict, True
-    oracle = _run_oracle(L, options)
+    oracle = _run_oracle(L, options, nilpotent_core(L))
     if oracle["outcome"] == "stabilized":
         return Verdict(outcome="not_solvable", witness_kind="oracle_stabilized",
                        witness_str=f"derived series stabilized at dimension {oracle['value']}",
@@ -472,6 +473,61 @@ def test_alternative_core_matches_subset_search():
         assert classify(L).to_json() == want.to_json(), (L.names, L.pmap)
         decided_by_alternative += by_alternative
     assert decided_by_alternative >= 3
+
+
+# ----------------------------------------------------------------------
+# match first, refute after
+# ----------------------------------------------------------------------
+
+def _matched_instances():
+    """The matcher cases, the central extensions, the corpus families over
+    GF(2), GF(4) and GF(8), and two random rebases each of family_iv and
+    family_v (h_dim=2) over GF(2) and GF(4)."""
+    yield from (L for _, L in matcher_cases())
+    yield from _central_extensions(0)
+    for f in (GF2, GF4, gf(8)):
+        yield from _family_instances(f)
+        yield from (family_iii(f, central_dim=2, central_bracket=True),
+                    family_iv(f, h_dim=1), family_v(f, h_dim=1))
+    rng = random.Random(22)
+    for f in (GF2, GF4):
+        for family in (family_iv, family_v):
+            for _ in range(2):
+                yield _random_rebase(family(f, h_dim=2), rng)
+
+
+def test_solvable_verdicts_pass_the_refutation_tests():
+    # classify runs tests (b)/(c) only when no condition matched.  On a
+    # matched input they cannot refute, by the theorem; if they did, the
+    # matcher would be wrong, and this test is where that shows
+    solvable = 0
+    for L in _matched_instances():
+        v = classify(L, ClassifyOptions(oracle_crosscheck=False))
+        if v.outcome == "solvable":
+            assert necessary_tests(L) is None, (L.names, L.field.order, v.condition)
+            solvable += 1
+    assert solvable >= 340
+
+
+def test_classify_matches_before_it_runs_the_refutation_tests(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tests (b)/(c) ran on a matched input")
+
+    no_oracle = ClassifyOptions(oracle_crosscheck=False)
+    cases = [(heisenberg(), None), (family_iv(GF4, h_dim=2), None),
+             (family_v(GF4, h_dim=2), None),
+             (_random_rebase(family_v(GF4, h_dim=3), random.Random(22)), no_oracle)]
+    with monkeypatch.context() as m:
+        m.setattr(classify_module, "_bracket_patterns", refuse)
+        m.setattr(classify_module, "_pairing_elements", refuse)
+        got = [classify(L, options) for L, options in cases]
+    for (L, options), v in zip(cases, got):
+        assert v.outcome == "solvable" and verify_verdict(L, v)
+        assert v.to_json() == classify(L, options).to_json()
+    # unmatched, N7 is still refuted by test (c), with the oracle on u(L/I)
+    v = classify(negative_class2())
+    assert (v.witness_kind, v.witness_elem) == ("sz_witness", {1 << 6: 1})
+    assert v.oracle["dims"] == [32, 15, 15]
 
 
 # ----------------------------------------------------------------------
@@ -848,7 +904,7 @@ def test_verify_verdict_rederives_an_oracle_refutation():
     # the series of u(N7/I), I the core of dimension 2, stabilizes at 15;
     # the carried quotient_dim, value and dims must match it
     L = negative_class2(GF2)
-    oracle = _run_oracle(L, ClassifyOptions())
+    oracle = _run_oracle(L, ClassifyOptions(), nilpotent_core(L))
     assert oracle == {"outcome": "stabilized", "value": 15, "dims": [32, 15, 15],
                       "quotient_dim": 5}
     genuine = Verdict("not_solvable", witness_kind="oracle_stabilized", oracle=oracle)
@@ -940,9 +996,9 @@ def test_oracle_modulo_the_core_matches_the_full_series():
         assert v.oracle["dims"][0] == 2 ** (L.n - core_dim), label
         if core_dim == 0:
             assert v.oracle == {**want, "quotient_dim": L.n}, label
-        # recomputing the core inside _run_oracle gives the same dict
+        # the oracle on a freshly computed core gives the same dict
         if v.witness_kind != "necessary_test":
-            assert _run_oracle(L, ClassifyOptions()) == v.oracle, label
+            assert _run_oracle(L, ClassifyOptions(), nilpotent_core(L)) == v.oracle, label
         assert v.outcome == "inconclusive" or verify_verdict(L, v), label
         count += 1
         shrunk += core_dim > 0

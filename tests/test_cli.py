@@ -92,6 +92,35 @@ def test_cli_axioms_bad_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+# JSON of the wrong type in each place of an H3 spec file
+MALFORMED_SPECS = {
+    "brackets-not-a-list": lambda d: d.update(brackets=5),
+    "bracket-entry-not-an-object": lambda d: d.update(brackets=[5]),
+    "value-is-a-list": lambda d: d["brackets"][0].update(value=["1"]),
+    "pmap-entry-is-a-list": lambda d: d["pmap"].__setitem__(0, ["1"]),
+    "field-is-a-string": lambda d: d.update(field="gf2"),
+    "field-without-modulus": lambda d: d["field"].pop("modulus"),
+    "k-is-a-string": lambda d: d["field"].update(k="1"),
+    "unknown-field-kind": lambda d: d["field"].update(kind="gf3"),
+    "modulus-of-wrong-degree": lambda d: d["field"].update(modulus=[1, 0]),
+    "names-not-strings": lambda d: d.update(names=[1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_SPECS.values(), ids=list(MALFORMED_SPECS))
+def test_cli_malformed_spec_is_an_error(tmp_path, capsys, change):
+    doc = algebra_to_json(heisenberg())
+    change(doc)
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error in bad.alg: ")
+
+
 def test_cli_solvable_h3(h3_file, capsys):
     assert main(["solvable", h3_file]) == 0
     out = capsys.readouterr().out
