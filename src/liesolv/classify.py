@@ -66,7 +66,12 @@ class CoreNotNilpotent(Exception):
 
 class ClosureNotNilpotent(CoreNotNilpotent):
     """Test (a) refutes: ``nilpotent_core``'s first step, the closure of
-    [[L',L'],L], is not 2-nilpotent."""
+    [[L',L'],L], is not 2-nilpotent.  ``stable`` is the stable term of its
+    chain, from which ``_closure_verdict`` builds the refutation."""
+
+    def __init__(self, stable: Subspace):
+        super().__init__("closure of [[L',L'],L] is not 2-nilpotent")
+        self.stable = stable
 
 
 class LadderExhausted(Exception):
@@ -233,19 +238,9 @@ def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     [z b y, z] per (z, b, y) and the ad table of [x, x b] per (x, b).
     """
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
-    closure = _bracket_closure(L)
-    if closure.dim:
-        ok, chain = L.is_2nilpotent_ideal(closure)
-        if not ok:
-            w = _find_non_2nilpotent(L, chain[-1])
-            return Verdict(
-                outcome="not_solvable", witness_kind="necessary_test",
-                witness_str=L.element_str(w) if w is not None else "stable chain "
-                f"of dimension {chain[-1].dim}",
-                reason="the closure of [[L',L'],L] is not 2-nilpotent",
-                witness_elem={1 << i: c for i, c in enumerate(w)
-                              if not L.field.is_zero(c)} if w is not None else None,
-            )
+    ok, chain = L.is_2nilpotent_ideal(_bracket_closure(L))
+    if not ok:
+        return _closure_verdict(L, chain[-1])
     if L.n > PATTERN_DIM_LIMIT:
         return None
     env = Envelope(L)
@@ -277,6 +272,19 @@ def _bracket_closure(L: RestrictedLieAlgebra) -> Subspace:
                                 for v in d2.basis() for j in range(L.n))
 
 
+def _closure_verdict(L: RestrictedLieAlgebra, stable: Subspace) -> Verdict:
+    """Test (a)'s refutation, given the stable term of the closure's chain."""
+    w = _find_non_2nilpotent(L, stable)
+    return Verdict(
+        outcome="not_solvable", witness_kind="necessary_test",
+        witness_str=L.element_str(w) if w is not None else "stable chain "
+        f"of dimension {stable.dim}",
+        reason="the closure of [[L',L'],L] is not 2-nilpotent",
+        witness_elem={1 << i: c for i, c in enumerate(w)
+                      if not L.field.is_zero(c)} if w is not None else None,
+    )
+
+
 def _find_non_2nilpotent(L: RestrictedLieAlgebra, stable: Subspace):
     """Hunt for a single non-2-nilpotent element inside a stable chain term."""
     f = L.field
@@ -305,8 +313,9 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> Subspace:
     lies in C and so in the core, and its closure in M is 0.
     """
     core = _bracket_closure(L)
-    if not L.is_2nilpotent_ideal(core)[0]:
-        raise ClosureNotNilpotent("closure of [[L',L'],L] is not 2-nilpotent")
+    ok, chain = L.is_2nilpotent_ideal(core)
+    if not ok:
+        raise ClosureNotNilpotent(chain[-1])
     while core.dim < L.n:
         if core.dim:
             M, quot = L.quotient(core)
@@ -730,9 +739,9 @@ def classify(L: RestrictedLieAlgebra,
                    "only the refutation tests run over this field")
     try:
         core = nilpotent_core(L)
-    except ClosureNotNilpotent:
+    except ClosureNotNilpotent as exc:
         # test (a) refutes: the closure of [[L',L'],L] is no core, so I = 0
-        refute = necessary_tests(L)
+        refute = _closure_verdict(L, exc.stable)
         refute.oracle = _run_oracle(L, options, Subspace.zero(L.field, L.n))
         return refute
     quotient = _quotient(L, core)

@@ -9,10 +9,11 @@ Inside, an element has a native form.  Over GF(2^k) it is a stacked
 int, the bit-sliced layout of M4RIE (``linalg.Stacked``): one int of
 k*2^n bits whose plane j, the bits [j*2^n, (j+1)*2^n), holds bit j of
 every coefficient; over GF(2) it is the bitmask of the monomials
-present.  The eliminator's rows have the same layout, so spans of
-elements take and give them as they are.  Over any other field
-(F2(X,Y)) it is a ``_Sparse`` dict whose ``^`` is addition.  Both forms
-run on one straightening, one right generator at a time:
+present.  Over any other field (F2(X,Y)) it is a ``linalg._Sparse`` dict
+{mask: scalar} whose ``^`` is addition.  Each form is also the row of
+the ``linalg.Eliminator`` for its field, so spans of elements take and
+give them as they are.  Both forms run on one straightening, one right
+generator at a time:
 
     b_i b_j = b_j b_i + [b_i, b_j]   (i > j)
     b_i b_i = b_i^[2]
@@ -58,7 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
-from .linalg import Eliminator, Quotient, Stacked, Subspace, saturate, stack_items
+from .linalg import Eliminator, Quotient, Stacked, Subspace, _Sparse, saturate, stack_items
 
 # u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
 # pairs of them, so larger algebras are refused before anything is built.
@@ -96,34 +97,6 @@ class SZResult:
     index: Optional[int]            # least m with ideal^m = 0
     ideal_dim: int
     witness: Optional[dict] = None  # stable element when not nilpotent
-
-
-class _Sparse(dict):
-    """The native element {mask: scalar} off GF(2^k); ``^`` is addition.
-
-    ``^`` returns a new element and leaves both operands alone, because
-    table entries are shared by every product that reads them.
-    """
-
-    __slots__ = ("field",)
-
-    def __init__(self, field, items=()):
-        super().__init__(items)
-        self.field = field
-
-    def __xor__(self, other: dict) -> "_Sparse":
-        f = self.field
-        out = _Sparse(f, self)
-        for m, c in other.items():
-            if m in out:
-                s = f.add(out[m], c)
-                if f.is_zero(s):
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
-        return out
 
 
 class _GenTables:
@@ -245,8 +218,8 @@ class Envelope:
     def lie_mask(self, a, b):
         return self.mul_mask(a, b) ^ self.mul_mask(b, a)
 
-    # The seven primitives below are the only methods, besides __init__,
-    # that tell the stacked form from the _Sparse one.
+    # The five primitives below are the only methods, besides __init__
+    # and _saturate, that tell the stacked form from the _Sparse one.
 
     def _native(self, a: dict):
         return self.to_mask(a) if self.stacked else _Sparse(self.field, a)
@@ -259,12 +232,7 @@ class Envelope:
 
     def _scale(self, c, x):
         """c*x for a nonzero scalar c."""
-        if c == self.field.one:
-            return x
-        if not self.stacked:
-            f = self.field
-            return _Sparse(f, {m: f.mul(c, v) for m, v in x.items()})
-        return self._stack.scale(c, x)
+        return self._stack.scale(c, x) if self.stacked else x.scale(c)
 
     def _apply(self, table: list, fill, x):
         """Sum of c_m*table[m] over the monomials m of x, c_m their coefficients.
@@ -279,7 +247,7 @@ class Envelope:
                 e = table[m]
                 if e is None:
                     e = fill(m)
-                acc ^= self._scale(c, e)
+                acc ^= e.scale(c)
             return acc
         st = self._stack
         plane, mul_t, top = st.plane, st.mul_t, st.offsets[-1]
@@ -299,19 +267,6 @@ class Envelope:
                 acc ^= e
                 p ^= low
         return acc
-
-    def _span_add(self, elim: Eliminator, e) -> bool:
-        if not e:
-            return False
-        if not self.stacked:
-            return elim.add_vector(self.elem_to_vec(e))
-        return elim.add_planes(e)
-
-    def _basis(self, elim: Eliminator) -> list:
-        """The RREF basis of ``elim`` in pivot order, as native elements."""
-        if not self.stacked:
-            return [_Sparse(self.field, self.elem_from_row(r)) for r in elim.basis_rows()]
-        return elim.basis_planes()
 
     # -- the generator-table kernel -------------------------------------------
 
@@ -416,8 +371,8 @@ class Envelope:
 
         Returns the eliminator and the accepted inputs.
         """
-        elim = Eliminator(self.field, self.dim)
-        return elim, saturate(partial(self._span_add, elim), vectors, maps, ceiling)
+        elim = Eliminator(self.field, self.dim, force_generic=not self.stacked)
+        return elim, saturate(elim.add_planes, vectors, maps, ceiling)
 
     def _span(self, elems) -> Eliminator:
         """An eliminator holding the span of the native elements ``elems``."""
@@ -469,8 +424,8 @@ class Envelope:
         """
         term, accepted = self._saturate(candidates, [self._times_gen(z) for z in central],
                                         ceiling)
-        basis = self._basis(term)
-        return term, basis, self._basis(self._span(accepted)) if central else basis
+        basis = term.basis_planes()
+        return term, basis, self._span(accepted).basis_planes() if central else basis
 
     def _times_gen(self, g: int, left: bool = False):
         """The map v -> v*x_g (x_g*v when ``left``), one apply of a generator table."""
@@ -522,13 +477,6 @@ class Envelope:
     def subspace_from_elems(self, elems: Sequence[dict]) -> Subspace:
         return self._span(self._native(e) for e in elems).to_subspace()
 
-    def elem_to_vec(self, a: dict) -> Tuple:
-        f = self.field
-        out = [f.zero] * self.dim
-        for m, c in a.items():
-            out[m] = c
-        return tuple(out)
-
     # -- derived series oracle --------------------------------------------
 
     def lie_derived_series(self, max_steps: int = 64,
@@ -578,7 +526,7 @@ class Envelope:
         s of D_2 and the non-central x_g suffice.
         """
         ideal, _ = self._sz_ideal()
-        return [self._to_dict(e) for e in self._basis(ideal)]
+        return [self._to_dict(e) for e in ideal.basis_planes()]
 
     def _sz_ideal(self):
         """The eliminator of the sz ideal and the seeds [s, x_g] that generate it.
@@ -605,7 +553,7 @@ class Envelope:
         if not ideal.rank:
             return SZResult(True, 1, 0)
         times = [partial(self._apply, *self._products(s, left=True)) for s in seeds]
-        index, stable = self._power_index(self._basis(ideal), times)
+        index, stable = self._power_index(ideal.basis_planes(), times)
         if index is not None:
             return SZResult(True, index, ideal.rank)
         return SZResult(False, None, ideal.rank, self._pick_non_nilpotent(stable))
@@ -623,7 +571,7 @@ class Envelope:
         power = 1
         while True:
             elim, _ = self._saturate((f(a) for a in basis for f in times), right, len(basis))
-            nxt = self._basis(elim)
+            nxt = elim.basis_planes()
             if not nxt:
                 return power + 1, None
             if len(nxt) == len(basis):
@@ -765,7 +713,7 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
     checks.append(("u(L)/h is abelian", h_space.contains(br_gg)))
     br_kh = _bracket_span(env, k_elems, h_elems).to_subspace()
     checks.append(("bracket of k with h stays in k", k_space.contains(br_kh)))
-    k_d1_elems = env._basis(_bracket_span(env, k_elems))
+    k_d1_elems = _bracket_span(env, k_elems).basis_planes()
     k_d2 = _bracket_span(env, k_d1_elems)
     checks.append(("second derived of k vanishes", k_d2.rank == 0))
     if r == 3:
@@ -773,17 +721,11 @@ def cond_ii_certificate(L: RestrictedLieAlgebra) -> CertificateReport:
         e2 = env.lie(env.monomial(x1 | x2), env.monomial(x2 | x3))
         e3 = env.lie(env.monomial(x1 | x3), env.monomial(x2 | x3))
         es = [e1, e2, e3]
-        ok_e = True
-        kelim = k_space.elim()
-        for i in range(3):
-            for j in range(3):
-                w = env.lie(es[i], es[j])
-                if w and not kelim.contains_vector(env.elem_to_vec(w)):
-                    ok_e = False
-        checks.append(("pair-product brackets commute modulo k", ok_e))
+        br_ee = env.subspace_from_elems([env.lie(a, b) for a in es for b in es])
+        checks.append(("pair-product brackets commute modulo k", k_space.contains(br_ee)))
     else:
         checks.append(("pair-product brackets commute modulo k", True))
-    md1_elems = env._basis(env._span(chain(env._pair_brackets(m_elems), k_elems)))
+    md1_elems = env._span(chain(env._pair_brackets(m_elems), k_elems)).basis_planes()
     md2 = _bracket_span(env, md1_elems).to_subspace()
     checks.append(("second derived of h/k vanishes", k_space.contains(md2)))
     detail = {

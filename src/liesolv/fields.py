@@ -657,13 +657,14 @@ def field_from_json(d: dict):
     kind = d.get("kind")
     if kind == "gf2k":
         bits = d.get("modulus")
-        if not (isinstance(d.get("k"), int) and isinstance(bits, list)):
+        # type(...) is int: JSON true/false would pass isinstance(_, int)
+        if not (type(d.get("k")) is int and isinstance(bits, list)):
             raise FieldError("a gf2k field needs an integer k and a modulus bit list")
         if len(bits) != d["k"] + 1:
             raise ReducibleModulus("modulus bit vector must have length k+1")
         modulus = 0
         for i, b in enumerate(bits):
-            if b not in (0, 1):
+            if type(b) is not int or b not in (0, 1):
                 raise FieldError("modulus bits must be 0/1")
             modulus |= b << i
         return GF2k(d["k"], modulus)

@@ -4,16 +4,18 @@ Vectors are tuples of scalars; a Subspace is a canonical reduced
 row-echelon basis, so two subspaces are equal iff their stored rows are
 identical.
 
-Over GF(2^k) a row is one stacked int, the layout ``Stacked`` describes
-and ``envelope.Envelope`` uses for elements of u(L): k*W bits for a row
-of length W, plane j (the bits [j*W, (j+1)*W)) holding bit j of every
-coordinate.  Adding rows is one XOR, and a scalar multiple is one
-Horner pass in t, so a row operation costs O(k) big-int operations
-regardless of the ambient dimension.  Over GF(2) the row is the bitmask
-of its nonzero coordinates and elimination is bare XOR.  Packed rows
-are keyed by pivot and kept fully reduced, so reducing a vector touches
-only the pivots in its support.  RatFunc2 rows stay as plain scalar
-lists.
+An ``Eliminator`` keeps the RREF basis of a growing span in the row
+form of its field.  Over GF(2^k) a row is one stacked int, the layout
+``Stacked`` describes and ``envelope.Envelope`` uses for elements of
+u(L): k*W bits for a row of length W, plane j (the bits [j*W, (j+1)*W))
+holding bit j of every coordinate.  Adding rows is one XOR, and a scalar
+multiple is one Horner pass in t, so a row operation costs O(k) big-int
+operations regardless of the ambient dimension.  Over GF(2) the row is
+the bitmask of its nonzero coordinates and elimination is bare XOR.
+Over any other field (F2(X,Y)) a row is a ``_Sparse`` dict {column:
+scalar}, the form u(L)'s elements take there.  Rows are keyed by pivot
+and kept fully reduced, so reducing a vector touches only the pivots in
+its support.
 
 A Quotient is the whole space modulo a subspace.  The subspace is in
 RREF, so the columns that are not its pivots give the quotient's basis
@@ -22,9 +24,8 @@ and coordinates directly.
 
 from __future__ import annotations
 
-import bisect
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 
@@ -53,19 +54,6 @@ def stack_items(items: Iterable[Tuple[int, int]], width: int) -> int:
 def pack_row(vec: Sequence[int]) -> int:
     """The stacked int of a GF(2^k) vector."""
     return stack_items(enumerate(vec), len(vec))
-
-
-def unpack_row(field: GF2k, x: int, ambient: int) -> Tuple[int, ...]:
-    """The GF(2^k) vector of length ``ambient`` whose stacked int is x."""
-    out = [0] * ambient
-    plane = (1 << ambient) - 1
-    for i in range(field.k):
-        p = x >> i * ambient & plane
-        while p:
-            low = p & -p
-            out[low.bit_length() - 1] |= 1 << i
-            p ^= low
-    return tuple(out)
 
 
 class Stacked:
@@ -134,25 +122,136 @@ class Stacked:
 _stacked = lru_cache(maxsize=256)(Stacked)
 
 
-class _GF2Elim:
-    """Incremental RREF accumulator over GF(2): a row is a bitmask.
+class _Sparse(dict):
+    """A sparse vector {column: scalar} storing no zero; ``^`` is addition.
 
-    Rows are keyed by their pivot column and ``pivmask`` has one bit per
-    pivot.  The rows are kept fully reduced: row ``p`` is 1 at column
-    ``p`` and 0 at every other pivot.  So subtracting a multiple of row
-    ``p`` leaves a vector's coordinates at the other pivots unchanged,
-    and ``reduce`` needs to visit only the pivots in the vector's
-    support, each once.
+    ``^`` and ``scale`` return new vectors and leave their operands
+    alone: ``envelope.Envelope`` shares these as table entries.
     """
 
-    def __init__(self, field: GF2k, ambient: int):
-        self.rows: Dict[int, int] = {}
+    __slots__ = ("field",)
+
+    def __init__(self, field, items=()):
+        super().__init__(items)
+        self.field = field
+
+    def __xor__(self, other: dict) -> "_Sparse":
+        f = self.field
+        out = _Sparse(f, self)
+        for m, c in other.items():
+            if m in out:
+                s = f.add(out[m], c)
+                if f.is_zero(s):
+                    del out[m]
+                else:
+                    out[m] = s
+            else:
+                out[m] = c
+        return out
+
+    def scale(self, c) -> "_Sparse":
+        """c times this vector, for a nonzero scalar c."""
+        f = self.field
+        if c == f.one:
+            return self
+        return _Sparse(f, {m: f.mul(c, v) for m, v in self.items()})
+
+
+class Eliminator:
+    """Incremental RREF of a growing span, on the rows of its back end.
+
+    ``Eliminator(field, ambient)`` builds ``_GF2Elim`` over GF(2),
+    ``_PackedElim`` over GF(2^k), k > 1, and ``_GenericElim`` otherwise
+    or with ``force_generic``, which lets tests cross-check the three.
+    ``add_planes`` and ``basis_planes`` take and give the back end's own
+    rows; the other methods speak scalar tuples.  ``rows`` maps each
+    pivot to its row, 1 at the pivot and 0 at the other pivots, so
+    ``reduce`` subtracts each row in a vector's support once.  A back
+    end supplies ``reduce``, ``add`` and a row codec (here the stacked
+    int's), and keeps ``pivmask``, one bit per pivot.
+    """
+
+    def __new__(cls, field, ambient: int, force_generic: bool = False):
+        if cls is Eliminator:
+            if force_generic or not isinstance(field, GF2k):
+                cls = _GenericElim
+            else:
+                # bare XOR over GF(2): through _PackedElim, where every scalar
+                # is 1, sz-ideal and series-gf2 run 10-14% slower
+                cls = _GF2Elim if field.k == 1 else _PackedElim
+        return object.__new__(cls)
+
+    def __init__(self, field, ambient: int, force_generic: bool = False):
+        self.field = field
+        self.ambient = ambient
+        self.rows: dict = {}
         self.pivmask = 0
+
+    _encode = staticmethod(pack_row)
+
+    def _decode(self, x: int) -> Tuple[int, ...]:
+        n = self.ambient
+        out, plane = [0] * n, (1 << n) - 1
+        for i in range(self.field.k):
+            p = x >> i * n & plane
+            while p:
+                low = p & -p
+                out[low.bit_length() - 1] |= 1 << i
+                p ^= low
+        return tuple(out)
+
+    def _row(self, vec: Sequence):
+        if len(vec) != self.ambient:
+            raise DimensionMismatch(f"vector length {len(vec)} != ambient {self.ambient}")
+        return self._encode(vec)
 
     def load(self, rows: Sequence[Sequence], pivots: Sequence[int]) -> None:
         """Take the RREF ``rows`` with pivots ``pivots`` as they are."""
-        self.rows = {p: pack_row(r) for p, r in zip(pivots, rows)}
+        self.rows = {p: self._encode(r) for p, r in zip(pivots, rows)}
         self.pivmask = sum(1 << p for p in pivots)
+
+    def add_vector(self, vec: Sequence) -> bool:
+        return self.add(self._row(vec))
+
+    def add_planes(self, x) -> bool:
+        """Add x, a row of this back end."""
+        return self.add(x)
+
+    def add_mask(self, mask: int) -> bool:
+        """GF(2) convenience: the row is one bitmask."""
+        if not isinstance(self, _GF2Elim):
+            raise FieldMismatch("bitmask rows need a packed GF(2) eliminator")
+        return self.add(mask)
+
+    def residue(self, vec: Sequence) -> Tuple:
+        return self._decode(self.reduce(self._row(vec)))
+
+    def contains_vector(self, vec: Sequence) -> bool:
+        return not self.reduce(self._row(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> List[int]:
+        return sorted(self.rows)
+
+    def basis_planes(self) -> list:
+        """The rows in pivot order."""
+        rows = self.rows
+        return [rows[p] for p in sorted(rows)]
+
+    def basis_rows(self) -> List[Tuple]:
+        return [self._decode(r) for r in self.basis_planes()]
+
+    def to_subspace(self) -> "Subspace":
+        return Subspace._from_rref(self.field, self.ambient,
+                                   self.basis_rows(), self.pivots)
+
+
+class _GF2Elim(Eliminator):
+    """Over GF(2): a row is the bitmask of its nonzero coordinates."""
 
     def reduce(self, x: int) -> int:
         rows = self.rows
@@ -176,27 +275,17 @@ class _GF2Elim:
         self.pivmask |= low
         return True
 
-    @property
-    def pivots(self) -> List[int]:
-        return sorted(self.rows)
 
-    def basis(self) -> List[int]:
-        """The rows in pivot order."""
-        rows = self.rows
-        return [rows[p] for p in sorted(rows)]
-
-
-class _PackedElim(_GF2Elim):
-    """The accumulator of ``_GF2Elim`` over GF(2^k), k > 1, on stacked rows.
+class _PackedElim(Eliminator):
+    """Over GF(2^k), k > 1: a row is a stacked int.
 
     A new row is subtracted from every stored row that is nonzero at its
     pivot: one AND with the pivot's column in every plane finds them, and
     only those have their coordinate read.
     """
 
-    def __init__(self, field: GF2k, ambient: int):
-        self.rows, self.pivmask = {}, 0
-        self.field = field
+    def __init__(self, field: GF2k, ambient: int, force_generic: bool = False):
+        Eliminator.__init__(self, field, ambient)
         self.stack = _stacked(field.modulus, ambient)
 
     def reduce(self, x: int) -> int:
@@ -230,126 +319,40 @@ class _PackedElim(_GF2Elim):
         return True
 
 
-class _GenericElim:
-    """Incremental RREF accumulator with plain scalar-list rows (any field)."""
+class _GenericElim(Eliminator):
+    """Over any field: a row is a ``_Sparse`` dict, the form u(L)'s
+    elements take off GF(2^k)."""
 
-    def __init__(self, field, ambient: int):
-        self.field = field
-        self.ambient = ambient
-        self.rows: List[List] = []
-        self.pivots: List[int] = []
-
-    def load(self, rows: Sequence[Sequence], pivots: Sequence[int]) -> None:
-        """Take the RREF ``rows`` with pivots ``pivots`` as they are."""
-        self.rows = [list(r) for r in rows]
-        self.pivots = list(pivots)
-
-    def _axpy(self, target, source, c) -> None:
+    def _encode(self, vec: Sequence) -> _Sparse:
         f = self.field
-        for j in range(self.ambient):
-            s = source[j]
-            if not f.is_zero(s):
-                target[j] = f.add(target[j], f.mul(c, s))
+        return _Sparse(f, ((j, c) for j, c in enumerate(vec) if not f.is_zero(c)))
 
-    def reduce(self, row: List) -> List:
-        f = self.field
-        for idx, p in enumerate(self.pivots):
-            c = row[p]
-            if not f.is_zero(c):
-                self._axpy(row, self.rows[idx], c)
-        return row
+    def _decode(self, x: dict) -> Tuple:
+        out = [self.field.zero] * self.ambient
+        for j, c in x.items():
+            out[j] = c
+        return tuple(out)
 
-    def add(self, row: Sequence) -> bool:
-        f = self.field
-        row = self.reduce(list(row))
-        j = next((i for i, c in enumerate(row) if not f.is_zero(c)), None)
-        if j is None:
+    def reduce(self, x: _Sparse) -> _Sparse:
+        rows = self.rows
+        for p in [p for p in x if p in rows]:
+            x = x ^ rows[p].scale(x[p])
+        return x
+
+    def add(self, x: _Sparse) -> bool:
+        x = self.reduce(x)
+        if not x:
             return False
-        lead = row[j]
-        if lead != f.one:
-            inv = f.inv(lead)
-            row = [f.mul(inv, c) for c in row]
-        for other in self.rows:
-            c = other[j]
-            if not f.is_zero(c):
-                self._axpy(other, row, c)
-        pos = bisect.bisect_left(self.pivots, j)
-        self.pivots.insert(pos, j)
-        self.rows.insert(pos, row)
+        j = min(x)
+        if x[j] != self.field.one:
+            x = x.scale(self.field.inv(x[j]))
+        rows = self.rows
+        for p, row in rows.items():
+            if j in row:
+                rows[p] = row ^ x.scale(row[j])
+        rows[j] = x
+        self.pivmask |= 1 << j
         return True
-
-
-class Eliminator:
-    """Field-dispatching incremental row reducer.
-
-    GF(2^k) inputs run on stacked-int rows (bitmasks over GF(2)); other
-    fields fall back to scalar lists.  ``force_generic`` exists so tests
-    can cross-check the two paths on the same input.
-    """
-
-    def __init__(self, field, ambient: int, force_generic: bool = False):
-        self.field = field
-        self.ambient = ambient
-        self.packed = isinstance(field, GF2k) and not force_generic
-        if not self.packed:
-            impl = _GenericElim
-        else:
-            # bare XOR over GF(2): through _PackedElim, where every scalar
-            # is 1, sz-ideal and series-gf2 run 10-14% slower
-            impl = _GF2Elim if field.k == 1 else _PackedElim
-        self._impl = impl(field, ambient)
-
-    def _row(self, vec: Sequence):
-        """vec as a row of the accumulator: a stacked int, or a scalar list."""
-        if len(vec) != self.ambient:
-            raise DimensionMismatch(f"vector length {len(vec)} != ambient {self.ambient}")
-        return pack_row(vec) if self.packed else list(vec)
-
-    def add_vector(self, vec: Sequence) -> bool:
-        return self._impl.add(self._row(vec))
-
-    def add_planes(self, x: int) -> bool:
-        """Add the row whose stacked int is x (GF(2^k) only)."""
-        if not self.packed:
-            raise FieldMismatch("packed rows need a GF(2^k) eliminator")
-        return self._impl.add(x)
-
-    def add_mask(self, mask: int) -> bool:
-        """GF(2) convenience: the row is one bitmask."""
-        if not (self.packed and self.field.k == 1):
-            raise FieldMismatch("bitmask rows need a packed GF(2) eliminator")
-        return self._impl.add(mask)
-
-    def residue(self, vec: Sequence):
-        x = self._impl.reduce(self._row(vec))
-        return unpack_row(self.field, x, self.ambient) if self.packed else tuple(x)
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        x = self._impl.reduce(self._row(vec))
-        return not x if self.packed else all(map(self.field.is_zero, x))
-
-    @property
-    def rank(self) -> int:
-        return len(self._impl.rows)
-
-    @property
-    def pivots(self) -> List[int]:
-        return list(self._impl.pivots)
-
-    def basis_rows(self) -> List[Tuple]:
-        if self.packed:
-            return [unpack_row(self.field, r, self.ambient) for r in self._impl.basis()]
-        return [tuple(r) for r in self._impl.rows]
-
-    def basis_planes(self) -> List[int]:
-        """The RREF rows as stacked ints, in pivot order (GF(2^k) only)."""
-        if not self.packed:
-            raise FieldMismatch("packed rows need a GF(2^k) eliminator")
-        return self._impl.basis()
-
-    def to_subspace(self) -> "Subspace":
-        return Subspace._from_rref(self.field, self.ambient,
-                                   self.basis_rows(), self.pivots)
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +418,7 @@ class Subspace:
     def elim(self) -> Eliminator:
         """An eliminator holding this subspace; its rows are already RREF."""
         e = Eliminator(self.field, self.ambient)
-        e._impl.load(self.rows, self.pivots)
+        e.load(self.rows, self.pivots)
         return e
 
     def contains_vector(self, vec: Sequence) -> bool:

@@ -15,7 +15,9 @@ Layout::
 Indices are 0-based, omitted entries are zero, modulus bits run low to
 high, scalars use the field's string form (lowercase hex for GF(2^k)).
 "pmap" is required exactly when "restricted" is true.  Unknown keys are
-rejected so that a parsed file serializes back byte-identically.
+rejected so that a parsed file serializes back byte-identically, and so
+are JSON true/false where an integer goes (Python's bool is an int) and
+coordinate keys that are not canonical decimals ("02", "+2", " 2").
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ def _coord_map_to_vec(field, d: dict, dim: int, where: str):
         raise SpecError(f"{where}: coordinates must be a JSON object")
     vec = [field.zero] * dim
     for key, sval in d.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise SpecError(f"{where}: coordinate key {key!r} is not an integer")
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+            raise SpecError(f"{where}: coordinate key {key!r} is not a canonical integer")
+        i = int(key)
         if not 0 <= i < dim:
             raise SpecError(f"{where}: coordinate index {i} out of range 0..{dim - 1}")
         try:
@@ -72,7 +73,7 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
     for key in ("format", "field", "restricted", "dim", "names", "brackets"):
         if key not in doc:
             raise SpecError(f"missing key {key!r}")
-    if doc["format"] != FORMAT_VERSION:
+    if type(doc["format"]) is not int or doc["format"] != FORMAT_VERSION:
         raise SpecError(f"unsupported format version {doc['format']!r}")
     try:
         field = field_from_json(doc["field"])
@@ -80,13 +81,13 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
         raise SpecError(f"field: {exc}")
     dim = doc["dim"]
     names = doc["names"]
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise SpecError("dim must be a non-negative integer")
     if not isinstance(names, list) or len(names) != dim \
             or not all(isinstance(name, str) for name in names):
         raise SpecError("names must list exactly dim string labels")
     restricted = doc["restricted"]
-    if restricted not in (True, False):
+    if not isinstance(restricted, bool):
         raise SpecError("restricted must be true or false")
     if restricted and "pmap" not in doc:
         raise SpecError("restricted algebras require a pmap block")
@@ -100,7 +101,7 @@ def algebra_from_json(doc: dict) -> LieAlgebra:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "value"}:
             raise SpecError(f"{where}: entries need exactly i, j, value")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise SpecError(f"{where}: need 0 <= i < j < dim, got ({i}, {j})")
         if (i, j) in brackets:
             raise SpecError(f"{where}: duplicate bracket ({i}, {j})")

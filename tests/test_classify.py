@@ -850,6 +850,20 @@ def test_verify_verdict_decides_a_witness_above_max_envelope_n():
         assert verify_verdict(A, replace(v, witness_elem=None))
 
 
+def test_classify_runs_test_a_once_on_its_refutation(monkeypatch):
+    # nilpotent_core's failed check hands its stable chain term to the
+    # refutation, so the closure of [[L',L'],L] is built once, not twice
+    calls = []
+    closure = classify_module._bracket_closure
+    monkeypatch.setattr(classify_module, "_bracket_closure",
+                        lambda L: calls.append(L) or closure(L))
+    L = _gl3()
+    v = classify(L)
+    assert len(calls) == 1
+    assert v.witness_kind == "necessary_test" and v.witness_str == "E00 + E22"
+    assert verify_verdict(L, v)
+
+
 def test_verify_verdict_rederives_a_necessary_test_refutation():
     # C = 0 on the Heisenberg algebra: a bare necessary_test refutation is refuted
     bare = Verdict("not_solvable", witness_kind="necessary_test")

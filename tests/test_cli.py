@@ -104,6 +104,19 @@ MALFORMED_SPECS = {
     "unknown-field-kind": lambda d: d["field"].update(kind="gf3"),
     "modulus-of-wrong-degree": lambda d: d["field"].update(modulus=[1, 0]),
     "names-not-strings": lambda d: d.update(names=[1, 2, 3]),
+    # JSON true/false where an integer goes, and coordinate keys that are
+    # not canonical: all of these parsed, and would not serialize back
+    "format-is-true": lambda d: d.update(format=True),
+    "k-is-true": lambda d: d["field"].update(k=True),
+    "modulus-bit-is-true": lambda d: d["field"]["modulus"].__setitem__(1, True),
+    "dim-is-true": lambda d: d.update(dim=True, names=["e1"], brackets=[], pmap=[{}]),
+    "i-is-false": lambda d: d["brackets"][0].update(i=False),
+    "j-is-true": lambda d: d["brackets"][0].update(j=True),
+    "restricted-is-1": lambda d: d.update(restricted=1),
+    "key-with-leading-zero": lambda d: d["brackets"][0].update(value={"02": "1"}),
+    "key-with-plus-sign": lambda d: d["brackets"][0].update(value={"+2": "1"}),
+    "key-with-space": lambda d: d["pmap"].__setitem__(0, {" 2": "1"}),
+    "key-twice-in-two-spellings": lambda d: d["brackets"][0].update(value={"2": "1", "02": "1"}),
 }
 
 

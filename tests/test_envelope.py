@@ -498,14 +498,14 @@ def _envelope_ideal_of(env, algebra_subspace):
     queue = []
     for row in algebra_subspace.basis():
         e = env.to_mask(env.from_algebra_vec(row))
-        if env._span_add(elim, e):
+        if elim.add_planes(e):
             queue.append(e)
     gens = [env.to_mask(env.gen(g)) for g in range(env.n)]
     while queue:
         v = queue.pop()
         for g in gens:
             for w in (env.mul_mask(v, g), env.mul_mask(g, v)):
-                if w and env._span_add(elim, w):
+                if elim.add_planes(w):
                     queue.append(w)
     return elim.to_subspace()
 

@@ -132,9 +132,26 @@ def test_eliminator_basis_accessors():
     for v in _low_rank_vecs(GF4, 9, 4, 7, rng):
         e4.add_vector(v)
     assert e4.basis_planes() == [pack_row(r) for r in e4.basis_rows()]
-    for generic in (Eliminator(RATFUNC2, 3), Eliminator(GF2, 3, force_generic=True)):
-        with pytest.raises(FieldMismatch):
-            generic.basis_planes()
+
+
+@pytest.mark.parametrize("field,generic", [(GF2, False), (GF4, False), (gf(8), False),
+                                           (RATFUNC2, False), (GF4, True)],
+                         ids=["gf2", "gf4", "gf8", "ratfunc2", "gf4-generic"])
+def test_eliminator_rows_round_trip_through_add_planes(field, generic):
+    # every back end's basis_planes() are rows that add_planes takes back
+    rng = random.Random(31)
+    ambient, rank, count = (4, 2, 3) if field is RATFUNC2 else (9, 4, 7)
+    src = Eliminator(field, ambient, force_generic=generic)
+    for v in _low_rank_vecs(field, ambient, rank, count, rng):
+        src.add_vector(v)
+    dst = Eliminator(field, ambient, force_generic=generic)
+    assert all(dst.add_planes(r) for r in src.basis_planes())
+    assert dst.pivots == src.pivots and dst.rank == src.rank > 0
+    assert dst.basis_rows() == src.basis_rows()
+    if generic or field is RATFUNC2:
+        for row in src.basis_planes() + dst.basis_planes():
+            assert isinstance(row, dict) and row
+            assert not any(field.is_zero(c) for c in row.values())
 
 
 def test_eliminator_refuses_vectors_of_another_length():

@@ -65,7 +65,7 @@ def all_products_index(env, base):
         for u in cur:
             table, fill = env._products(u)
             products.extend(env._apply(table, fill, v) for v in base)
-        nxt = env._basis(env._span(products))
+        nxt = env._span(products).basis_planes()
         if not nxt:
             return power + 1, None
         if nxt == cur:

@@ -31,7 +31,7 @@ def _all_pairs_series(env, max_steps=64, keep_terms=False):
     for _ in range(max_steps):
         elim = env._span(env._d1_brackets() if elems is None
                          else env._pair_brackets(elems))
-        cur = env._basis(elim)
+        cur = elim.basis_planes()
         dims.append(len(cur))
         if keep_terms:
             terms.append(elim.to_subspace())
@@ -45,17 +45,17 @@ def _all_pairs_series(env, max_steps=64, keep_terms=False):
 
 def _all_pairs_sz_ideal(env):
     """The sz ideal seeded from [u, x_g] for every u in a basis of D_2."""
-    d1 = env._basis(env._span(env._d1_brackets()))
-    d2 = env._basis(env._span(env._pair_brackets(d1)))
+    d1 = env._span(env._d1_brackets()).basis_planes()
+    d2 = env._span(env._pair_brackets(d1)).basis_planes()
     gen = env._span(env._lie_gen(u, g) for u in d2 for g in range(env.n))
-    queue = env._basis(gen)
+    queue = gen.basis_planes()
     while queue:
         v = queue.pop()
         for g in range(env.n):
             for w in (env._mul_gen(v, g), env._gen_mul(g, v)):
-                if w and env._span_add(gen, w):
+                if gen.add_planes(w):
                     queue.append(w)
-    return [env._to_dict(e) for e in env._basis(gen)]
+    return [env._to_dict(e) for e in gen.basis_planes()]
 
 
 def _assert_matches_reference(L, force_dict=False, sz=True):
