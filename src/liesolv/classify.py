@@ -229,18 +229,26 @@ def _bracket_patterns(env: Envelope, budget: int):
 def necessary_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
     """Fast refutations; None means all tests passed.
 
-    Tests (b) and (c) run for dim L <= PATTERN_DIM_LIMIT.  They evaluate
-    their pattern elements natively in u(L) (stacked ints over GF(2^k),
-    see ``Envelope``) from the generator tables, and turn an element into
-    a dict only to report a witness.  Test (c) skips the permutations
-    whose element is 0 by the bracket adjacency of L, so the first
-    non-nilpotent element is the same as without the skip; it memoises
-    [z b y, z] per (z, b, y) and the ad table of [x, x b] per (x, b).
+    Test (a) first, then tests (b) and (c) by ``_pattern_tests``.
     """
     # (a) the restricted closure of [[L',L'],L] must be 2-nilpotent
     ok, chain = L.is_2nilpotent_ideal(_bracket_closure(L))
     if not ok:
         return _closure_verdict(L, chain[-1])
+    return _pattern_tests(L)
+
+
+def _pattern_tests(L: RestrictedLieAlgebra) -> Optional[Verdict]:
+    """Tests (b) and (c) of ``necessary_tests``, for dim L <= PATTERN_DIM_LIMIT.
+
+    They evaluate their pattern elements natively in u(L) (stacked ints
+    over GF(2^k), see ``Envelope``) from the generator tables, and turn
+    an element into a dict only to report a witness.  Test (c) skips the
+    permutations whose element is 0 by the bracket adjacency of L, so the
+    first non-nilpotent element is the same as without the skip; it
+    memoises [z b y, z] per (z, b, y) and the ad table of [x, x b] per
+    (x, b).
+    """
     if L.n > PATTERN_DIM_LIMIT:
         return None
     env = Envelope(L)
@@ -774,7 +782,7 @@ def classify(L: RestrictedLieAlgebra,
             verdict = _solvable_verdict(L, degree, ext, used, cert)
             verdict.oracle = _run_oracle(L, options, core, quotient)
             return verdict
-    refute = necessary_tests(L)
+    refute = _pattern_tests(L)         # test (a) passed in nilpotent_core
     oracle = _run_oracle(L, options, core, quotient)
     if refute is not None:
         refute.oracle = oracle

@@ -19,10 +19,12 @@ generator at a time:
     b_i b_i = b_i^[2]
 
 memoised in flat tables indexed by monomial: ``right[g][m]`` is m*x_g
-and ``left[g][m]`` is x_g*m.  ``Envelope._apply`` is the one kernel: it
-applies such a table T to a native element x, summing c_m*T[m] over
-the monomials m of x.  On a stacked int it XORs the entries of each
-plane's set bits and folds the planes together by Horner's rule in t.
+and ``left[g][m]`` is x_g*m.  ``Envelope._apply`` applies such a table T
+to a native element x, summing c_m*T[m] over the monomials m of x.  It
+is bound once, to ``Stacked.apply`` of the envelope's layout for every
+GF(2^k), which XORs the entries of each plane's set bits and folds the
+planes together by Horner's rule in t, or to ``_apply_sparse``; neither
+refers to the envelope, so binding one makes no reference cycle.
 
 For a fixed left factor a, the ad table Ad_a[m] = [a, m] = a*m + m*a is
 filled lazily from the right and left generator tables, and then
@@ -72,6 +74,18 @@ class PreconditionFailed(Exception):
 
 class EnvelopeTooLarge(Exception):
     pass
+
+
+def _apply_sparse(table: list, fill, x):
+    """Sum of c_m*table[m] over the monomials m of a ``_Sparse`` element x,
+    c_m their coefficients; entries still None are computed by fill(m)."""
+    acc = _Sparse(x.field)
+    for m, c in x.items():
+        e = table[m]
+        if e is None:
+            e = fill(m)
+        acc ^= e.scale(c)
+    return acc
 
 
 def _bits(mask: int):
@@ -147,9 +161,11 @@ class Envelope:
         self._left_fill = [partial(Envelope._fill_left, me, g) for g in range(self.n)]
         if not self.stacked:
             self._zero = _Sparse(self.field)
+            self._apply = _apply_sparse
             return
         self._zero = 0
         self._stack = Stacked(self.field.modulus, self.dim)
+        self._apply = self._stack.apply
 
     # -- element constructors -----------------------------------------
 
@@ -219,7 +235,8 @@ class Envelope:
         return self.mul_mask(a, b) ^ self.mul_mask(b, a)
 
     # The five primitives below are the only methods, besides __init__
-    # and _saturate, that tell the stacked form from the _Sparse one.
+    # (which binds _apply to the kernel of the element form) and
+    # _saturate, that tell the stacked form from the _Sparse one.
 
     def _native(self, a: dict):
         return self.to_mask(a) if self.stacked else _Sparse(self.field, a)
@@ -233,40 +250,6 @@ class Envelope:
     def _scale(self, c, x):
         """c*x for a nonzero scalar c."""
         return self._stack.scale(c, x) if self.stacked else x.scale(c)
-
-    def _apply(self, table: list, fill, x):
-        """Sum of c_m*table[m] over the monomials m of x, c_m their coefficients.
-
-        Entries still None are computed by fill(m).  On a stacked int,
-        plane j of x contributes t^j times the XOR of the entries at its
-        set bits.
-        """
-        if not self.stacked:
-            acc = self._zero
-            for m, c in x.items():
-                e = table[m]
-                if e is None:
-                    e = fill(m)
-                acc ^= e.scale(c)
-            return acc
-        st = self._stack
-        plane, mul_t, top = st.plane, st.mul_t, st.offsets[-1]
-        acc = 0
-        for s in reversed(st.offsets):
-            if acc:
-                acc = mul_t(acc)
-            p = x >> s
-            if s != top:
-                p &= plane
-            while p:
-                low = p & -p
-                m = low.bit_length() - 1
-                e = table[m]
-                if e is None:
-                    e = fill(m)
-                acc ^= e
-                p ^= low
-        return acc
 
     # -- the generator-table kernel -------------------------------------------
 
@@ -322,15 +305,12 @@ class Envelope:
         memo = [None] * self.dim
         memo[0] = a
 
-        def bit(m):
-            return ((m & -m) if left else m).bit_length() - 1
-
         def fill_path(m):
             # strip one generator at a time down to a filled entry, then
             # multiply back up (a closure calling itself would be a cycle)
             path = []
             while memo[m] is None:
-                g = bit(m)
+                g = ((m & -m) if left else m).bit_length() - 1
                 path.append((m, g))
                 m ^= 1 << g
             e = memo[m]
@@ -339,7 +319,8 @@ class Envelope:
             return e
 
         def fill(m):
-            g = bit(m)
+            # the generator that a*m = (a*m')*x_top or m*a = x_low*(m''*a) strips
+            g = ((m & -m) if left else m).bit_length() - 1
             e = memo[m ^ (1 << g)]
             if e is None:
                 return fill_path(m)
@@ -352,15 +333,23 @@ class Envelope:
         """Lazy table of [a, m] = a*m + m*a over the monomials m, as (table, fill)."""
         am, am_fill = self._products(a)
         ma, ma_fill = self._products(a, left=True)
+        apply, right, left = self._apply, self._right, self._left
+        right_fill, left_fill = self._right_fill, self._left_fill
         ad = [None] * self.dim
 
         def fill(m):
+            # a*m = (a*m')*x_top and m*a = x_low*(m''*a), in one step from
+            # a filled prefix, else through the path walk of _products
             x = am[m]
             if x is None:
-                x = am_fill(m)
+                g = m.bit_length() - 1
+                x = am[m ^ (1 << g)]
+                x = am[m] = am_fill(m) if x is None else apply(right[g], right_fill[g], x)
             y = ma[m]
             if y is None:
-                y = ma_fill(m)
+                g = (m & -m).bit_length() - 1
+                y = ma[m ^ (1 << g)]
+                y = ma[m] = ma_fill(m) if y is None else apply(left[g], left_fill[g], y)
             e = ad[m] = x ^ y
             return e
 

@@ -241,9 +241,12 @@ class GF2k:
         return format(a, "x")
 
     def from_str(self, s: str) -> int:
+        """The scalar whose ``to_str`` is s; any other spelling is refused."""
         v = int(s, 16)
         if not 0 <= v < self.order:
             raise FieldError(f"scalar {s!r} out of range for GF(2^{self.k})")
+        if s != self.to_str(v):
+            raise FieldError(f"scalar {s!r} is not canonical lowercase hex")
         return v
 
     def extend(self, m: int, modulus: int | None = None) -> Tuple["GF2k", Callable[[int], int]]:

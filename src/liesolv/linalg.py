@@ -62,30 +62,58 @@ class Stacked:
 
     Plane j, the bits [j*width, (j+1)*width), holds bit j of every
     coordinate: the bit-sliced layout of M4RIE.  Multiplying by t moves
-    every plane up one and folds plane k back by the modulus.
+    every plane up one and folds plane k back by the modulus.  ``apply``
+    is the product-table kernel of ``envelope.Envelope`` on this layout.
     """
 
-    __slots__ = ("k", "width", "plane", "offsets", "top", "fold", "column")
+    __slots__ = ("k", "width", "plane", "offsets", "top", "fold", "column", "mul_t", "apply")
 
     def __init__(self, modulus: int, width: int):
         k = self.k = modulus.bit_length() - 1
         self.width = width
-        self.plane = (1 << width) - 1
+        plane = self.plane = (1 << width) - 1
         self.offsets = tuple(j * width for j in range(k))  # plane j starts at bit j*width
-        self.top = k * width
+        top = self.top = k * width
         # t^k = sum of t^j over the bits j < k of the modulus
-        self.fold = tuple(j * width for j in range(k) if modulus >> j & 1)
+        fold = self.fold = tuple(j * width for j in range(k) if modulus >> j & 1)
         self.column = sum(1 << s for s in self.offsets)  # bit 0 of every plane
+        planes = self.offsets[::-1]
+        high = planes[0]
 
-    def mul_t(self, x: int) -> int:
-        """t*x."""
-        x <<= self.width
-        top = x >> self.top
-        if top:
-            x ^= top << self.top
-            for s in self.fold:
-                x ^= top << s
-        return x
+        # closures over the layout's numbers, built once, so a call loads
+        # no attribute; they hold no object, so they make no reference cycle
+        def mul_t(x: int) -> int:
+            """t*x."""
+            x <<= width
+            t = x >> top
+            if t:
+                x ^= t << top
+                for s in fold:
+                    x ^= t << s
+            return x
+
+        def apply(table: list, fill, x: int) -> int:
+            """Sum of c_m*table[m] over the columns m of x, c_m their
+            coordinates; entries still None are computed by fill(m).  Plane
+            j of x adds t^j times the XOR of the entries at its set bits."""
+            acc = 0
+            for s in planes:
+                if acc:
+                    acc = mul_t(acc)
+                p = x >> s
+                if s != high:       # the top plane needs no mask
+                    p &= plane
+                while p:            # top bit first: p & -p is slower on big ints
+                    m = p.bit_length() - 1
+                    e = table[m]
+                    if e is None:
+                        e = fill(m)
+                    acc ^= e
+                    p ^= 1 << m
+            return acc
+
+        self.mul_t = mul_t
+        self.apply = apply
 
     def scale(self, c: int, x: int) -> int:
         """c*x for a scalar c, by Horner's rule over the bits of c."""

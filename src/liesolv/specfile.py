@@ -16,8 +16,10 @@ Indices are 0-based, omitted entries are zero, modulus bits run low to
 high, scalars use the field's string form (lowercase hex for GF(2^k)).
 "pmap" is required exactly when "restricted" is true.  Unknown keys are
 rejected so that a parsed file serializes back byte-identically, and so
-are JSON true/false where an integer goes (Python's bool is an int) and
-coordinate keys that are not canonical decimals ("02", "+2", " 2").
+are JSON true/false where an integer goes (Python's bool is an int),
+coordinate keys that are not canonical decimals ("02", "+2", " 2"),
+GF(2^k) scalars other than the lowercase hex ``to_str`` writes ("01",
+"0x1", " 1", "A") and zero coordinates.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ def _coord_map_to_vec(field, d: dict, dim: int, where: str):
             vec[i] = field.from_str(sval)
         except Exception as exc:
             raise SpecError(f"{where}: bad scalar {sval!r}: {exc}")
+        if field.is_zero(vec[i]):
+            raise SpecError(f"{where}: coordinate {i} is zero; zero coordinates are omitted")
     return tuple(vec)
 
 

@@ -864,6 +864,21 @@ def test_classify_runs_test_a_once_on_its_refutation(monkeypatch):
     assert verify_verdict(L, v)
 
 
+def test_classify_runs_test_a_once_when_nothing_matches(monkeypatch):
+    # nilpotent_core has passed test (a), so the refutation after the
+    # ladder runs tests (b)/(c) alone and builds the closure no second time
+    calls = []
+    closure = classify_module._bracket_closure
+    monkeypatch.setattr(classify_module, "_bracket_closure",
+                        lambda L: calls.append(L) or closure(L))
+    L = negative_class2()
+    v = classify(L)
+    assert len(calls) == 1
+    assert v.witness_kind == "sz_witness"
+    assert verify_verdict(L, v)
+    assert len(calls) == 2      # verify_verdict re-derives it through necessary_tests
+
+
 def test_verify_verdict_rederives_a_necessary_test_refutation():
     # C = 0 on the Heisenberg algebra: a bare necessary_test refutation is refuted
     bare = Verdict("not_solvable", witness_kind="necessary_test")

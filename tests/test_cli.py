@@ -117,6 +117,16 @@ MALFORMED_SPECS = {
     "key-with-plus-sign": lambda d: d["brackets"][0].update(value={"+2": "1"}),
     "key-with-space": lambda d: d["pmap"].__setitem__(0, {" 2": "1"}),
     "key-twice-in-two-spellings": lambda d: d["brackets"][0].update(value={"2": "1", "02": "1"}),
+    # GF(2^k) scalars other than the one to_str writes, and zero entries,
+    # which the writer drops
+    "scalar-with-leading-zero": lambda d: d["brackets"][0].update(value={"2": "01"}),
+    "scalar-with-hex-prefix": lambda d: d["brackets"][0].update(value={"2": "0x1"}),
+    "scalar-with-space": lambda d: d["pmap"].__setitem__(0, {"2": " 1"}),
+    "scalar-uppercase": lambda d: d.update(field={"kind": "gf2k", "k": 4,
+                                                  "modulus": [1, 1, 0, 0, 1]},
+                                           brackets=[{"i": 0, "j": 1, "value": {"2": "A"}}]),
+    "zero-bracket-entry": lambda d: d["brackets"][0].update(value={"2": "0"}),
+    "zero-pmap-entry": lambda d: d["pmap"].__setitem__(0, {"1": "0"}),
 }
 
 

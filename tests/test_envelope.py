@@ -11,7 +11,7 @@ from liesolv.envelope import (
     envelope_augmentation_nilpotent, m2_embedding_check, reducedness_check,
 )
 from liesolv.families import (
-    example_7_1, family_iv, family_v, free_class2, heisenberg, negative_class2,
+    example_7_1, family_i, family_iv, family_v, free_class2, heisenberg, negative_class2,
     random_instance,
 )
 from liesolv.fields import GF2, RATFUNC2, gf
@@ -187,7 +187,11 @@ def test_native_helpers_agree_with_dict_products():
 
 
 def test_derived_series_and_sz_ideal_agree_with_dict_products():
-    for L in [heisenberg(GF4), negative_class2(GF8), family_v(GF4, 2)] + _off_gf2_instances():
+    # the GF(2) inputs have central toral (x_z^[2] = x_z) and central
+    # nilpotent generators, so the module-over-the-centre steps run too
+    for L in [heisenberg(GF4), negative_class2(GF8), family_v(GF4, 2), family_v(GF2, 2),
+              negative_class2(), family_i(GF2, toral=2, nilchain=1, moved=2)
+              ] + _off_gf2_instances():
         env, ref = Envelope(L), Envelope(L, force_dict=True)
         got = env.lie_derived_series(keep_terms=True)
         want = ref.lie_derived_series(keep_terms=True)
@@ -297,7 +301,7 @@ def test_envelope_freed_without_cycle_collector():
     gc.disable()
     try:
         for L, force_dict in [(family_v(GF4, 2), False), (family_v(GF4, 2), True),
-                              (heisenberg(RATFUNC2), False)]:
+                              (family_v(GF2, 2), False), (heisenberg(RATFUNC2), False)]:
             env = Envelope(L, force_dict)
             env.lie_derived_series()
             env.sz_nilpotency()
