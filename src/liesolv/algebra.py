@@ -26,8 +26,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import GF2k, FieldMismatch
 from .linalg import (
-    Eliminator, Quotient, Subspace, kernel, lin_comb, saturate, span, unit_vector,
-    vec_add, vec_is_zero,
+    Eliminator, Quotient, Subspace, kernel, lin_comb, saturate, span, terms_str,
+    unit_vector, vec_add, vec_is_zero,
 )
 
 
@@ -251,15 +251,7 @@ class LieAlgebra:
 
     def element_str(self, v: Sequence) -> str:
         f = self.field
-        terms = []
-        for i, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            if c == f.one:
-                terms.append(self.names[i])
-            else:
-                terms.append(f"{f.to_str(c)}·{self.names[i]}")
-        return " + ".join(terms) if terms else "0"
+        return terms_str(f, ((self.names[i], c) for i, c in enumerate(v) if not f.is_zero(c)))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.n}, field={self.field!r})"

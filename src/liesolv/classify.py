@@ -429,9 +429,9 @@ def abelian_ideal(L: LieAlgebra) -> Optional[Tuple[str, Subspace]]:
     (sum a_i x_i)^[2] = sum a_i^2 x_i^[2] + sum_{i<j} a_i a_j [x_i, x_j]
     lies in Z, since A is abelian.
     """
-    if L.is_abelian():
-        return "abelian", L.full_space()
     d1 = L.derived_subalgebra()
+    if d1.dim == 0:
+        return "abelian", L.full_space()
     cent = L.centralizer(d1)
     codim = L.n - cent.dim
     if codim == 1 and cent.contains(d1) and _abelian(L, cent.basis()):

@@ -61,7 +61,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
-from .linalg import Eliminator, Quotient, Stacked, Subspace, _Sparse, saturate, stack_items
+from .linalg import (Eliminator, Quotient, Stacked, Subspace, _Sparse, addmul, saturate,
+                     stack_items, terms_str)
 
 # u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
 # pairs of them, so larger algebras are refused before anything is built.
@@ -84,7 +85,7 @@ def _apply_sparse(table: list, fill, x):
         e = table[m]
         if e is None:
             e = fill(m)
-        acc ^= e.scale(c)
+        addmul(acc.field, acc, e, c)
     return acc
 
 
@@ -185,7 +186,7 @@ class Envelope:
     # -- dict arithmetic --------------------------------------------------
 
     def add(self, a: dict, b: dict) -> dict:
-        return dict(_Sparse(self.field, a) ^ b)
+        return addmul(self.field, dict(a), b)
 
     def mul(self, a: dict, b: dict) -> dict:
         """PBW normal form of the product a*b."""
@@ -577,19 +578,10 @@ class Envelope:
     # -- structural checks from the solvable side ---------------------------
 
     def element_str(self, a: dict) -> str:
-        if not a:
-            return "0"
-        f = self.field
         names = self.algebra.names
-        parts = []
-        for m in sorted(a, key=lambda m: (bin(m).count("1"), m)):
-            mono = "*".join(names[i] for i in _bits(m)) if m else "1"
-            c = a[m]
-            if c == f.one:
-                parts.append(mono)
-            else:
-                parts.append(f"{f.to_str(c)}·{mono}")
-        return " + ".join(parts)
+        return terms_str(self.field, (
+            ("*".join(names[i] for i in _bits(m)) if m else "1", a[m])
+            for m in sorted(a, key=lambda m: (bin(m).count("1"), m))))
 
 
 def envelope_augmentation_nilpotent(L: RestrictedLieAlgebra) -> Tuple[bool, Optional[int]]:
@@ -783,12 +775,9 @@ def m2_embedding_check(L: RestrictedLieAlgebra, a_space: Subspace,
     def rand_elem() -> dict:
         out = {}
         for _ in range(3):
-            m = rng.randrange(env.dim)
-            c = f.random(rng)
+            m, c = rng.randrange(env.dim), f.random(rng)
             if not f.is_zero(c):
-                out[m] = f.add(out.get(m, f.zero), c) if m in out else c
-                if f.is_zero(out[m]):
-                    del out[m]
+                addmul(f, out, {m: c})
         return out
 
     candidates = [(env.gen(i), env.gen(j)) for i in range(M.n) for j in range(M.n)]

@@ -357,6 +357,22 @@ def example_7_1_report() -> Example71Report:
     )
 
 
+def random_brackets(rng: random.Random, n: int, field) -> Dict[Tuple[int, int], tuple]:
+    """Up to n - 1 random brackets [b_i, b_j], i < j, each with one or two
+    random coordinates; a later draw of the same pair replaces an earlier."""
+    brackets = {}
+    for _ in range(rng.randrange(0, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        i, j = min(i, j), max(i, j)
+        vec = [field.zero] * n
+        for _ in range(rng.randrange(1, 3)):
+            vec[rng.randrange(n)] = field.random(rng)
+        brackets[(i, j)] = tuple(vec)
+    return brackets
+
+
 def random_instance(n: int, field, seed: int,
                     max_attempts: int = 4000) -> Tuple[RestrictedLieAlgebra, int]:
     """Rejection-sample a valid restricted Lie algebra; returns (L, attempts)."""
@@ -364,18 +380,7 @@ def random_instance(n: int, field, seed: int,
         raise BadParameters("random instances need a dimension from 1 to 8")
     rng = random.Random(f"{seed}:{n}:{getattr(field, 'k', 0)}")
     for attempt in range(1, max_attempts + 1):
-        brackets = {}
-        n_brackets = rng.randrange(0, n)
-        for _ in range(n_brackets):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i == j:
-                continue
-            i, j = min(i, j), max(i, j)
-            vec = [field.zero] * n
-            for _ in range(rng.randrange(1, 3)):
-                vec[rng.randrange(n)] = field.random(rng)
-            brackets[(i, j)] = tuple(vec)
+        brackets = random_brackets(rng, n, field)
         pmap = []
         for i in range(n):
             vec = [field.zero] * n

@@ -13,9 +13,10 @@ multiple is one Horner pass in t, so a row operation costs O(k) big-int
 operations regardless of the ambient dimension.  Over GF(2) the row is
 the bitmask of its nonzero coordinates and elimination is bare XOR.
 Over any other field (F2(X,Y)) a row is a ``_Sparse`` dict {column:
-scalar}, the form u(L)'s elements take there.  Rows are keyed by pivot
-and kept fully reduced, so reducing a vector touches only the pivots in
-its support.
+scalar}, the form u(L)'s elements take there; ``addmul`` sums these and
+every other sparse dict, U(L)'s elements included.  Rows are keyed by
+pivot and kept fully reduced, so reducing a vector touches only the
+pivots in its support.
 
 A Quotient is the whole space modulo a subspace.  The subspace is in
 RREF, so the columns that are not its pivots give the quotient's basis
@@ -150,6 +151,36 @@ class Stacked:
 _stacked = lru_cache(maxsize=256)(Stacked)
 
 
+def addmul(field, out: dict, other: dict, c=None) -> dict:
+    """Add c*other (other itself when c is None) into the sparse dict
+    ``out`` in place, deleting the keys whose sum is zero; returns ``out``.
+
+    Sparse dicts map a key to a nonzero scalar; c, when given, is nonzero.
+    """
+    add, is_zero = field.add, field.is_zero
+    if c is not None and c != field.one:
+        mul = field.mul
+        other = {m: mul(c, x) for m, x in other.items()}
+    for m, x in other.items():
+        if m in out:
+            s = add(out[m], x)
+            if is_zero(s):
+                del out[m]
+            else:
+                out[m] = s
+        else:
+            out[m] = x
+    return out
+
+
+def terms_str(field, terms: Iterable[Tuple[str, object]]) -> str:
+    """``c·mono + ...`` for the (mono, c) pairs of ``terms``, just ``mono``
+    where c is 1; "0" when there are none."""
+    one, to_str = field.one, field.to_str
+    parts = [mono if c == one else f"{to_str(c)}·{mono}" for mono, c in terms]
+    return " + ".join(parts) if parts else "0"
+
+
 class _Sparse(dict):
     """A sparse vector {column: scalar} storing no zero; ``^`` is addition.
 
@@ -164,18 +195,7 @@ class _Sparse(dict):
         self.field = field
 
     def __xor__(self, other: dict) -> "_Sparse":
-        f = self.field
-        out = _Sparse(f, self)
-        for m, c in other.items():
-            if m in out:
-                s = f.add(out[m], c)
-                if f.is_zero(s):
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
-        return out
+        return addmul(self.field, _Sparse(self.field, self), other)
 
     def scale(self, c) -> "_Sparse":
         """c times this vector, for a nonzero scalar c."""

@@ -3,12 +3,15 @@
 The algebra itself is ``algebra.LieAlgebra``, the bracket-only core
 that ``RestrictedLieAlgebra`` extends.  The structural conditions of
 ``corollary_classify`` reuse the bracket-only parts of the restricted
-matchers in ``classify``.
+matchers in ``classify``, and ``random_ordinary_instance`` draws its
+brackets with ``families.random_brackets``, as ``random_instance`` does.
 
 U(L) has unbounded PBW exponents, so monomials are exponent tuples and
 all computations are exact on finitely many elements of bounded degree
 (no truncation: straightening never raises the total degree, and a
-truncated tail would not be an ideal).
+truncated tail would not be an ideal).  An element is a sparse dict
+{monomial: scalar}, summed by ``linalg.addmul`` and printed by
+``linalg.terms_str``, as the elements of u(L) are.
 
 The solvability story is asymmetric: structural conditions certify
 solvability, while any nonzero evaluation of one of the commutator
@@ -26,7 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra
 from .classify import abelian_ideal, class2_center, eigenvector_pair
+from .families import random_brackets
 from .fields import GF2k, FieldMismatch
+from .linalg import addmul, terms_str
 
 
 ORD_CONDITION_NAMES = {
@@ -49,47 +54,23 @@ class UEnvelope:
         self.field = algebra.field
         self.n = algebra.n
         self._unit = (0,) * self.n
+        self._gens = [tuple(int(j == i) for j in range(self.n)) for i in range(self.n)]
         self._cache: Dict[Tuple[Tuple[int, ...], int], dict] = {}
 
     def one(self) -> dict:
         return {self._unit: self.field.one}
 
     def gen(self, i: int) -> dict:
-        m = list(self._unit)
-        m[i] = 1
-        return {tuple(m): self.field.one}
+        return {self._gens[i]: self.field.one}
 
     def monomial(self, expts: Sequence[int]) -> dict:
         return {tuple(expts): self.field.one}
 
     def from_algebra_vec(self, v: Sequence) -> dict:
-        out = {}
-        for i, c in enumerate(v):
-            if not self.field.is_zero(c):
-                m = list(self._unit)
-                m[i] = 1
-                out[tuple(m)] = c
-        return out
+        return {m: c for m, c in zip(self._gens, v) if not self.field.is_zero(c)}
 
     def add(self, a: dict, b: dict) -> dict:
-        f = self.field
-        out = dict(a)
-        for m, c in b.items():
-            s = f.add(out.get(m, f.zero), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
-
-    def _iadd_scaled(self, out: dict, a: dict, c) -> None:
-        f = self.field
-        for m, x in a.items():
-            s = f.add(out.get(m, f.zero), f.mul(c, x))
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+        return addmul(self.field, dict(a), b)
 
     def _mono_gen(self, m: Tuple[int, ...], g: int) -> dict:
         key = (m, g)
@@ -109,17 +90,17 @@ class UEnvelope:
             out: dict = {}
             inner = self._mono_gen(low, g)
             for m2, c2 in inner.items():
-                self._iadd_scaled(out, self._mono_gen(m2, top), c2)
+                addmul(f, out, self._mono_gen(m2, top), c2)
             for j, c in enumerate(self.algebra._table[top][g]):
                 if not f.is_zero(c):
-                    self._iadd_scaled(out, self._mono_gen(low, j), c)
+                    addmul(f, out, self._mono_gen(low, j), c)
         self._cache[key] = out
         return out
 
     def _elem_gen(self, a: dict, g: int) -> dict:
         out: dict = {}
         for m, c in a.items():
-            self._iadd_scaled(out, self._mono_gen(m, g), c)
+            addmul(self.field, out, self._mono_gen(m, g), c)
         return out
 
     def mul(self, a: dict, b: dict) -> dict:
@@ -129,29 +110,21 @@ class UEnvelope:
             for g, e in enumerate(mb):
                 for _ in range(e):
                     term = self._elem_gen(term, g)
-            self._iadd_scaled(out, term, cb)
+            addmul(self.field, out, term, cb)
         return out
 
     def lie(self, a: dict, b: dict) -> dict:
         return self.add(self.mul(a, b), self.mul(b, a))
 
     def element_str(self, a: dict) -> str:
-        if not a:
-            return "0"
-        f = self.field
         names = self.algebra.names
-        parts = []
-        for m in sorted(a, key=lambda m: (sum(m), m)):
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            c = a[m]
-            parts.append(mono if c == f.one else f"{f.to_str(c)}·{mono}")
-        return " + ".join(parts)
+
+        def mono(m):
+            return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                            for i, e in enumerate(m) if e) if any(m) else "1"
+
+        return terms_str(self.field, ((mono(m), a[m])
+                                      for m in sorted(a, key=lambda m: (sum(m), m))))
 
 
 # ----------------------------------------------------------------------
@@ -191,10 +164,10 @@ def corollary_classify(L: LieAlgebra,
     nilpotency class and dim Z, and (iv) by the linear system for a
     toral y (``eigenvector_pair``).
     """
-    if L.is_abelian():
-        return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
     found = abelian_ideal(L)
     if found is not None:
+        if found[0] == "abelian":
+            return OrdinaryVerdict("solvable", "i", ["all brackets vanish"])
         return OrdinaryVerdict("solvable", "ii",
                                [f"abelian ideal of dimension {found[1].dim} found"])
     if class2_center(L) is not None:
@@ -267,19 +240,18 @@ def witness_search(L: LieAlgebra, depth: int = 3, total_degree: int = 6,
     zero divisors, so a nonzero element of that ideal is not nilpotent.
     """
     env = UEnvelope(L)
-    groups: Dict[int, List[Tuple[Tuple[int, ...], str]]] = {}
-    for m in _exponent_tuples(L.n, depth):
-        d = sum(m)
-        if 0 < d <= depth:
-            name = "*".join(nm for nm, e in zip(L.names, m) for _ in range(e))
-            groups.setdefault(d, []).append((m, name))
-    for d in groups:
-        groups[d].sort()
+    # (exponent tuple, name) of each monomial of degree 1..depth, by exponent tuple
+    groups = {d: sorted((tuple(idx.count(i) for i in range(L.n)),
+                         "*".join(L.names[i] for i in idx))
+                        for idx in itertools.combinations_with_replacement(range(L.n), d))
+              for d in range(1, depth + 1)}
     used = 0
     patterns = _patterns(env)
     for total in range(4, total_degree + 1):
         for pname, arity, fn in patterns:
-            for profile in _compositions(total, arity, sorted(groups)):
+            for profile in itertools.product(groups, repeat=arity):
+                if sum(profile) != total:
+                    continue
                 for combo in itertools.product(*(groups[d] for d in profile)):
                     used += 1
                     if used > budget:
@@ -290,27 +262,6 @@ def witness_search(L: LieAlgebra, depth: int = 3, total_degree: int = 6,
                         return Witness(pname, [name for _, name in combo], val,
                                        env.element_str(val))
     return None
-
-
-def _compositions(total: int, slots: int, degrees):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for d in degrees:
-        if d <= total - (slots - 1):
-            for rest in _compositions(total - d, slots - 1, degrees):
-                yield (d,) + rest
-
-
-def _exponent_tuples(n: int, max_total: int):
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + [e], remaining - e, slots - 1)
-    yield from rec([], max_total, n)
 
 
 # ----------------------------------------------------------------------
@@ -369,17 +320,7 @@ def random_ordinary_instance(n: int, field, seed: int,
     """Rejection-sample an ordinary Lie algebra (optionally metabelian)."""
     rng = random.Random(f"ord:{seed}:{n}:{getattr(field, 'k', 0)}")
     for attempt in range(1, max_attempts + 1):
-        brackets = {}
-        for _ in range(rng.randrange(0, n)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            i, j = min(i, j), max(i, j)
-            vec = [field.zero] * n
-            for _ in range(rng.randrange(1, 3)):
-                vec[rng.randrange(n)] = field.random(rng)
-            brackets[(i, j)] = tuple(vec)
-        L = LieAlgebra(field, [f"b{i+1}" for i in range(n)], brackets)
+        L = LieAlgebra(field, [f"b{i+1}" for i in range(n)], random_brackets(rng, n, field))
         if not L.check_axioms().ok:
             continue
         if metabelian and not L.is_metabelian():

@@ -15,11 +15,12 @@ Layout::
 Indices are 0-based, omitted entries are zero, modulus bits run low to
 high, scalars use the field's string form (lowercase hex for GF(2^k)).
 "pmap" is required exactly when "restricted" is true.  Unknown keys are
-rejected so that a parsed file serializes back byte-identically, and so
-are JSON true/false where an integer goes (Python's bool is an int),
-coordinate keys that are not canonical decimals ("02", "+2", " 2"),
-GF(2^k) scalars other than the lowercase hex ``to_str`` writes ("01",
-"0x1", " 1", "A") and zero coordinates.
+rejected, in the document and in its field object, so that a parsed file
+serializes back byte-identically, and so are JSON true/false where an
+integer goes (Python's bool is an int), coordinate keys that are not
+canonical decimals ("02", "+2", " 2"), scalars other than the one the
+field's ``to_str`` writes (GF(2^k): "01", "0x1", " 1", "A"; F2(X,Y):
+" X + 1", "1+X", "(X)/(1)") and zero coordinates.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ def _coord_map_to_vec(field, d: dict, dim: int, where: str):
             vec[i] = field.from_str(sval)
         except Exception as exc:
             raise SpecError(f"{where}: bad scalar {sval!r}: {exc}")
+        if field.to_str(vec[i]) != sval:
+            raise SpecError(f"{where}: scalar {sval!r} is not canonical: "
+                            f"write {field.to_str(vec[i])!r}")
         if field.is_zero(vec[i]):
             raise SpecError(f"{where}: coordinate {i} is zero; zero coordinates are omitted")
     return tuple(vec)

@@ -127,7 +127,32 @@ MALFORMED_SPECS = {
                                            brackets=[{"i": 0, "j": 1, "value": {"2": "A"}}]),
     "zero-bracket-entry": lambda d: d["brackets"][0].update(value={"2": "0"}),
     "zero-pmap-entry": lambda d: d["pmap"].__setitem__(0, {"1": "0"}),
+    # F2(X,Y) scalars other than the one to_str writes, and keys a field
+    # object does not have: all of these parsed, and were dropped or
+    # respelled on write
+    "ratfunc2-scalar-with-spaces": lambda d: _over_ratfunc2(d, " X + 1"),
+    "ratfunc2-scalar-out-of-order": lambda d: _over_ratfunc2(d, "1+X"),
+    "ratfunc2-scalar-over-1": lambda d: _over_ratfunc2(d, "(X)/(1)"),
+    "ratfunc2-field-with-unknown-key": lambda d: d.update(field={"kind": "ratfunc2",
+                                                                 "junk": 7}),
+    "gf2k-field-with-unknown-key": lambda d: d["field"].update(junk=7),
 }
+
+
+def _over_ratfunc2(doc, scalar):
+    """H3 over F2(X,Y) with [e1, e2] = scalar·e3."""
+    doc.update(field={"kind": "ratfunc2"},
+               brackets=[{"i": 0, "j": 1, "value": {"2": scalar}}])
+
+
+def test_cli_canonical_ratfunc2_scalar_parses(tmp_path, capsys):
+    # the control for the three ratfunc2 spellings above: "X+1" itself parses
+    doc = algebra_to_json(heisenberg())
+    _over_ratfunc2(doc, "X+1")
+    path = tmp_path / "ok.alg"
+    path.write_text(json.dumps(doc))
+    assert main(["axioms", str(path)]) == 0
+    assert json.loads(serialize(parse_spec(str(path)))) == doc
 
 
 @pytest.mark.parametrize("change", MALFORMED_SPECS.values(), ids=list(MALFORMED_SPECS))

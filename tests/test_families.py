@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from liesolv.envelope import Envelope
@@ -8,6 +10,8 @@ from liesolv.families import (
 )
 from liesolv.fields import GF2, gf
 from liesolv.linalg import vec_is_zero
+from liesolv.ordinary import random_ordinary_instance
+from liesolv.specfile import serialize
 
 GF4 = gf(4)
 
@@ -130,6 +134,24 @@ def test_random_instance_deterministic():
     assert att_a == att_b
     assert a._table == b._table
     assert a.pmap == b.pmap
+
+
+def _draws_digest(draws):
+    h = hashlib.sha256()
+    for L, attempts in draws:
+        h.update(serialize(L).encode() + str(attempts).encode())
+    return h.hexdigest()
+
+
+def test_random_draws_are_pinned():
+    # random_instance and random_ordinary_instance share random_brackets;
+    # it must make the RNG calls the two made before, in the same order.
+    # The ordinary draws feed benchmark files that no reference records.
+    ordinary = _draws_digest(random_ordinary_instance(5, GF2, s) for s in range(20))
+    assert ordinary.startswith("b7a7e5fc24a38e03")
+    restricted = _draws_digest(random_instance(n, gf(q), s)
+                               for q, n in ((2, 5), (4, 4), (8, 3)) for s in range(20))
+    assert restricted.startswith("819161ff5f62f5ea")
 
 
 def test_random_instance_dim1():

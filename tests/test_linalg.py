@@ -5,8 +5,8 @@ import pytest
 
 from liesolv.fields import GF2, GF2k, RATFUNC2, TABLE_MAX_K, FieldMismatch, gf
 from liesolv.linalg import (
-    DimensionMismatch, Eliminator, Quotient, Subspace, kernel, pack_row, span,
-    unit_vector, vec_add, vec_scale,
+    DimensionMismatch, Eliminator, Quotient, Subspace, _Sparse, addmul, kernel, pack_row,
+    span, terms_str, unit_vector, vec_add, vec_scale,
 )
 
 GF4 = gf(4)
@@ -311,3 +311,53 @@ def test_unit_vector_and_full():
     assert full.dim == 3
     for i in range(3):
         assert full.contains_vector(unit_vector(GF4, 3, i))
+
+
+# -- the shared sparse accumulate and term printer ---------------------------
+
+@pytest.mark.parametrize("field", [GF2, GF4, RATFUNC2], ids=["gf2", "gf4", "ratfunc2"])
+def test_addmul_matches_a_dense_sum(field):
+    rng = random.Random(5)
+    one, zero = field.one, field.zero
+
+    def sparse():
+        d = {}
+        for m in range(6):
+            c = field.random(rng)
+            if not field.is_zero(c):
+                d[m] = c
+        return d
+
+    for _ in range(60):
+        out, other = sparse(), sparse()
+        c = field.random(rng)
+        if field.is_zero(c):
+            c = one
+        dense = [field.add(out.get(m, zero), field.mul(c, other.get(m, zero))) for m in range(6)]
+        want = {m: x for m, x in enumerate(dense) if not field.is_zero(x)}
+        before = dict(out)
+        got = addmul(field, out, other, c)
+        assert got is out and got == want
+        assert addmul(field, dict(before), other) == addmul(field, dict(before), other, one)
+    # a sum that cancels deletes its key; in characteristic 2 a vector
+    # plus itself cancels everywhere
+    assert addmul(field, {0: one, 1: one}, {0: one}) == {1: one}
+    out = sparse()
+    assert out and addmul(field, out, dict(out)) == {} and out == {}
+
+
+def test_sparse_xor_leaves_its_operands_alone():
+    # Envelope shares these as table entries, so ^ must build a new vector
+    a = _Sparse(GF4, {0: 1, 1: 2})
+    b = _Sparse(GF4, {1: 2, 2: 3})
+    c = a ^ b
+    assert c == {0: 1, 2: 3} and isinstance(c, _Sparse)
+    assert a == {0: 1, 1: 2} and b == {1: 2, 2: 3}
+    assert c is not a and c is not b
+
+
+def test_terms_str():
+    assert terms_str(GF4, []) == "0"
+    assert terms_str(GF4, [("x", 1), ("y", 2), ("1", 3)]) == "x + 2·y + 3·1"
+    X = RATFUNC2.from_str("X")
+    assert terms_str(RATFUNC2, [("e1", X), ("e2", RATFUNC2.one)]) == "X·e1 + e2"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from liesolv.classify import abelian_ideal
 from liesolv.families import example_7_1, family_v, heisenberg
 from liesolv.fields import GF2, RATFUNC2, gf
 from liesolv.linalg import span
+from liesolv.specfile import serialize
+from liesolv import ordinary
 from liesolv.ordinary import (
     TwoEnvelopeResult, UEnvelope, corollary_classify,
     descent_abelian_codim1, random_ordinary_instance, two_envelope, witness_search,
@@ -348,3 +351,97 @@ def test_random_ordinary_deterministic():
     a, na = random_ordinary_instance(4, GF2, 5)
     b, nb = random_ordinary_instance(4, GF2, 5)
     assert a._table == b._table and na == nb
+
+
+# -- witness_search against the enumeration it replaced -----------------------
+
+def _reference_compositions(total, slots, degrees):
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for d in degrees:
+        if d <= total - (slots - 1):
+            for rest in _reference_compositions(total - d, slots - 1, degrees):
+                yield (d,) + rest
+
+
+def _reference_exponent_tuples(n, max_total):
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            yield tuple(prefix)
+            return
+        for e in range(remaining + 1):
+            yield from rec(prefix + [e], remaining - e, slots - 1)
+    yield from rec([], max_total, n)
+
+
+def _reference_witness_search(L, depth=3, total_degree=6, budget=20000):
+    """The recursive enumeration witness_search used before it took its
+    degree groups and profiles from itertools; returns (pattern, args,
+    element) or None."""
+    env = UEnvelope(L)
+    groups = {}
+    for m in _reference_exponent_tuples(L.n, depth):
+        d = sum(m)
+        if 0 < d <= depth:
+            name = "*".join(nm for nm, e in zip(L.names, m) for _ in range(e))
+            groups.setdefault(d, []).append((m, name))
+    for d in groups:
+        groups[d].sort()
+    used = 0
+    for total in range(4, total_degree + 1):
+        for pname, arity, fn in ordinary._patterns(env):
+            for profile in _reference_compositions(total, arity, sorted(groups)):
+                for combo in itertools.product(*(groups[d] for d in profile)):
+                    used += 1
+                    if used > budget:
+                        return None
+                    val = fn(*[env.monomial(m) for m, _ in combo])
+                    if val:
+                        return pname, [name for _, name in combo], val
+    return None
+
+
+def test_witness_search_enumerates_as_the_reference(monkeypatch):
+    # The two differ only in the order they try arguments in, so the
+    # pattern values are memoised per structure constants and shared: the
+    # reference run looks up what the witness_search run evaluated, any
+    # argument it tries that witness_search did not is evaluated afresh,
+    # and the 54 abelian draws among the 100 random ones are evaluated once.
+    # Each run's sequence of (pattern, arguments) is recorded too, so an
+    # order change shows even where both runs find nothing.
+    real_patterns = ordinary._patterns
+    memo, tried = {}, []
+
+    def shared_patterns(env):
+        cache = memo.setdefault(serialize(env.algebra), {})
+
+        def cached(pname, fn):
+            def call(*args):
+                key = (pname,) + tuple(next(iter(a)) for a in args)
+                tried.append(key)
+                if key not in cache:
+                    cache[key] = fn(*args)
+                return cache[key]
+            return call
+
+        return [(p, k, cached(p, fn)) for p, k, fn in real_patterns(env)]
+
+    monkeypatch.setattr(ordinary, "_patterns", shared_patterns)
+    cases = [(free2_ordinary(4), {}),
+             (ordinary_h3(), {"budget": 3000}),
+             (ordinary_h3(), {"budget": 20000}),
+             (free2_ordinary(4), {"depth": 2, "total_degree": 5})]
+    cases += [(random_ordinary_instance(5, GF2, s)[0], {"budget": 3000}) for s in range(100)]
+    found = 0
+    for L, kw in cases:
+        w = witness_search(L, **kw)
+        seen = tried[:]
+        tried.clear()
+        ref = _reference_witness_search(L, **kw)
+        assert (w and (w.pattern, w.args, w.element)) == ref, (L.names, kw)
+        assert tried == seen, (L.names, kw)
+        tried.clear()
+        found += w is not None
+    assert found == 8
