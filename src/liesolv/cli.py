@@ -298,11 +298,11 @@ def cmd_corpus(args) -> int:
         except (SpecError, AxiomError) as exc:
             print(f"error in {name}: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(L, RestrictedLieAlgebra):
-            continue
-        verdict = classify(L)
+        # an ordinary algebra has no u(L) oracle: its row has agree None
+        ordinary = not isinstance(L, RestrictedLieAlgebra)
+        verdict = corollary_classify(L) if ordinary else classify(L)
         agree = None
-        if verdict.oracle is not None and verdict.outcome != "inconclusive":
+        if not ordinary and verdict.oracle is not None and verdict.outcome != "inconclusive":
             want = "reached_zero" if verdict.outcome == "solvable" else "stabilized"
             agree = verdict.oracle["outcome"] == want
             if not agree:

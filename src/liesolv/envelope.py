@@ -49,6 +49,18 @@ the (n-r)*2^(n-r) brackets [m, x_g] with g non-central too.
 right multiplication by each x_z, and keeps the accepted brackets apart
 as the generators of the next step.  With r = 0, A is the field and the
 step is a plain span.
+
+The tables are filled by the same rule.  A central x_z leaves every
+product from the right: m*x_z is the monomial m + z when z is not in m,
+left[z] is the list right[z], and
+
+    a*(m'*x_z) = (a*m')*x_z,  (m'*x_z)*a = (m'*a)*x_z,  [a, m'*x_z] = [a, m']*x_z,
+
+so a table entry whose monomial has a central factor is one apply of
+right[z] to the entry without it, and only the 2^(n-r) central-free
+monomials reach the memos of a*m and m*a behind an ad table.  An entry
+whose prefix is 0 is 0 and costs no apply.  With r = 0 a fill strips the
+top generator of m from a*m and the low one from m*a.
 """
 
 from __future__ import annotations
@@ -118,17 +130,20 @@ class _GenTables:
     """Memoised products with generators, one flat list per generator.
 
     ``right[g][m]`` is m*x_g and ``left[g][m]`` is x_g*m as native
-    elements, None until first asked for; len() counts the filled entries.
+    elements, None until first asked for.  A central x_z commutes with
+    every monomial, so ``left[z]`` is the list ``right[z]`` for each z in
+    ``central``; len() counts the filled entries, a shared list's once.
     """
 
     __slots__ = ("right", "left")
 
-    def __init__(self, n: int, dim: int):
+    def __init__(self, n: int, dim: int, central: Sequence[int] = ()):
         self.right = [[None] * dim for _ in range(n)]
-        self.left = [[None] * dim for _ in range(n)]
+        self.left = [self.right[g] if g in central else [None] * dim for g in range(n)]
 
     def __len__(self) -> int:
-        return sum(len(t) - t.count(None) for t in self.right + self.left)
+        tables = self.right + [t for t, r in zip(self.left, self.right) if t is not r]
+        return sum(len(t) - t.count(None) for t in tables)
 
 
 class Envelope:
@@ -151,7 +166,11 @@ class Envelope:
         # Always empty: every product lives in the generator tables.  It
         # stays because perfbench/tracing.py counts len(_cache) too.
         self._cache: dict = {}
-        self._mask_cache = _GenTables(self.n, self.dim)
+        # a central x_z leaves every product table from the right (see the
+        # module docstring); with none, _cmask is 0 and no fill strips one
+        self._central = self._central_gens()
+        self._cmask = sum(1 << z for z in self._central)
+        self._mask_cache = _GenTables(self.n, self.dim, self._central)
         self._right = self._mask_cache.right
         self._left = self._mask_cache.left
         # The fills reach the envelope through a weak proxy: bound to
@@ -159,7 +178,8 @@ class Envelope:
         # would wait for the cyclic collector to be freed.
         me = weakref.proxy(self)
         self._right_fill = [partial(Envelope._fill_right, me, g) for g in range(self.n)]
-        self._left_fill = [partial(Envelope._fill_left, me, g) for g in range(self.n)]
+        self._left_fill = [self._right_fill[g] if g in self._central
+                           else partial(Envelope._fill_left, me, g) for g in range(self.n)]
         if not self.stacked:
             self._zero = _Sparse(self.field)
             self._apply = _apply_sparse
@@ -265,9 +285,10 @@ class Envelope:
         return self._fill_left(g, m) if e is None else e
 
     def _fill_right(self, g: int, m: int):
-        """right[g][m] = m*x_g, with x_g straightened into place."""
+        """right[g][m] = m*x_g, with x_g straightened into place; a central
+        x_g not in m commutes into place at once."""
         top = m.bit_length() - 1
-        if g > top:
+        if g > top or (self._cmask >> g & 1 and not m >> g & 1):
             out = self._mono(m | 1 << g)
         else:
             low = m ^ (1 << top)
@@ -296,13 +317,14 @@ class Envelope:
     def _products(self, a, left: bool = False):
         """Lazy table of a*m (or m*a when ``left``) over the monomials m.
 
-        Returns (table, fill) for ``_apply``.  a*m = (a*m')*x_top comes
-        from the right generator tables, m*a = x_low*(m''*a) from the
-        left ones.
+        Returns (table, fill) for ``_apply``.  An entry strips one factor
+        of m: a central x_z first, (a*m')*x_z or (m'*a)*x_z, else
+        a*m = (a*m')*x_top by the right generator tables or
+        m*a = x_low*(m''*a) by the left ones.  A zero prefix costs no apply.
         """
         tables, fills = ((self._left, self._left_fill) if left
                          else (self._right, self._right_fill))
-        apply = self._apply
+        apply, cmask = self._apply, self._cmask
         memo = [None] * self.dim
         memo[0] = a
 
@@ -311,47 +333,77 @@ class Envelope:
             # multiply back up (a closure calling itself would be a cycle)
             path = []
             while memo[m] is None:
-                g = ((m & -m) if left else m).bit_length() - 1
+                g = (m & cmask or ((m & -m) if left else m)).bit_length() - 1
                 path.append((m, g))
                 m ^= 1 << g
             e = memo[m]
             for m, g in reversed(path):
-                e = memo[m] = apply(tables[g], fills[g], e)
+                if e:
+                    e = apply(tables[g], fills[g], e)
+                memo[m] = e
             return e
 
         def fill(m):
-            # the generator that a*m = (a*m')*x_top or m*a = x_low*(m''*a) strips
-            g = ((m & -m) if left else m).bit_length() - 1
+            # the factor stripped: the top central one (left[z] is right[z])
+            # else a*m = (a*m')*x_top or m*a = x_low*(m''*a)
+            g = (m & cmask or ((m & -m) if left else m)).bit_length() - 1
             e = memo[m ^ (1 << g)]
             if e is None:
                 return fill_path(m)
-            e = memo[m] = apply(tables[g], fills[g], e)
+            if e:
+                e = apply(tables[g], fills[g], e)
+            memo[m] = e
             return e
 
         return memo, fill
 
     def _ad_table(self, a):
-        """Lazy table of [a, m] = a*m + m*a over the monomials m, as (table, fill)."""
+        """Lazy table of [a, m] = a*m + m*a over the monomials m, as (table, fill).
+
+        [a, m'*x_z] = [a, m']*x_z for a central x_z, so only central-free
+        entries use the memos of a*m and m*a.  A zero prefix costs no apply.
+        """
         am, am_fill = self._products(a)
         ma, ma_fill = self._products(a, left=True)
         apply, right, left = self._apply, self._right, self._left
         right_fill, left_fill = self._right_fill, self._left_fill
+        cmask = self._cmask
         ad = [None] * self.dim
 
         def fill(m):
-            # a*m = (a*m')*x_top and m*a = x_low*(m''*a), in one step from
-            # a filled prefix, else through the path walk of _products
-            x = am[m]
-            if x is None:
-                g = m.bit_length() - 1
-                x = am[m ^ (1 << g)]
-                x = am[m] = am_fill(m) if x is None else apply(right[g], right_fill[g], x)
-            y = ma[m]
-            if y is None:
-                g = (m & -m).bit_length() - 1
-                y = ma[m ^ (1 << g)]
-                y = ma[m] = ma_fill(m) if y is None else apply(left[g], left_fill[g], y)
-            e = ad[m] = x ^ y
+            # strip the top central bit down to a filled entry or a central-free m
+            path = []
+            while m & cmask:
+                g = (m & cmask).bit_length() - 1
+                path.append((m, g))
+                m ^= 1 << g
+                if ad[m] is not None:
+                    break
+            e = ad[m]
+            if e is None:
+                # a*m = (a*m')*x_top and m*a = x_low*(m''*a), in one step
+                # from a filled prefix, else through the path walk of _products
+                x = am[m]
+                if x is None:
+                    g = m.bit_length() - 1
+                    x = am[m ^ (1 << g)]
+                    if x is None:
+                        x = am_fill(m)
+                    else:
+                        x = am[m] = apply(right[g], right_fill[g], x) if x else x
+                y = ma[m]
+                if y is None:
+                    g = (m & -m).bit_length() - 1
+                    y = ma[m ^ (1 << g)]
+                    if y is None:
+                        y = ma_fill(m)
+                    else:
+                        y = ma[m] = apply(left[g], left_fill[g], y) if y else y
+                e = ad[m] = x ^ y
+            for m, g in reversed(path):
+                if e:
+                    e = apply(right[g], right_fill[g], e)
+                ad[m] = e
             return e
 
         return ad, fill
@@ -483,7 +535,7 @@ class Envelope:
         reaches dim D_k: the series has stabilized.
         """
         dims = [self.dim]
-        central = self._central_gens()
+        central = self._central
         terms: Optional[List[Subspace]] = None
         if keep_terms:
             terms = [Subspace.full(self.field, self.dim)]
@@ -525,7 +577,7 @@ class Envelope:
         generators; a seed is kept only if it was not already in the
         ideal of the seeds before it, so the kept ones still generate it.
         """
-        central = self._central_gens()
+        central = self._central
         _, d1, d1_gens = self._series_step(self._d1_brackets(central), central)
         _, _, d2_gens = self._series_step(self._pair_brackets(d1_gens), central, len(d1))
         moved = [g for g in range(self.n) if g not in central]

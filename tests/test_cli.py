@@ -307,14 +307,30 @@ def test_cli_restricted_commands_reject_ordinary(ordinary_h3_file, capsys, comma
     assert "needs a restricted algebra" in capsys.readouterr().err
 
 
-def test_cli_corpus_skips_ordinary_specs(tmp_path, capsys):
+def test_cli_corpus_lists_ordinary_files(tmp_path, capsys):
+    # an ordinary file gets a row with its corollary_classify verdict and
+    # agree None: the free class-2 algebra on 4 generators is refuted by a
+    # witness, ordinary H3 is solvable by (ii); the restricted row is as before
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    names = [f"x{i+1}" for i in range(4)] + [f"z{i+1}{j+1}" for i, j in pairs]
+    free2 = LieAlgebra(GF2, names, {p: tuple(int(t == 4 + k) for t in range(10))
+                                    for k, p in enumerate(pairs)})
+    (tmp_path / "free2-4.alg").write_text(serialize(free2))
     (tmp_path / "h3.alg").write_text(serialize(heisenberg()))
     (tmp_path / "oh3.alg").write_text(
         serialize(LieAlgebra(GF2, ["e1", "e2", "e3"], {(0, 1): (0, 0, 1)})))
     assert main(["--json", "corpus", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert [r["file"] for r in doc["result"]["files"]] == ["h3.alg"]
+    assert doc["result"]["files"] == [
+        {"file": "free2-4.alg", "outcome": "not_solvable", "condition": None, "agree": None},
+        {"file": "h3.alg", "outcome": "solvable", "condition": "i", "agree": True},
+        {"file": "oh3.alg", "outcome": "solvable", "condition": "ii", "agree": None},
+    ]
     assert doc["budgets"] == {}
+    assert main(["corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "free2-4.alg: not_solvable", "h3.alg: solvable (i) agree=True",
+        "oh3.alg: solvable (ii)", "disagreements: 0"]
 
 
 @pytest.mark.parametrize("brackets,outcome,condition", [

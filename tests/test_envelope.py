@@ -12,7 +12,7 @@ from liesolv.envelope import (
 )
 from liesolv.families import (
     example_7_1, family_i, family_iv, family_v, free_class2, heisenberg, negative_class2,
-    random_instance,
+    random_instance, witness_chain,
 )
 from liesolv.fields import GF2, RATFUNC2, gf
 from liesolv.linalg import span
@@ -160,6 +160,65 @@ def test_ad_table_gives_brackets():
                     assert got == _oracle_lie(env, a, b)
 
 
+def _permuted(L, order):
+    """L on its own basis vectors, taken in ``order``."""
+    return L.rebase([L.basis_vector(i) for i in order], names=[L.names[i] for i in order])
+
+
+def _central_moved(L, interleave=False):
+    """L with its central basis vectors first, or alternating with the others."""
+    central = Envelope(L)._central_gens()
+    moved = [g for g in range(L.n) if g not in central]
+    if not interleave:
+        return _permuted(L, central + moved)
+    order = [g for pair in zip(moved, central) for g in pair]
+    return _permuted(L, order + moved[len(central):] + central[len(moved):])
+
+
+def _central_off_top():
+    # the central vectors lead the basis, or sit between the others, so a
+    # fill that stripped the top bit where it means the top central one
+    # would multiply by a non-central generator from the wrong side
+    out = [(L, _central_moved(L)) for L in
+           [family_v(GF2, 2), family_v(GF4, 2), witness_chain(2), negative_class2(GF4)]]
+    return out + [(out[2][0], _central_moved(out[2][0], interleave=True))]
+
+
+def test_tables_with_central_vectors_off_the_top():
+    rng = random.Random(73)
+    for L, M in _central_off_top():
+        central = Envelope(M)._central_gens()
+        assert central and central != list(range(M.n - len(central), M.n)), M.names
+        for env in _forms(M):
+            assert env._central == central
+            for g in range(M.n):
+                assert (env._left[g] is env._right[g]) == (g in central)
+                assert (env._left_fill[g] is env._right_fill[g]) == (g in central)
+            for _ in range(4):
+                # every monomial of a, and some of b, has a central factor
+                a, b = _rand_elem(rng, env, 4), _rand_elem(rng, env, 4)
+                a = {m | 1 << rng.choice(central): c for m, c in a.items()}
+                b.update({m | 1 << rng.choice(central): c
+                          for m, c in _rand_elem(rng, env, 3).items()})
+                na, nb = env._native(a), env._native(b)
+                assert env._to_dict(env.mul_mask(na, nb)) == _left_mul_oracle(env, a, b)
+                assert (env._to_dict(env._apply(*env._products(na, left=True), nb))
+                        == _left_mul_oracle(env, b, a))
+                table, fill = env._ad_table(na)
+                assert env._to_dict(env._apply(table, fill, nb)) == _oracle_lie(env, a, b)
+                for m in rng.sample(range(env.dim), 6):
+                    mono = env.monomial(m)
+                    got = env._apply(table, fill, env._native(mono))
+                    assert env._to_dict(table[m]) == env._to_dict(got)
+                    assert env._to_dict(got) == _oracle_lie(env, a, mono), (M.names, m)
+        env, ref = _forms(M)
+        got = env.lie_derived_series(keep_terms=True)
+        want = ref.lie_derived_series(keep_terms=True)
+        assert (got.dims, got.outcome, got.terms) == (want.dims, want.outcome, want.terms)
+        assert got.dims == Envelope(L).lie_derived_series().dims, M.names
+        assert env.sz_ideal() == ref.sz_ideal()
+
+
 def test_native_helpers_agree_with_dict_products():
     # the generator-table helpers of the pattern tests, on both element
     # forms, against the oracle
@@ -290,7 +349,9 @@ def test_product_cache_consistency():
                 x, mono = env1.gen(g), env1.monomial(m)
                 assert env1._to_dict(env1._right_entry(g, m)) == _left_mul_oracle(env1, mono, x)
                 assert env1._to_dict(env1._left_entry(g, m)) == _left_mul_oracle(env1, x, mono)
-            filled = sum(e is not None for t in env1._right + env1._left for e in t)
+            # a central generator's left and right tables are one list
+            tables = {id(t): t for t in env1._right + env1._left}.values()
+            filled = sum(e is not None for t in tables for e in t)
             assert len(env1._cache) + len(env1._mask_cache) == filled > 0
 
 
@@ -301,7 +362,9 @@ def test_envelope_freed_without_cycle_collector():
     gc.disable()
     try:
         for L, force_dict in [(family_v(GF4, 2), False), (family_v(GF4, 2), True),
-                              (family_v(GF2, 2), False), (heisenberg(RATFUNC2), False)]:
+                              (family_v(GF2, 2), False), (heisenberg(RATFUNC2), False),
+                              (_central_moved(family_v(GF4, 2)), False),
+                              (_central_moved(family_v(GF4, 2)), True)]:
             env = Envelope(L, force_dict)
             env.lie_derived_series()
             env.sz_nilpotency()
