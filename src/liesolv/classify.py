@@ -276,8 +276,8 @@ def _bracket_closure(L: RestrictedLieAlgebra) -> Subspace:
     """C, the restricted closure of [[L',L'],L]: test (a) and the start of the core."""
     d1 = L.derived_subalgebra()
     d2 = L.bracket_span(d1, d1)
-    return L.restricted_closure(L.bracket(v, L.basis_vector(j))
-                                for v in d2.basis() for j in range(L.n))
+    apply = L.form.apply
+    return L.restricted_closure_rows(apply(table, None, v) for v in d2.planes for table in L.ad)
 
 
 def _closure_verdict(L: RestrictedLieAlgebra, stable: Subspace) -> Verdict:
@@ -320,21 +320,21 @@ def nilpotent_core(L: RestrictedLieAlgebra) -> Subspace:
     C is absorbed once: [[M',M'],M] is the image of [[L',L'],L], which
     lies in C and so in the core, and its closure in M is 0.
     """
-    core = _bracket_closure(L)
+    closure = core = _bracket_closure(L)
     ok, chain = L.is_2nilpotent_ideal(core)
     if not ok:
         raise ClosureNotNilpotent(chain[-1])
     while core.dim < L.n:
         if core.dim:
             M, quot = L.quotient(core)
-            lift = quot.lift
+            lift = quot.lift_row
         else:
             M, lift = L, lambda w: w
         locus = _central_2nilpotent_locus(M, M.center().intersect(M.derived_subalgebra()))
         if not locus.dim:
             break
-        core = L.restricted_closure([*core.rows, *map(lift, locus.rows)])
-    if not L.is_2nilpotent_ideal(core)[0]:
+        core = L.restricted_closure_rows([*core.planes, *map(lift, locus.planes)])
+    if core is not closure and not L.is_2nilpotent_ideal(core)[0]:
         raise CoreNotNilpotent("accumulated core failed the 2-nilpotency check")
     return core
 
@@ -372,10 +372,13 @@ def match_condition(L: RestrictedLieAlgebra, tag: str) -> Optional[Certificate]:
 
 
 def _abelian(L: LieAlgebra, vecs: Sequence) -> bool:
-    """Whether the given vectors bracket pairwise to zero."""
-    f = L.field
-    return all(vec_is_zero(f, L.bracket(u, v))
-               for i, u in enumerate(vecs) for v in vecs[i + 1:])
+    """Whether the given vectors, scalar tuples, bracket pairwise to zero."""
+    return _commuting(L, [L.form._row(v) for v in vecs])
+
+
+def _commuting(L: LieAlgebra, rows: Sequence) -> bool:
+    """Whether the given rows bracket pairwise to zero."""
+    return not any(L.bracket_row(u, v) for i, u in enumerate(rows) for v in rows[i + 1:])
 
 
 def isotropic_functionals(L: LieAlgebra, basis: Sequence) -> Subspace:
@@ -434,7 +437,7 @@ def abelian_ideal(L: LieAlgebra) -> Optional[Tuple[str, Subspace]]:
         return "abelian", L.full_space()
     cent = L.centralizer(d1)
     codim = L.n - cent.dim
-    if codim == 1 and cent.contains(d1) and _abelian(L, cent.basis()):
+    if codim == 1 and cent.contains(d1) and _commuting(L, cent.planes):
         return "centralizer", cent
     if codim != 0:
         return None
@@ -697,7 +700,7 @@ def _quotient(L: RestrictedLieAlgebra, core: Subspace) -> RestrictedLieAlgebra:
 def _alternative_core(L: RestrictedLieAlgebra, core: Subspace) -> tuple:
     """(ideal, quotient) of the restricted closure of the centre's
     2-nilpotent locus, or () when it equals core or is not 2-nilpotent."""
-    alt = L.restricted_closure(_central_2nilpotent_locus(L, L.center()).rows)
+    alt = L.restricted_closure_rows(_central_2nilpotent_locus(L, L.center()).planes)
     if alt != core and L.is_2nilpotent_ideal(alt)[0]:
         return alt, _quotient(L, alt)
     return ()
@@ -905,7 +908,7 @@ def _verify_certificate(Lq: RestrictedLieAlgebra, cert: Certificate) -> bool:
         a = cert.data["ideal"]
         if Lq.n - a.dim > 1:
             return False
-        return Lq.is_ideal(a) and Lq.is_pmap_closed(a) and _abelian(Lq, a.basis())
+        return Lq.is_ideal(a) and Lq.is_pmap_closed(a) and _commuting(Lq, a.planes)
     if tag == "ii":
         return class2_center(Lq) is not None
     if tag == "iii":

@@ -73,8 +73,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import RestrictedLieAlgebra
 from .fields import GF2k
-from .linalg import (Eliminator, Quotient, Stacked, Subspace, _Sparse, addmul, saturate,
-                     stack_items, terms_str)
+from .linalg import (Eliminator, Quotient, Stacked, Subspace, _Sparse, _apply_sparse, _bits,
+                     addmul, saturate, stack_items, terms_str)
 
 # u(L) has 2^n monomials and the derived series brackets up to ~4^n/2
 # pairs of them, so larger algebras are refused before anything is built.
@@ -87,25 +87,6 @@ class PreconditionFailed(Exception):
 
 class EnvelopeTooLarge(Exception):
     pass
-
-
-def _apply_sparse(table: list, fill, x):
-    """Sum of c_m*table[m] over the monomials m of a ``_Sparse`` element x,
-    c_m their coefficients; entries still None are computed by fill(m)."""
-    acc = _Sparse(x.field)
-    for m, c in x.items():
-        e = table[m]
-        if e is None:
-            e = fill(m)
-        addmul(acc.field, acc, e, c)
-    return acc
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass

@@ -1,26 +1,28 @@
 """Exact linear algebra over the characteristic-2 coefficient fields.
 
-Vectors are tuples of scalars; a Subspace is a canonical reduced
-row-echelon basis, so two subspaces are equal iff their stored rows are
-identical.
+Vectors live as the rows of an ``Eliminator``, in the row form of their
+field; scalar tuples appear only at the edge (spec files, printed
+elements, certificates, ``--json``), where ``encode`` and ``decode``
+convert.  Over GF(2^k) a row is one stacked int, the layout ``Stacked``
+describes and ``envelope.Envelope`` uses for elements of u(L): k*W bits
+for a row of length W, plane j (the bits [j*W, (j+1)*W)) holding bit j
+of every coordinate.  Adding rows is one XOR, and a scalar multiple is
+one Horner pass in t, so a row operation costs O(k) big-int operations
+regardless of the ambient dimension.  Over GF(2) the row is the bitmask
+of its nonzero coordinates.  Over any other field (F2(X,Y)) a row is a
+``_Sparse`` dict {column: scalar}, the form u(L)'s elements take there;
+``addmul`` sums these and every other sparse dict, U(L)'s elements
+included.  Every form adds rows with ``^`` and is zero iff falsy, and
+``Eliminator.apply`` sums a table of rows weighted by the coordinates of
+a row: the product-table kernel of u(L) and the bracket of
+``algebra.LieAlgebra``.
 
-An ``Eliminator`` keeps the RREF basis of a growing span in the row
-form of its field.  Over GF(2^k) a row is one stacked int, the layout
-``Stacked`` describes and ``envelope.Envelope`` uses for elements of
-u(L): k*W bits for a row of length W, plane j (the bits [j*W, (j+1)*W))
-holding bit j of every coordinate.  Adding rows is one XOR, and a scalar
-multiple is one Horner pass in t, so a row operation costs O(k) big-int
-operations regardless of the ambient dimension.  Over GF(2) the row is
-the bitmask of its nonzero coordinates and elimination is bare XOR.
-Over any other field (F2(X,Y)) a row is a ``_Sparse`` dict {column:
-scalar}, the form u(L)'s elements take there; ``addmul`` sums these and
-every other sparse dict, U(L)'s elements included.  Rows are keyed by
-pivot and kept fully reduced, so reducing a vector touches only the
-pivots in its support.
-
-A Quotient is the whole space modulo a subspace.  The subspace is in
-RREF, so the columns that are not its pivots give the quotient's basis
-and coordinates directly.
+An eliminator keeps its rows keyed by pivot and fully reduced, so
+reducing a vector touches only the pivots in its support.  A Subspace
+keeps those RREF rows, so two subspaces are equal iff their rows are
+identical; it decodes them to tuples once, when asked.  A Quotient is
+the whole space modulo a subspace: the columns that are not the
+subspace's pivots give the quotient's basis and coordinates directly.
 """
 
 from __future__ import annotations
@@ -64,21 +66,23 @@ class Stacked:
     Plane j, the bits [j*width, (j+1)*width), holds bit j of every
     coordinate: the bit-sliced layout of M4RIE.  Multiplying by t moves
     every plane up one and folds plane k back by the modulus.  ``apply``
-    is the product-table kernel of ``envelope.Envelope`` on this layout.
+    is the product-table kernel of ``envelope.Envelope`` on this layout,
+    and ``pair`` the bracket kernel of ``algebra.LieAlgebra``.
     """
 
-    __slots__ = ("k", "width", "plane", "offsets", "top", "fold", "column", "mul_t", "apply")
+    __slots__ = ("k", "width", "plane", "offsets", "top", "fold", "column", "mul_t", "apply",
+                 "pair")
 
     def __init__(self, modulus: int, width: int):
         k = self.k = modulus.bit_length() - 1
         self.width = width
         plane = self.plane = (1 << width) - 1
-        self.offsets = tuple(j * width for j in range(k))  # plane j starts at bit j*width
+        offsets = self.offsets = tuple(j * width for j in range(k))  # plane j at bit j*width
         top = self.top = k * width
         # t^k = sum of t^j over the bits j < k of the modulus
         fold = self.fold = tuple(j * width for j in range(k) if modulus >> j & 1)
-        self.column = sum(1 << s for s in self.offsets)  # bit 0 of every plane
-        planes = self.offsets[::-1]
+        column = self.column = sum(1 << s for s in offsets)  # bit 0 of every plane
+        planes = offsets[::-1]
         high = planes[0]
 
         # closures over the layout's numbers, built once, so a call loads
@@ -99,8 +103,13 @@ class Stacked:
             j of x adds t^j times the XOR of the entries at its set bits."""
             acc = 0
             for s in planes:
-                if acc:
-                    acc = mul_t(acc)
+                if acc:             # acc = t*acc, mul_t inlined
+                    acc <<= width
+                    t = acc >> top
+                    if t:
+                        acc ^= t << top
+                        for f in fold:
+                            acc ^= t << f
                 p = x >> s
                 if s != high:       # the top plane needs no mask
                     p &= plane
@@ -113,8 +122,32 @@ class Stacked:
                     p ^= 1 << m
             return acc
 
+        def pair(table: list, masks: list, x: int, y: int) -> int:
+            """Sum of a_i*b_j*table[i][j] over the columns i of x and the
+            columns j of y in masks[i], a and b the coordinates: the apply
+            to x of the rows r_i = sum of b_j*table[i][j], each made by one
+            apply, and only where y meets masks[i]."""
+            sx, sy, p, q = 0, 0, x, y
+            while p:                        # the supports: OR of the planes
+                sx |= p & plane
+                p >>= width
+            while q:
+                sy |= q & plane
+                q >>= width
+            rows = None
+            while sx:
+                i = sx.bit_length() - 1
+                sx ^= 1 << i
+                m = masks[i] & sy
+                if m:
+                    if rows is None:
+                        rows = [0] * width
+                    rows[i] = apply(table[i], None, y & m * column)
+            return 0 if rows is None else apply(rows, None, x)
+
         self.mul_t = mul_t
         self.apply = apply
+        self.pair = pair
 
     def scale(self, c: int, x: int) -> int:
         """c*x for a scalar c, by Horner's rule over the bits of c."""
@@ -205,19 +238,58 @@ class _Sparse(dict):
         return _Sparse(f, {m: f.mul(c, v) for m, v in self.items()})
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _apply_sparse(table: list, fill, x):
+    """Sum of c_m*table[m] over the columns m of a ``_Sparse`` row x, c_m
+    their coordinates; entries still None are computed by fill(m)."""
+    acc = _Sparse(x.field)
+    for m, c in x.items():
+        e = table[m]
+        if e is None:
+            e = fill(m)
+        addmul(acc.field, acc, e, c)
+    return acc
+
+
+def _pair_sparse(table: list, masks: list, x: dict, y: dict):
+    """``Stacked.pair`` on ``_Sparse`` rows."""
+    f = x.field
+    acc = _Sparse(f)
+    for i, a in x.items():
+        row, m = table[i], masks[i]
+        for j, b in y.items():
+            if m >> j & 1:
+                addmul(f, acc, row[j], f.mul(a, b))
+    return acc
+
+
 class Eliminator:
     """Incremental RREF of a growing span, on the rows of its back end.
 
     ``Eliminator(field, ambient)`` builds ``_GF2Elim`` over GF(2),
     ``_PackedElim`` over GF(2^k), k > 1, and ``_GenericElim`` otherwise
     or with ``force_generic``, which lets tests cross-check the three.
-    ``add_planes`` and ``basis_planes`` take and give the back end's own
-    rows; the other methods speak scalar tuples.  ``rows`` maps each
-    pivot to its row, 1 at the pivot and 0 at the other pivots, so
-    ``reduce`` subtracts each row in a vector's support once.  A back
-    end supplies ``reduce``, ``add`` and a row codec (here the stacked
-    int's), and keeps ``pivmask``, one bit per pivot.
+    ``add``, ``add_planes`` and ``basis_planes`` take and give the back
+    end's own rows; ``add_vector``, ``residue`` and ``basis_rows`` speak
+    scalar tuples.  ``rows`` maps each pivot to its row, 1 at the pivot
+    and 0 at the other pivots, so ``reduce`` subtracts each row in a
+    vector's support once.  A back end supplies ``reduce`` and ``add``
+    and keeps ``pivmask``, one bit per pivot.
+
+    An eliminator is also the row form of its width: ``encode``,
+    ``decode``, ``apply``, ``pair`` and the column moves below act on
+    rows of length ``ambient``.  They are written here for stacked ints,
+    and ``_GenericElim`` writes them for ``_Sparse`` rows.
     """
+
+    zero = 0
 
     def __new__(cls, field, ambient: int, force_generic: bool = False):
         if cls is Eliminator:
@@ -234,10 +306,22 @@ class Eliminator:
         self.ambient = ambient
         self.rows: dict = {}
         self.pivmask = 0
+        if isinstance(self, _GenericElim):
+            self.zero = _Sparse(field)
+            self.apply, self.pair = _apply_sparse, _pair_sparse
+        else:
+            st = self.stack = _stacked(field.modulus, ambient)
+            self.apply, self.pair = st.apply, st.pair
 
-    _encode = staticmethod(pack_row)
+    # -- the row form -----------------------------------------------------
 
-    def _decode(self, x: int) -> Tuple[int, ...]:
+    encode = staticmethod(pack_row)
+
+    def pack(self, items: Iterable[Tuple[int, object]]):
+        """The row with coordinate c at column m for each (m, c) of items, c nonzero."""
+        return stack_items(items, self.ambient)
+
+    def decode(self, x: int) -> Tuple[int, ...]:
         n = self.ambient
         out, plane = [0] * n, (1 << n) - 1
         for i in range(self.field.k):
@@ -248,14 +332,56 @@ class Eliminator:
                 p ^= low
         return tuple(out)
 
+    def unit(self, j: int):
+        return 1 << j
+
+    def frobenius(self, x):
+        """The row of the squares of x's coordinates: with c = sum c_j t^j,
+        c^2 = sum c_j t^(2j), so the planes are summed by Horner's rule in t^2."""
+        st = self.stack
+        out = 0
+        for s in reversed(st.offsets):
+            out = st.mul_t(st.mul_t(out)) ^ (x >> s & st.plane)
+        return out
+
+    def place(self, x, width: int, at: int):
+        """The row x of length ``width`` moved to the columns [at, at + width)."""
+        mask = (1 << width) - 1
+        return sum((x >> j * width & mask) << s + at for j, s in enumerate(self.stack.offsets))
+
+    def block(self, x, at: int, width: int):
+        """Columns [at, at + width) of x as a row of length ``width``."""
+        mask = (1 << width) - 1
+        return sum((x >> s + at & mask) << j * width for j, s in enumerate(self.stack.offsets))
+
+    def gather(self, x, cols: Sequence[int]):
+        """The row of length len(cols) whose coordinate i is x's at cols[i]."""
+        d, out = len(cols), 0
+        for j, s in enumerate(self.stack.offsets):
+            p = x >> s
+            for i, c in enumerate(cols):
+                if p >> c & 1:
+                    out |= 1 << j * d + i
+        return out
+
+    def scatter(self, y, cols: Sequence[int]):
+        """The row whose coordinate at cols[i] is y's at i, and 0 elsewhere."""
+        d, out = len(cols), 0
+        for j, s in enumerate(self.stack.offsets):
+            for i in _bits(y >> j * d & (1 << d) - 1):
+                out |= 1 << s + cols[i]
+        return out
+
+    # -- the span ---------------------------------------------------------
+
     def _row(self, vec: Sequence):
         if len(vec) != self.ambient:
             raise DimensionMismatch(f"vector length {len(vec)} != ambient {self.ambient}")
-        return self._encode(vec)
+        return self.encode(vec)
 
-    def load(self, rows: Sequence[Sequence], pivots: Sequence[int]) -> None:
-        """Take the RREF ``rows`` with pivots ``pivots`` as they are."""
-        self.rows = {p: self._encode(r) for p, r in zip(pivots, rows)}
+    def load(self, planes: Sequence, pivots: Sequence[int]) -> None:
+        """Take the RREF rows ``planes`` of this back end, with pivots ``pivots``, as they are."""
+        self.rows = dict(zip(pivots, planes))
         self.pivmask = sum(1 << p for p in pivots)
 
     def add_vector(self, vec: Sequence) -> bool:
@@ -272,7 +398,7 @@ class Eliminator:
         return self.add(mask)
 
     def residue(self, vec: Sequence) -> Tuple:
-        return self._decode(self.reduce(self._row(vec)))
+        return self.decode(self.reduce(self._row(vec)))
 
     def contains_vector(self, vec: Sequence) -> bool:
         return not self.reduce(self._row(vec))
@@ -291,11 +417,15 @@ class Eliminator:
         return [rows[p] for p in sorted(rows)]
 
     def basis_rows(self) -> List[Tuple]:
-        return [self._decode(r) for r in self.basis_planes()]
+        return [self.decode(r) for r in self.basis_planes()]
 
     def to_subspace(self) -> "Subspace":
-        return Subspace._from_rref(self.field, self.ambient,
-                                   self.basis_rows(), self.pivots)
+        planes = self.basis_planes()
+        if isinstance(self, _GenericElim) and isinstance(self.field, GF2k):
+            # a forced dict back end: a Subspace keeps the field's own row form
+            form = row_form(self.field, self.ambient)
+            planes = [form.encode(self.decode(r)) for r in planes]
+        return Subspace._from_rref(self.field, self.ambient, planes, self.pivots)
 
 
 class _GF2Elim(Eliminator):
@@ -332,10 +462,6 @@ class _PackedElim(Eliminator):
     only those have their coordinate read.
     """
 
-    def __init__(self, field: GF2k, ambient: int, force_generic: bool = False):
-        Eliminator.__init__(self, field, ambient)
-        self.stack = _stacked(field.modulus, ambient)
-
     def reduce(self, x: int) -> int:
         st, rows = self.stack, self.rows
         hit = st.support(x) & self.pivmask
@@ -371,15 +497,36 @@ class _GenericElim(Eliminator):
     """Over any field: a row is a ``_Sparse`` dict, the form u(L)'s
     elements take off GF(2^k)."""
 
-    def _encode(self, vec: Sequence) -> _Sparse:
+    def pack(self, items) -> _Sparse:
+        return _Sparse(self.field, items)
+
+    def encode(self, vec: Sequence) -> _Sparse:
         f = self.field
         return _Sparse(f, ((j, c) for j, c in enumerate(vec) if not f.is_zero(c)))
 
-    def _decode(self, x: dict) -> Tuple:
+    def decode(self, x: dict) -> Tuple:
         out = [self.field.zero] * self.ambient
         for j, c in x.items():
             out[j] = c
         return tuple(out)
+
+    def unit(self, j: int) -> _Sparse:
+        return _Sparse(self.field, {j: self.field.one})
+
+    def frobenius(self, x: dict) -> _Sparse:
+        return self.pack((j, self.field.mul(c, c)) for j, c in x.items())
+
+    def place(self, x: dict, width: int, at: int) -> _Sparse:
+        return self.pack((j + at, c) for j, c in x.items())
+
+    def block(self, x: dict, at: int, width: int) -> _Sparse:
+        return self.pack((j - at, c) for j, c in x.items() if at <= j < at + width)
+
+    def gather(self, x: dict, cols: Sequence[int]) -> _Sparse:
+        return self.pack((i, x[c]) for i, c in enumerate(cols) if c in x)
+
+    def scatter(self, y: dict, cols: Sequence[int]) -> _Sparse:
+        return self.pack((cols[i], c) for i, c in y.items())
 
     def reduce(self, x: _Sparse) -> _Sparse:
         rows = self.rows
@@ -403,14 +550,21 @@ class _GenericElim(Eliminator):
         return True
 
 
+# The row form of a field and width, for the work that needs no span:
+# shared like the layouts, and never given a row.
+row_form = lru_cache(maxsize=256)(Eliminator)
+
+
 # ----------------------------------------------------------------------
 # Subspace
 # ----------------------------------------------------------------------
 
 class Subspace:
-    """A subspace in canonical RREF form; equality is row-for-row identity."""
+    """A subspace in canonical RREF form: ``planes`` are its eliminator's
+    rows in pivot order, so equality is row-for-row identity.  ``rows``
+    and ``basis()`` give them as scalar tuples, decoded once."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "planes", "pivots", "_rows")
 
     def __init__(self, field, ambient: int, vectors: Iterable[Sequence] = ()):
         elim = Eliminator(field, ambient)
@@ -418,16 +572,18 @@ class Subspace:
             elim.add_vector(v)
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(elim.basis_rows())
+        self.planes = tuple(elim.basis_planes())
         self.pivots = tuple(elim.pivots)
+        self._rows = None
 
     @classmethod
-    def _from_rref(cls, field, ambient, rows, pivots) -> "Subspace":
+    def _from_rref(cls, field, ambient, planes, pivots) -> "Subspace":
         self = object.__new__(cls)
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
+        self.planes = tuple(planes)
         self.pivots = tuple(pivots)
+        self._rows = None
         return self
 
     @classmethod
@@ -436,20 +592,22 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        rows = []
-        for i in range(ambient):
-            row = [field.zero] * ambient
-            row[i] = field.one
-            rows.append(tuple(row))
-        return cls._from_rref(field, ambient, rows, range(ambient))
+        unit = row_form(field, ambient).unit
+        return cls._from_rref(field, ambient, map(unit, range(ambient)), range(ambient))
+
+    @property
+    def rows(self) -> Tuple[Tuple, ...]:
+        if self._rows is None:
+            self._rows = tuple(map(row_form(self.field, self.ambient).decode, self.planes))
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self.planes == other.planes)
 
     def __hash__(self):
         return hash((self.ambient, self.rows))
@@ -466,7 +624,7 @@ class Subspace:
     def elim(self) -> Eliminator:
         """An eliminator holding this subspace; its rows are already RREF."""
         e = Eliminator(self.field, self.ambient)
-        e.load(self.rows, self.pivots)
+        e.load(self.planes, self.pivots)
         return e
 
     def contains_vector(self, vec: Sequence) -> bool:
@@ -474,27 +632,26 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        e = self.elim()
-        return all(e.contains_vector(r) for r in other.rows)
+        reduce = self.elim().reduce
+        return not any(map(reduce, other.planes))
 
     def sum_intersect(self, other: "Subspace") -> Tuple["Subspace", "Subspace"]:
         """Zassenhaus double-block elimination: one pass gives both."""
         self._check_compatible(other)
         f, n = self.field, self.ambient
-        zero = f.zero
         elim = Eliminator(f, 2 * n)
-        for r in self.rows:
-            elim.add_vector(tuple(r) + tuple(r))
-        for r in other.rows:
-            elim.add_vector(tuple(r) + (zero,) * n)
+        for r in self.planes:
+            elim.add(elim.place(r, n, 0) ^ elim.place(r, n, n))
+        for r in other.planes:
+            elim.add(elim.place(r, n, 0))
         # both come out in RREF: the left block of the rows with pivot < n
         # spans the sum, the right block of the others the intersection
         total, inter = [], []
-        for piv, row in zip(elim.pivots, elim.basis_rows()):
+        for piv, row in zip(elim.pivots, elim.basis_planes()):
             if piv < n:
-                total.append((row[:n], piv))
+                total.append((elim.block(row, 0, n), piv))
             else:
-                inter.append((row[n:], piv - n))
+                inter.append((elim.block(row, n, n), piv - n))
         return _from_pairs(f, n, total), _from_pairs(f, n, inter)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -507,13 +664,21 @@ class Subspace:
         return list(self.rows)
 
 
-def _from_pairs(field, ambient: int, pairs: Sequence[Tuple[Tuple, int]]) -> Subspace:
+def _from_pairs(field, ambient: int, pairs: Sequence[Tuple[object, int]]) -> Subspace:
     """The subspace of RREF rows given as (row, pivot) pairs, taken as they are."""
     return Subspace._from_rref(field, ambient, [r for r, _ in pairs], [p for _, p in pairs])
 
 
 def span(field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
     return Subspace(field, ambient, vectors)
+
+
+def span_rows(field, ambient: int, rows: Iterable) -> Subspace:
+    """The span of rows in the row form of ``Eliminator(field, ambient)``."""
+    elim = Eliminator(field, ambient)
+    for r in rows:
+        elim.add(r)
+    return elim.to_subspace()
 
 
 def saturate(add: Callable[[object], bool], vectors: Iterable, maps: Sequence[Callable] = (),
@@ -546,24 +711,32 @@ def saturate(add: Callable[[object], bool], vectors: Iterable, maps: Sequence[Ca
 
 
 def kernel(field, images: Sequence[Sequence], dom: int, codom: int) -> Subspace:
-    """Kernel of the linear map sending basis vector i to images[i].
+    """Kernel of the linear map sending basis vector i to images[i], scalar tuples."""
+    if len(images) != dom:
+        raise DimensionMismatch("one image per domain basis vector required")
+    form = row_form(field, codom)
+    return kernel_rows(field, [[form._row(img)] for img in images], codom)
+
+
+def kernel_rows(field, images: Sequence[Sequence], width: int) -> Subspace:
+    """Kernel of the linear map sending basis vector i to the rows of
+    images[i], each of length ``width``, laid end to end.
 
     Row-reduces [images | I]; rows whose pivot falls in the augmented
     block are exactly the dependencies, i.e. a kernel basis, and their
     augmented blocks are already in RREF.
     """
-    if len(images) != dom:
-        raise DimensionMismatch("one image per domain basis vector required")
-    zero, one = field.zero, field.one
+    dom = len(images)
+    codom = width * max(map(len, images), default=0)
     elim = Eliminator(field, codom + dom)
-    for i, img in enumerate(images):
-        if len(img) != codom:
-            raise DimensionMismatch("image length mismatch")
-        tag = [zero] * dom
-        tag[i] = one
-        elim.add_vector(tuple(img) + tuple(tag))
-    return _from_pairs(field, dom, [(row[codom:], piv - codom) for piv, row
-                                    in zip(elim.pivots, elim.basis_rows()) if piv >= codom])
+    for i, blocks in enumerate(images):
+        x = elim.unit(codom + i)
+        for b, r in enumerate(blocks):
+            if r:
+                x = x ^ elim.place(r, width, b * width)
+        elim.add(x)
+    return _from_pairs(field, dom, [(elim.block(row, codom, dom), piv - codom) for piv, row
+                                    in zip(elim.pivots, elim.basis_planes()) if piv >= codom])
 
 
 class Quotient:
@@ -580,13 +753,22 @@ class Quotient:
         self._sub_elim = sub.elim()
         pivots = set(sub.pivots)
         self.lift_pivots = [j for j in range(sub.ambient) if j not in pivots]
-        self.lifted = [unit_vector(self.field, self.ambient, j) for j in self.lift_pivots]
         self.dim = len(self.lift_pivots)
+
+    @property
+    def lifted(self) -> List[Tuple]:
+        """The lifted basis, as scalar tuples."""
+        return [unit_vector(self.field, self.ambient, j) for j in self.lift_pivots]
 
     def project(self, vec: Sequence) -> Tuple:
         """Quotient coordinates of vec."""
         r = self._sub_elim.residue(vec)
         return tuple(r[j] for j in self.lift_pivots)
+
+    def project_row(self, x):
+        """Quotient coordinates of the row x, as a row of length ``dim``."""
+        e = self._sub_elim
+        return e.gather(e.reduce(x), self.lift_pivots)
 
     def lift(self, coords: Sequence) -> Tuple:
         """The vector with coords at the lifted columns and zero elsewhere."""
@@ -594,6 +776,10 @@ class Quotient:
         for j, c in zip(self.lift_pivots, coords):
             out[j] = c
         return tuple(out)
+
+    def lift_row(self, y):
+        """The row with the row y's coordinates at the lifted columns."""
+        return self._sub_elim.scatter(y, self.lift_pivots)
 
 
 def lin_comb(field, coeffs: Sequence, rows: Sequence[Sequence], ambient: int) -> Tuple:

@@ -207,25 +207,52 @@ class Witness:
 
 
 def _patterns(env: UEnvelope):
+    """(name, arity, fn) of each witness pattern, fn evaluating it in U(L).
+
+    The factors of a pattern that read only some of its arguments are
+    made once per those arguments and kept for the whole search, so an
+    argument tuple that shares them with an earlier one, a prefix first
+    of all, costs only the brackets that read the rest.
+    """
     lie, mul = env.lie, env.mul
+
+    def once(fn):
+        cache = {}
+
+        def call(*args):
+            key = tuple(tuple(a.items()) for a in args)
+            out = cache.get(key)
+            if out is None:
+                out = cache[key] = fn(*args)
+            return out
+        return call
+
+    dca_d = once(lambda d, c, a: lie(mul(mul(d, c), a), d))
+    da_a = once(lambda d, a: lie(mul(d, a), a))
+    pairing = once(lambda a, c, d: lie(dca_d(d, c, a), da_a(d, a)))
+    zby_z = once(lambda z, b, y: lie(mul(mul(z, b), y), z))
+    x_xb = once(lambda x, b: lie(x, mul(x, b)))
+    y_x1y = once(lambda y, x1: lie(y, mul(x1, y)))
+    xi = once(lambda y, x1, x2: lie(y_x1y(y, x1), lie(y, x2)))
+    x1y_y = once(lambda x1, y: lie(mul(x1, y), y))
+    zeta = once(lambda x1, y, h: lie(x1y_y(x1, y), lie(h, y)))
+    eta = once(lambda x1, y, b: lie(lie(mul(x1, y), b), lie(y, x1)))
 
     def p_pairing(a, b, c, d):
         # [[d c a, d], [d a, a], b]
-        t1 = lie(mul(mul(d, c), a), d)
-        t2 = lie(mul(d, a), a)
-        return lie(lie(t1, t2), b)
+        return lie(pairing(a, c, d), b)
 
     def p_step3(z, b, y, x):
-        return lie(lie(lie(mul(mul(z, b), y), z), lie(x, mul(x, b))), y)
+        return lie(lie(zby_z(z, b, y), x_xb(x, b)), y)
 
     def p_xi(y, x1, x2, x3):
-        return lie(lie(lie(y, mul(x1, y)), lie(y, x2)), x3)
+        return lie(xi(y, x1, x2), x3)
 
     def p_zeta(x1, y, h, x):
-        return lie(lie(lie(mul(x1, y), y), lie(h, y)), x)
+        return lie(zeta(x1, y, h), x)
 
     def p_eta(x1, y, b, c):
-        return lie(lie(lie(mul(x1, y), b), lie(y, x1)), c)
+        return lie(eta(x1, y, b), c)
 
     return [("pairing", 4, p_pairing), ("triple-bracket", 4, p_step3),
             ("xi", 4, p_xi), ("zeta", 4, p_zeta), ("eta", 4, p_eta)]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ from liesolv.classify import (
 )
 from liesolv.envelope import MAX_ENVELOPE_N, Envelope
 from liesolv.families import (
-    family_i, family_iii, family_iv, family_v, free_class2, heisenberg,
+    example_7_1, family_i, family_iii, family_iv, family_v, free_class2, heisenberg,
     negative_class2, random_instance, witness_chain,
 )
 from liesolv.fields import GF2, gf
@@ -1058,3 +1060,32 @@ def test_the_oracle_refuses_a_core_that_fails_its_recheck():
     with pytest.raises(CoreNotNilpotent):
         _run_oracle(A, ClassifyOptions(), span(GF2, 2, [(1, 0)]))
     assert _run_oracle(A, ClassifyOptions(), A.full_space())["quotient_dim"] == 0
+
+
+def _pinned_inputs():
+    """The curated families over GF(2)/GF(4)/GF(8), Example 7.1, and the
+    fixed random_instance strata s = 0..17 of GF(4) n = 6 and GF(8) n = 5."""
+    for field in (GF2, GF4, gf(8)):
+        yield from [heisenberg(field), family_i(field), free_class2(field, gens=3),
+                    free_class2(field, gens=3, center_squares=True), family_iii(field),
+                    family_iii(field, central_dim=1, central_bracket=True),
+                    family_iii(field, central_dim=2, central_bracket=True),
+                    family_iv(field, h_dim=1), family_iv(field, h_dim=2),
+                    family_v(field, h_dim=1), family_v(field, h_dim=2), negative_class2(field)]
+    yield example_7_1()
+    for n, q in ((6, 4), (5, 8)):
+        for s in range(18):
+            yield random_instance(n, gf(q), s)[0]
+
+
+def test_verdicts_are_byte_identical_to_the_pinned_digest():
+    # any change to core_basis, element strings, certificates, oracle dims
+    # or verify_verdict on these 73 inputs changes the digest
+    h = hashlib.sha256()
+    count = 0
+    for L in _pinned_inputs():
+        v = classify(L)
+        h.update(json.dumps([v.to_json(), verify_verdict(L, v)], sort_keys=True).encode() + b"\n")
+        count += 1
+    assert count == 73
+    assert h.hexdigest() == "09e5fb2b7574b8366a2bb7352de8e01a919af9dc256bbdf10af057f63ac5a341"
