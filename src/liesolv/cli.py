@@ -285,6 +285,9 @@ def cmd_ordinary(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if not os.path.isdir(args.dir):
+        print(f"error: {args.dir} is not a directory", file=sys.stderr)
+        return 1
     files = sorted(f for f in os.listdir(args.dir) if f.endswith(".alg"))
     if not files:
         print("error: no .alg files in the corpus directory", file=sys.stderr)

@@ -23,7 +23,7 @@ Both are immutable value types; field objects double as descriptors.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Tuple
 
 
@@ -89,6 +89,7 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
+@lru_cache(maxsize=1024)
 def is_irreducible(p: int) -> bool:
     """Trial division by every polynomial of degree <= deg(p)/2."""
     d = poly_deg(p)
@@ -254,38 +255,46 @@ class GF2k:
         field's modulus in the larger field (found by exhaustive search).
         km is capped at TABLE_MAX_K: the root search tries the elements
         of the larger field one by one, and above the cap each try
-        multiplies polynomials without log tables.
+        multiplies polynomials without log tables.  The pair is built once
+        per (field, m, modulus) and shared.
         """
         if m < 1:
             raise FieldError("extension multiplier must be >= 1")
         if self.k * m > TABLE_MAX_K:
             raise FieldError("extension degree too large for root search")
-        big = GF2k(self.k * m, modulus)
-        if self.k == 1:
-            return big, lambda a: a
-        root = None
-        for cand in range(big.order):
-            # evaluate our modulus at cand via Horner
-            acc = 0
-            for i in range(self.k, -1, -1):
-                acc = big.mul(acc, cand)
-                if (self.modulus >> i) & 1:
-                    acc ^= 1
-            if acc == 0 and cand != 0:
-                root = cand
-                break
-        if root is None:
-            raise FieldError("modulus has no root in the extension (degree mismatch)")
-        powers = [big.pow(root, i) for i in range(self.k)]
+        return _extension(self.k, self.modulus, m, modulus)
 
-        def embed(a: int) -> int:
-            out = 0
-            for i in range(self.k):
-                if (a >> i) & 1:
-                    out ^= powers[i]
-            return out
 
-        return big, embed
+@lru_cache(maxsize=64)
+def _extension(k: int, base: int, m: int, modulus: int | None) -> Tuple[GF2k, Callable[[int], int]]:
+    """``GF2k(k, base).extend(m, modulus)``, built once per key: the root
+    search and the larger field's log tables are shared by every caller."""
+    big = GF2k(k * m, modulus)
+    if k == 1:
+        return big, lambda a: a
+    root = None
+    for cand in range(big.order):
+        # evaluate the base modulus at cand via Horner
+        acc = 0
+        for i in range(k, -1, -1):
+            acc = big.mul(acc, cand)
+            if (base >> i) & 1:
+                acc ^= 1
+        if acc == 0 and cand != 0:
+            root = cand
+            break
+    if root is None:
+        raise FieldError("modulus has no root in the extension (degree mismatch)")
+    powers = [big.pow(root, i) for i in range(k)]
+
+    def embed(a: int) -> int:
+        out = 0
+        for i in range(k):
+            if (a >> i) & 1:
+                out ^= powers[i]
+        return out
+
+    return big, embed
 
 
 GF2 = GF2k(1, 0b11)

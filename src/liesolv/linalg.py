@@ -17,12 +17,15 @@ included.  Every form adds rows with ``^`` and is zero iff falsy, and
 a row: the product-table kernel of u(L) and the bracket of
 ``algebra.LieAlgebra``.
 
-An eliminator keeps its rows keyed by pivot and fully reduced, so
-reducing a vector touches only the pivots in its support.  A Subspace
-keeps those RREF rows, so two subspaces are equal iff their rows are
-identical; it decodes them to tuples once, when asked.  A Quotient is
-the whole space modulo a subspace: the columns that are not the
-subspace's pivots give the quotient's basis and coordinates directly.
+An eliminator keeps its rows keyed by pivot, so reducing a vector
+touches only the pivots in its support.  Over GF(2^k), k > 1, and
+F2(X,Y) the rows are fully reduced at every add; over GF(2) they are
+echelon while the span grows and are back-substituted once, when they
+are read.  A Subspace keeps the RREF rows, so two subspaces are equal
+iff their rows are identical; it decodes them to tuples once, when
+asked.  A Quotient is the whole space modulo a subspace: the columns
+that are not the subspace's pivots give the quotient's basis and
+coordinates directly.
 """
 
 from __future__ import annotations
@@ -279,9 +282,12 @@ class Eliminator:
     ``add``, ``add_planes`` and ``basis_planes`` take and give the back
     end's own rows; ``add_vector``, ``residue`` and ``basis_rows`` speak
     scalar tuples.  ``rows`` maps each pivot to its row, 1 at the pivot
-    and 0 at the other pivots, so ``reduce`` subtracts each row in a
-    vector's support once.  A back end supplies ``reduce`` and ``add``
-    and keeps ``pivmask``, one bit per pivot.
+    and 0 at the lower pivots.  ``_PackedElim`` and ``_GenericElim`` keep
+    the rows 0 at every other pivot too, so ``reduce`` subtracts each row
+    in a vector's support once; ``_GF2Elim`` keeps them echelon until
+    read, and ``basis_planes`` gives RREF rows on every back end.  A back
+    end supplies ``reduce`` and ``add`` and keeps ``pivmask``, one bit
+    per pivot.
 
     An eliminator is also the row form of its width: ``encode``,
     ``decode``, ``apply``, ``pair`` and the column moves below act on
@@ -429,15 +435,25 @@ class Eliminator:
 
 
 class _GF2Elim(Eliminator):
-    """Over GF(2): a row is the bitmask of its nonzero coordinates."""
+    """Over GF(2): a row is the bitmask of its nonzero coordinates.
+
+    Rows are kept in echelon form while the span grows: each is stored
+    under its lowest bit and may carry bits at higher pivots, so ``add``
+    touches no stored row.  ``basis_planes`` back-substitutes once when
+    rows were added since the last read, which makes them RREF again
+    (M4RI's split between echelon form and full reduction).
+    """
+
+    _echelon = False  # rows added since the last back-substitution
 
     def reduce(self, x: int) -> int:
-        rows = self.rows
-        hit = x & self.pivmask
+        # lowest pivot first: a row can bring in bits at higher pivots,
+        # so the hit is read again after each XOR
+        rows, piv = self.rows, self.pivmask
+        hit = x & piv
         while hit:
-            low = hit & -hit
-            x ^= rows[low.bit_length() - 1]
-            hit ^= low
+            x ^= rows[(hit & -hit).bit_length() - 1]
+            hit = x & piv
         return x
 
     def add(self, x: int) -> bool:
@@ -445,13 +461,21 @@ class _GF2Elim(Eliminator):
         if not x:
             return False
         low = x & -x
-        rows = self.rows
-        for p, row in rows.items():
-            if row & low:
-                rows[p] = row ^ x
-        rows[low.bit_length() - 1] = x
+        self.rows[low.bit_length() - 1] = x
         self.pivmask |= low
+        self._echelon = True
         return True
+
+    def basis_planes(self) -> list:
+        if self._echelon:
+            # highest pivot down: a row's bits above its pivot are reduced
+            # by the rows above it, which are already RREF
+            rows = self.rows
+            for p in sorted(rows, reverse=True):
+                low = 1 << p
+                rows[p] = self.reduce(rows[p] ^ low) ^ low
+            self._echelon = False
+        return super().basis_planes()
 
 
 class _PackedElim(Eliminator):

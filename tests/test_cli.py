@@ -362,6 +362,14 @@ def test_cli_corpus(tmp_path, capsys):
     assert "disagreements: 0" in out
 
 
+def test_cli_corpus_on_a_missing_path_or_a_file(tmp_path, capsys):
+    (tmp_path / "h3.alg").write_text(serialize(heisenberg()))
+    for path in (tmp_path / "missing", tmp_path / "h3.alg"):
+        assert main(["corpus", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} is not a directory\n"
+
+
 def test_cli_example_7_1(capsys):
     assert main(["example-7-1"]) == 0
     out = capsys.readouterr().out

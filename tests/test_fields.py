@@ -271,6 +271,42 @@ def test_extend_stops_at_the_log_tables():
     assert emb(gf(16).mul(a, b)) == big.mul(emb(a), emb(b))
 
 
+def _fresh_extension(base, m, modulus=None):
+    """The extension and embedding built from scratch, with no shared state."""
+    big = GF2k(base.k * m, modulus)
+    root = next(c for c in range(1, big.order) if _eval(big, base.modulus, c) == 0)
+    return big, lambda a: _eval(big, a, root)
+
+
+def _eval(big, poly, x):
+    """poly, a GF(2) polynomial as a bitmask, evaluated at x in big."""
+    out = 0
+    for i in range(poly.bit_length()):
+        if poly >> i & 1:
+            out ^= big.pow(x, i)
+    return out
+
+
+@pytest.mark.parametrize("k,m,modulus", [(1, 2, None), (1, 2, 0b111), (1, 3, 0b1101),
+                                         (2, 2, None), (2, 3, None), (3, 2, None),
+                                         (2, 2, 0b11001), (4, 2, None)])
+def test_extend_is_built_once_and_agrees_with_a_fresh_build(k, m, modulus):
+    base = GF2 if k == 1 else gf(1 << k)
+    big, emb = base.extend(m, modulus)
+    again = base.extend(m, modulus)
+    assert again[0] is big and again[1] is emb
+    assert GF2k(k, base.modulus).extend(m, modulus)[0] is big
+    ref, ref_emb = _fresh_extension(base, m, modulus)
+    assert big == ref and big.modulus == ref.modulus
+    assert [emb(a) for a in base.elements()] == [ref_emb(a) for a in base.elements()]
+
+
+def test_is_irreducible_cache_matches_trial_division():
+    for _ in range(2):
+        assert ([is_irreducible(p) for p in range(1 << 10)]
+                == [is_irreducible.__wrapped__(p) for p in range(1 << 10)])
+
+
 def test_ratfunc_sqrt_adjunction():
     big, emb = F.extend()
     img = emb(X)
