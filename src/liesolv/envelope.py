@@ -441,14 +441,15 @@ class Envelope:
         (the field when it is empty), so the term is the span of the
         candidates closed under right multiplication by every x_z.  The
         step stops once the rank reaches ``ceiling``.  Returns the term's
-        eliminator, its RREF basis, and the module generators: the RREF
-        basis of the span of the accepted candidates alone, which is the
-        term's basis when A is the field.
+        eliminator, its rank, and the module generators: the RREF basis of
+        the span of the accepted candidates alone, which is the term's
+        basis when A is the field.  Only then are the term's own rows
+        read, so with central generators they are never back-substituted.
         """
         term, accepted = self._saturate(candidates, [self._times_gen(z) for z in central],
                                         ceiling)
-        basis = term.basis_planes()
-        return term, basis, self._span(accepted).basis_planes() if central else basis
+        gens = self._span(accepted) if central else term
+        return term, term.rank, gens.basis_planes()
 
     def _times_gen(self, g: int, left: bool = False):
         """The map v -> v*x_g (x_g*v when ``left``), one apply of a generator table."""
@@ -512,8 +513,9 @@ class Envelope:
         the central indices (``_d1_brackets``), D_{k+1} from the brackets
         of pairs of module generators of D_k, each left factor through
         its ad table, and ``_series_step`` closes each span under A.
-        Since D_{k+1} lies in D_k, a step stops bracketing when its rank
-        reaches dim D_k: the series has stabilized.
+        Since D_{k+1} lies in D_k, the two are equal iff their ranks are:
+        a step stops bracketing when its rank reaches dim D_k, and the
+        series has stabilized.  Terms are compared by rank, not by rows.
         """
         dims = [self.dim]
         central = self._central
@@ -522,17 +524,17 @@ class Envelope:
             terms = [Subspace.full(self.field, self.dim)]
         prev = gens = None
         for _ in range(max_steps):
-            elim, cur, gens = self._series_step(
+            elim, rank, gens = self._series_step(
                 self._d1_brackets(central) if gens is None else self._pair_brackets(gens),
                 central, dims[-1])
-            dims.append(len(cur))
+            dims.append(rank)
             if keep_terms:
                 terms.append(elim.to_subspace())
-            if not cur:
+            if not rank:
                 return SeriesResult(dims, "reached_zero", len(dims) - 1, terms)
-            if cur == prev:
-                return SeriesResult(dims, "stabilized", len(cur), terms)
-            prev = cur
+            if rank == prev:
+                return SeriesResult(dims, "stabilized", rank, terms)
+            prev = rank
         return SeriesResult(dims, "budget_exceeded", dims[-1], terms)
 
     # -- Lie-solvability witness machinery ---------------------------------
@@ -559,8 +561,8 @@ class Envelope:
         ideal of the seeds before it, so the kept ones still generate it.
         """
         central = self._central
-        _, d1, d1_gens = self._series_step(self._d1_brackets(central), central)
-        _, _, d2_gens = self._series_step(self._pair_brackets(d1_gens), central, len(d1))
+        _, d1_rank, d1_gens = self._series_step(self._d1_brackets(central), central)
+        _, _, d2_gens = self._series_step(self._pair_brackets(d1_gens), central, d1_rank)
         moved = [g for g in range(self.n) if g not in central]
         sides = [self._times_gen(g) for g in range(self.n)]
         sides += [self._times_gen(g, left=True) for g in moved]      # x_z*v = v*x_z

@@ -18,10 +18,11 @@ a row: the product-table kernel of u(L) and the bracket of
 ``algebra.LieAlgebra``.
 
 An eliminator keeps its rows keyed by pivot, so reducing a vector
-touches only the pivots in its support.  Over GF(2^k), k > 1, and
-F2(X,Y) the rows are fully reduced at every add; over GF(2) they are
-echelon while the span grows and are back-substituted once, when they
-are read.  A Subspace keeps the RREF rows, so two subspaces are equal
+touches only the pivots in its support.  Over GF(2^k), GF(2) included,
+the rows are echelon until read: an add touches no stored row, and the
+rows are back-substituted once, when they are read (M4RI's split between
+echelon form and full reduction).  Over F2(X,Y) they are fully reduced
+at every add.  A Subspace keeps the RREF rows, so two subspaces are equal
 iff their rows are identical; it decodes them to tuples once, when
 asked.  A Quotient is the whole space modulo a subspace: the columns
 that are not the subspace's pivots give the quotient's basis and
@@ -282,12 +283,12 @@ class Eliminator:
     ``add``, ``add_planes`` and ``basis_planes`` take and give the back
     end's own rows; ``add_vector``, ``residue`` and ``basis_rows`` speak
     scalar tuples.  ``rows`` maps each pivot to its row, 1 at the pivot
-    and 0 at the lower pivots.  ``_PackedElim`` and ``_GenericElim`` keep
-    the rows 0 at every other pivot too, so ``reduce`` subtracts each row
-    in a vector's support once; ``_GF2Elim`` keeps them echelon until
-    read, and ``basis_planes`` gives RREF rows on every back end.  A back
-    end supplies ``reduce`` and ``add`` and keeps ``pivmask``, one bit
-    per pivot.
+    and 0 at the pivots stored before it.  ``_GF2Elim`` and
+    ``_PackedElim`` keep them echelon until read, and ``basis_planes``
+    back-substitutes them once; ``_GenericElim`` keeps them 0 at every
+    other pivot.  ``basis_planes`` gives RREF rows on every back end.  A
+    back end supplies ``reduce`` and ``add`` and keeps ``pivmask``, one
+    bit per pivot.
 
     An eliminator is also the row form of its width: ``encode``,
     ``decode``, ``apply``, ``pair`` and the column moves below act on
@@ -296,14 +297,15 @@ class Eliminator:
     """
 
     zero = 0
+    _echelon = False  # rows added since the last back-substitution
 
     def __new__(cls, field, ambient: int, force_generic: bool = False):
         if cls is Eliminator:
             if force_generic or not isinstance(field, GF2k):
                 cls = _GenericElim
             else:
-                # bare XOR over GF(2): through _PackedElim, where every scalar
-                # is 1, sz-ideal and series-gf2 run 10-14% slower
+                # bare XOR over GF(2): through _PackedElim, whose reduce is a
+                # table apply, sz-ideal runs 15% slower and series-gf2 12%
                 cls = _GF2Elim if field.k == 1 else _PackedElim
         return object.__new__(cls)
 
@@ -389,6 +391,7 @@ class Eliminator:
         """Take the RREF rows ``planes`` of this back end, with pivots ``pivots``, as they are."""
         self.rows = dict(zip(pivots, planes))
         self.pivmask = sum(1 << p for p in pivots)
+        self._echelon = False
 
     def add_vector(self, vec: Sequence) -> bool:
         return self.add(self._row(vec))
@@ -418,8 +421,16 @@ class Eliminator:
         return sorted(self.rows)
 
     def basis_planes(self) -> list:
-        """The rows in pivot order."""
+        """The RREF rows in pivot order."""
         rows = self.rows
+        if self._echelon:
+            # highest pivot down: a row's coordinates above its pivot are
+            # reduced by the rows above it, which are already RREF
+            reduce = self.reduce
+            for p in sorted(rows, reverse=True):
+                low = 1 << p
+                rows[p] = reduce(rows[p] ^ low) ^ low
+            self._echelon = False
         return [rows[p] for p in sorted(rows)]
 
     def basis_rows(self) -> List[Tuple]:
@@ -437,14 +448,9 @@ class Eliminator:
 class _GF2Elim(Eliminator):
     """Over GF(2): a row is the bitmask of its nonzero coordinates.
 
-    Rows are kept in echelon form while the span grows: each is stored
-    under its lowest bit and may carry bits at higher pivots, so ``add``
-    touches no stored row.  ``basis_planes`` back-substitutes once when
-    rows were added since the last read, which makes them RREF again
-    (M4RI's split between echelon form and full reduction).
+    A row is stored under its lowest bit and may carry bits at higher
+    pivots, so ``add`` touches no stored row.
     """
-
-    _echelon = False  # rows added since the last back-substitution
 
     def reduce(self, x: int) -> int:
         # lowest pivot first: a row can bring in bits at higher pivots,
@@ -466,34 +472,31 @@ class _GF2Elim(Eliminator):
         self._echelon = True
         return True
 
-    def basis_planes(self) -> list:
-        if self._echelon:
-            # highest pivot down: a row's bits above its pivot are reduced
-            # by the rows above it, which are already RREF
-            rows = self.rows
-            for p in sorted(rows, reverse=True):
-                low = 1 << p
-                rows[p] = self.reduce(rows[p] ^ low) ^ low
-            self._echelon = False
-        return super().basis_planes()
-
 
 class _PackedElim(Eliminator):
     """Over GF(2^k), k > 1: a row is a stacked int.
 
-    A new row is subtracted from every stored row that is nonzero at its
-    pivot: one AND with the pivot's column in every plane finds them, and
-    only those have their coordinate read.
+    A new row is reduced, scaled to 1 at its lowest column and stored
+    under it; no stored row is touched.  ``reduce`` subtracts every row
+    whose pivot a vector hits in one ``apply`` of the row table, which
+    weights each row by the hit coordinate (M4RIE's reduction on
+    bit-sliced rows).  A row is 0 at the pivots stored before it, so a
+    round leaves coordinates only at pivots stored later, and the loop
+    ends within rank rounds.
     """
 
+    _cols = 0  # pivmask * stack.column: the pivot columns in every plane
+
+    def load(self, planes: Sequence, pivots: Sequence[int]) -> None:
+        super().load(planes, pivots)
+        self._cols = self.pivmask * self.stack.column
+
     def reduce(self, x: int) -> int:
-        st, rows = self.stack, self.rows
-        hit = st.support(x) & self.pivmask
+        rows, cols, apply = self.rows, self._cols, self.apply
+        hit = x & cols
         while hit:
-            low = hit & -hit
-            p = low.bit_length() - 1
-            x ^= st.scale(st.coord(x, p), rows[p])
-            hit ^= low
+            x ^= apply(rows, None, hit)
+            hit = x & cols
         return x
 
     def add(self, x: int) -> bool:
@@ -507,13 +510,10 @@ class _PackedElim(Eliminator):
         lead = st.coord(x, j)
         if lead != 1:
             x = st.scale(self.field.inv(lead), x)
-        col = st.column << j
-        rows = self.rows
-        for p, row in rows.items():
-            if row & col:
-                rows[p] = row ^ st.scale(st.coord(row, j), x)
-        rows[j] = x
+        self.rows[j] = x
         self.pivmask |= low
+        self._cols |= st.column << j
+        self._echelon = True
         return True
 
 

@@ -176,6 +176,30 @@ def test_stable_step_stops_at_its_ceiling():
     assert used < total
 
 
+def test_stabilization_is_read_by_rank():
+    # D_{k+1} lies in D_k, so terms of equal rank are equal: the series
+    # compares ranks and reads a term's rows only as generators (no
+    # central basis vector) or for keep_terms, which must change nothing
+    mixed = _mix_centre(negative_class2(GF8))
+    for L in [negative_class2(), negative_class2(GF4), negative_class2(GF8), mixed]:
+        assert Envelope(L)._central_gens() == ([] if L is mixed else [4, 5, 6])
+        kept = Envelope(L).lie_derived_series(keep_terms=True)
+        assert (kept.dims, kept.outcome, kept.value) == ([128, 96, 60, 60], "stabilized", 60)
+        assert kept.terms[-1] == kept.terms[-2] != kept.terms[-3]
+        assert [t.dim for t in kept.terms] == kept.dims
+        for max_steps, want in [(64, kept), (2, None)]:
+            bare = Envelope(L).lie_derived_series(max_steps)
+            with_terms = Envelope(L).lie_derived_series(max_steps, keep_terms=True)
+            assert (bare.dims, bare.outcome, bare.value) == \
+                (with_terms.dims, with_terms.outcome, with_terms.value)
+            if want is None:
+                assert (bare.dims, bare.outcome, bare.value) == \
+                    ([128, 96, 60], "budget_exceeded", 60)
+                assert with_terms.terms == kept.terms[:3]
+            else:
+                assert bare.terms is None and with_terms.terms == kept.terms
+
+
 def test_verify_verdict_checks_a_witness_in_dimension_max_envelope_n():
     # an sz witness must be the one necessary_tests re-derives, and its
     # pattern tests build u(L) for n <= PATTERN_DIM_LIMIT only: the z14
